@@ -17,9 +17,10 @@
 #   make bench-telemetry — search kernel with telemetry off vs on; the
 #                 delta is the Recorder hook's cost (target < 2%), see
 #                 BENCH_PR2.json
-#   make bench-ch — contraction-hierarchy suite: preprocessing cost,
-#                 cached-index query vs dijkstra/astar/alt, and the
-#                 mutate-then-rebuild cycle, see BENCH_PR4.json
+#   make bench-ch — contraction-hierarchy suite: preprocessing and
+#                 structural-pass cost, cached-index query vs
+#                 dijkstra/astar/alt, and the mutate-then-rebuild cycle,
+#                 see BENCH_PR4.json
 #   make bench-admission — request-lifecycle suite: ctx-polling overhead
 #                 per kernel (base vs ctx in one run, target < 2%) and
 #                 the admission gate's grant/shed fast paths, see
@@ -75,10 +76,10 @@ bench-paper:
 bench-telemetry:
 	$(GO) test -run xxx -bench 'TelemetryOverhead|PrometheusExport' -benchmem -benchtime 200x -count 3 .
 
-# Preprocessing and rebuild iterate multi-second builds, so they get a
+# Preprocessing and rebuild iterate whole builds, so they get a
 # small fixed iteration count; queries are microseconds and get 100x.
 bench-ch:
-	$(GO) test -run xxx -bench 'CHPreprocess|CHRebuildAfterMutation' -benchmem -benchtime 3x -count 3 -timeout 60m .
+	$(GO) test -run xxx -bench 'CHPreprocess|CHTopology|CHRebuildAfterMutation' -benchmem -benchtime 3x -count 3 -timeout 60m .
 	$(GO) test -run xxx -bench 'CHQuery|CHServiceQuery' -benchmem -benchtime 100x -count 3 .
 
 bench-admission:

@@ -50,12 +50,30 @@ func benchPairs(k, count int) []odPair {
 // size — since the CCH split this is the price of a topology change only;
 // a cost change pays BenchmarkCHCustomize instead.
 func BenchmarkCHPreprocess(b *testing.B) {
-	for _, k := range []int{30, 64, 100} {
+	for _, k := range []int{30, 48, 64, 100} {
 		g := gridgen.MustGenerate(gridgen.Config{K: k, Model: gridgen.Variance, Seed: benchSeed})
 		b.Run(fmt.Sprintf("k=%d", k), func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				if _, err := ch.Build(g, ch.Options{}); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
+// BenchmarkCHTopology times the structural pass alone (ordering,
+// contraction, CSR freeze; no customization) — what a server start, an
+// EnableCH or a structural rebuild pays before its first customization.
+// k=48 is the benchmark's grid.
+func BenchmarkCHTopology(b *testing.B) {
+	for _, k := range []int{48, 100} {
+		g := gridgen.MustGenerate(gridgen.Config{K: k, Model: gridgen.Variance, Seed: benchSeed})
+		b.Run(fmt.Sprintf("k=%d", k), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := ch.BuildTopology(g, ch.Options{}); err != nil {
 					b.Fatal(err)
 				}
 			}

@@ -61,12 +61,6 @@ type Index struct {
 	metric *Metric
 }
 
-// arcKey packs a directed (tail, head) pair into the freeze-time
-// position-resolution key.
-func arcKey(u, w graph.NodeID) uint64 {
-	return uint64(uint32(u))<<32 | uint64(uint32(w))
-}
-
 // CostVersion returns the graph.CostVersion() the index's metric was
 // customized under. An index answers for exactly that version: callers
 // owning a mutable graph must compare against the live CostVersion() and

@@ -123,7 +123,31 @@ func (t *Topology) findBwd(y, x graph.NodeID) int32 {
 	panic(fmt.Sprintf("ch: no downward arc %d→%d in the skeleton", x, y))
 }
 
+// markSet is an epoch-stamped node set, the search.labelSet idiom: clear
+// empties it in O(1) by advancing the epoch (uint64, so it never wraps),
+// and add/has are one array access each. It answers "does arc u→w exist"
+// after u's out-list has been added, without scanning that list per w.
+type markSet struct {
+	epoch uint64
+	stamp []uint64
+}
+
+// newMarkSet returns an empty set over n nodes. The epoch starts at 1 so
+// the zeroed stamps are not members.
+func newMarkSet(n int) *markSet { return &markSet{epoch: 1, stamp: make([]uint64, n)} }
+
+func (s *markSet) clear()                  { s.epoch++ }
+func (s *markSet) add(u graph.NodeID)      { s.stamp[u] = s.epoch }
+func (s *markSet) has(u graph.NodeID) bool { return s.stamp[u] == s.epoch }
+
 // tbuilder is the mutable state of a structural contraction.
+//
+// fwd[u] and bwd[u] list u's live neighbours in arc-insertion order. They
+// may still hold neighbours contracted since; those are skipped by every
+// reader and dropped whenever a list is rewritten, which keeps the
+// survivors' order. When v is contracted its own lists are compacted to
+// its uncontracted neighbours and never touched again, so they are
+// exactly v's upward skeleton rows.
 type tbuilder struct {
 	n          int
 	fwd        [][]graph.NodeID // live out-neighbours, shortcut targets included
@@ -132,12 +156,8 @@ type tbuilder struct {
 	delNbrs    []int32 // contracted-neighbour counts (the spreading term)
 	rank       []int32
 	order      []graph.NodeID
-	tris       []triple
+	marks      *markSet // arc-existence marks for seeding and the sequential phase
 }
-
-// triple records one lower triangle as it is enumerated during
-// contraction: contracting v connected in-neighbour u to out-neighbour w.
-type triple struct{ v, u, w graph.NodeID }
 
 // newTBuilder seeds the structural adjacency from g, dropping self loops
 // and collapsing parallel edges to a single arc per directed pair.
@@ -151,28 +171,19 @@ func newTBuilder(g *graph.Graph) *tbuilder {
 		delNbrs:    make([]int32, n),
 		rank:       make([]int32, n),
 		order:      make([]graph.NodeID, 0, n),
+		marks:      newMarkSet(n),
 	}
 	for u := graph.NodeID(0); int(u) < n; u++ {
+		b.marks.clear()
 		g.Neighbors(u, func(a graph.Arc) {
-			if a.Head == u {
+			if a.Head == u || b.marks.has(a.Head) {
 				return // self loops never lie on a shortest path
 			}
-			if !b.hasArc(u, a.Head) {
-				b.addArc(u, a.Head)
-			}
+			b.marks.add(a.Head)
+			b.addArc(u, a.Head)
 		})
 	}
 	return b
-}
-
-// hasArc reports whether the directed arc (u, w) is in the live skeleton.
-func (b *tbuilder) hasArc(u, w graph.NodeID) bool {
-	for _, x := range b.fwd[u] {
-		if x == w {
-			return true
-		}
-	}
-	return false
 }
 
 // addArc inserts the directed arc (u, w) into both adjacency views.
@@ -181,63 +192,80 @@ func (b *tbuilder) addArc(u, w graph.NodeID) {
 	b.bwd[w] = append(b.bwd[w], u)
 }
 
+// live drops contracted nodes from list in place, keeping the order of
+// the rest.
+func (b *tbuilder) live(list []graph.NodeID) []graph.NodeID {
+	kept := list[:0]
+	for _, x := range list {
+		if !b.contracted[x] {
+			kept = append(kept, x)
+		}
+	}
+	return kept
+}
+
 // priority is the contraction importance of v: edge difference (shortcut
 // arcs the contraction would insert minus arcs it retires) plus the
 // deleted-neighbour count, which delays nodes in already-thinned regions
 // and keeps the hierarchy balanced. Purely structural — no metric, no
-// shortest-path simulation — so a full re-evaluation is a pair scan.
-func (b *tbuilder) priority(v graph.NodeID) float64 {
-	added, inDeg, outDeg := 0, 0, 0
+// shortest-path simulation. marks is the caller's own scratch set.
+//
+// With v's live out-neighbours W marked, in-neighbour u would gain an
+// arc to every w in W except itself and those it already reaches:
+// |W| − [u ∈ W] − |out(u) ∩ W|, one pass over out(u).
+func (b *tbuilder) priority(v graph.NodeID, marks *markSet) float64 {
+	marks.clear()
+	outDeg := 0
 	for _, w := range b.fwd[v] {
 		if !b.contracted[w] {
+			marks.add(w)
 			outDeg++
 		}
 	}
+	added, inDeg := 0, 0
 	for _, u := range b.bwd[v] {
 		if b.contracted[u] {
 			continue
 		}
 		inDeg++
-		for _, w := range b.fwd[v] {
-			if w == u || b.contracted[w] {
-				continue
-			}
-			if !b.hasArc(u, w) {
-				added++
+		added += outDeg
+		if marks.has(u) {
+			added--
+		}
+		for _, x := range b.fwd[u] {
+			if marks.has(x) {
+				added--
 			}
 		}
 	}
 	return float64(added-(inDeg+outDeg)) + float64(b.delNbrs[v])
 }
 
-// contract removes v from the live graph: every in/out pair (u, w)
-// records a lower triangle through v, inserting the arc (u, w) if the
-// skeleton lacks it, and v's survivors take a deleted-neighbour credit.
+// contract removes v from the live graph: every in/out pair (u, w) gains
+// the arc (u, w) if the skeleton lacks it — the pair is v's lower
+// triangle, which freeze re-enumerates from v's rows — and v's survivors
+// take a deleted-neighbour credit.
 func (b *tbuilder) contract(v graph.NodeID) {
+	b.fwd[v] = b.live(b.fwd[v])
+	b.bwd[v] = b.live(b.bwd[v])
 	for _, u := range b.bwd[v] {
-		if b.contracted[u] {
-			continue
+		b.fwd[u] = b.live(b.fwd[u])
+		b.marks.clear()
+		for _, x := range b.fwd[u] {
+			b.marks.add(x)
 		}
 		for _, w := range b.fwd[v] {
-			if w == u || b.contracted[w] {
-				continue
-			}
-			b.tris = append(b.tris, triple{v: v, u: u, w: w})
-			if !b.hasArc(u, w) {
+			if w != u && !b.marks.has(w) {
 				b.addArc(u, w)
 			}
 		}
 	}
 	b.contracted[v] = true
 	for _, w := range b.fwd[v] {
-		if !b.contracted[w] {
-			b.delNbrs[w]++
-		}
+		b.delNbrs[w]++
 	}
 	for _, u := range b.bwd[v] {
-		if !b.contracted[u] {
-			b.delNbrs[u]++
-		}
+		b.delNbrs[u]++
 	}
 }
 
@@ -246,10 +274,11 @@ func (b *tbuilder) contract(v graph.NodeID) {
 // same arcs but different costs produce the identical topology.
 //
 // Initial priorities — one independent pair count per node — are computed
-// across a GOMAXPROCS-bounded worker pool; the contraction loop itself is
-// sequential because each contraction reshapes the graph the next
-// evaluates against, with the classic lazy-update rule re-queueing a
-// popped candidate whose priority has deteriorated past the next key.
+// across a GOMAXPROCS-bounded worker pool, each worker with its own mark
+// set; the contraction loop itself is sequential because each contraction
+// reshapes the graph the next evaluates against, with the classic
+// lazy-update rule re-queueing a popped candidate whose priority has
+// deteriorated past the next key.
 func BuildTopology(g *graph.Graph, opts Options) (*Topology, error) {
 	n := g.NumNodes()
 	if n == 0 {
@@ -278,8 +307,9 @@ func BuildTopology(g *graph.Graph, opts Options) (*Topology, error) {
 		wg.Add(1)
 		go func(lo, hi int) {
 			defer wg.Done()
+			marks := newMarkSet(n)
 			for v := lo; v < hi; v++ {
-				prio[v] = b.priority(graph.NodeID(v))
+				prio[v] = b.priority(graph.NodeID(v), marks)
 			}
 		}(lo, hi)
 	}
@@ -294,7 +324,7 @@ func BuildTopology(g *graph.Graph, opts Options) (*Topology, error) {
 	for queue.Len() > 0 {
 		vi, _, _ := queue.PopMin()
 		v := graph.NodeID(vi)
-		np := b.priority(v)
+		np := b.priority(v, b.marks)
 		if _, nextP, ok := queue.Peek(); ok && np > nextP {
 			queue.Push(vi, np)
 			continue
@@ -309,67 +339,43 @@ func BuildTopology(g *graph.Graph, opts Options) (*Topology, error) {
 }
 
 // freeze packs the contracted skeleton into the Topology's CSR halves,
-// resolves every recorded triangle to arc positions, and maps the source
-// graph's edges onto skeleton arcs.
+// enumerates every lower triangle from the middle nodes' rows, and maps
+// the source graph's edges onto skeleton arcs.
 func (b *tbuilder) freeze(g *graph.Graph) *Topology {
 	t := &Topology{
 		n:     b.n,
 		m:     g.NumEdges(),
 		rank:  b.rank,
 		order: b.order,
+		fwd:   packSkeleton(b.fwd),
+		bwd:   packSkeleton(b.bwd),
 	}
-	// Forward half: arcs u→w with rank(w) > rank(u), at u. Backward half:
-	// arcs x→y with rank(x) > rank(y), at y with head x.
-	t.fwd = packSkeleton(b.n, func(u graph.NodeID, emit func(graph.NodeID)) {
-		for _, w := range b.fwd[u] {
-			if b.rank[w] > b.rank[u] {
-				emit(w)
-			}
-		}
-	})
-	t.bwd = packSkeleton(b.n, func(y graph.NodeID, emit func(graph.NodeID)) {
-		for _, x := range b.bwd[y] {
-			if b.rank[x] > b.rank[y] {
-				emit(x)
-			}
-		}
-	})
-	F := len(t.fwd.heads)
-	numArcs := F + len(t.bwd.heads)
+	numArcs := t.Arcs()
+	fs, bs := newRowScatter(&t.fwd), newRowScatter(&t.bwd)
 
-	// Global arc ids: fwd positions as-is, bwd positions offset by F. The
-	// map exists only during freeze; queries and customization never
-	// touch it.
-	pos := make(map[uint64]int32, numArcs)
-	for u := graph.NodeID(0); int(u) < b.n; u++ {
-		for p := t.fwd.offsets[u]; p < t.fwd.offsets[u+1]; p++ {
-			pos[arcKey(u, t.fwd.heads[p])] = p
-		}
-		for p := t.bwd.offsets[u]; p < t.bwd.offsets[u+1]; p++ {
-			pos[arcKey(t.bwd.heads[p], u)] = int32(F) + p
-		}
-	}
-
-	// Counting sort of the triangles by target arc id into CSR form.
+	// Counting sort of the triangles by target arc id into CSR form. The
+	// enumeration visits middles in contraction order and gives a target
+	// at most one triangle per middle, so each arc's list comes out
+	// ordered by its middles' contraction order.
 	t.triOff = make([]int32, numArcs+1)
-	for _, tr := range b.tris {
-		t.triOff[pos[arcKey(tr.u, tr.w)]+1]++
-	}
+	t.eachTriangle(fs, bs, func(_ graph.NodeID, _, _, id int32) {
+		t.triOff[id+1]++
+	})
 	for i := 0; i < numArcs; i++ {
 		t.triOff[i+1] += t.triOff[i]
 	}
-	t.triMid = make([]graph.NodeID, len(b.tris))
-	t.triDown = make([]int32, len(b.tris))
-	t.triUp = make([]int32, len(b.tris))
+	numTris := t.triOff[numArcs]
+	t.triMid = make([]graph.NodeID, numTris)
+	t.triDown = make([]int32, numTris)
+	t.triUp = make([]int32, numTris)
 	cursor := make([]int32, numArcs)
-	for _, tr := range b.tris {
-		id := pos[arcKey(tr.u, tr.w)]
+	t.eachTriangle(fs, bs, func(v graph.NodeID, down, up, id int32) {
 		at := t.triOff[id] + cursor[id]
 		cursor[id]++
-		t.triMid[at] = tr.v
-		t.triDown[at] = pos[arcKey(tr.u, tr.v)] - int32(F)
-		t.triUp[at] = pos[arcKey(tr.v, tr.w)]
-	}
+		t.triMid[at] = v
+		t.triDown[at] = down
+		t.triUp[at] = up
+	})
 
 	// Edge → arc mapping plus the base-backed arc census.
 	t.edgePos = make([]int32, g.NumEdges())
@@ -383,7 +389,7 @@ func (b *tbuilder) freeze(g *graph.Graph) *Topology {
 				ei++
 				return
 			}
-			id := pos[arcKey(u, a.Head)]
+			id := t.arcID(fs, bs, u, a.Head)
 			t.edgePos[ei] = id
 			ei++
 			if !baseBacked[id] {
@@ -396,22 +402,82 @@ func (b *tbuilder) freeze(g *graph.Graph) *Topology {
 	return t
 }
 
-// packSkeleton runs the standard two-pass CSR build over a per-node arc
-// enumerator.
-func packSkeleton(n int, arcs func(u graph.NodeID, emit func(graph.NodeID))) skeleton {
-	offsets := make([]int32, n+1)
-	total := int32(0)
-	for u := graph.NodeID(0); int(u) < n; u++ {
-		arcs(u, func(graph.NodeID) { total++ })
-		offsets[u+1] = total
+// eachTriangle calls fn for every lower triangle: middle v, the bwd-half
+// position of u→v, the fwd-half position of v→w, and the global id of
+// u→w, for every u in v's bwd row and w ≠ u in its fwd row — exactly
+// the in/out pairs contraction connected through v. Middles come in
+// contraction order. Within one middle, targets owned by u (fwd row of
+// u) are visited u-major and those owned by w (bwd row of w) w-major,
+// so each owner's row is scattered once per middle.
+func (t *Topology) eachTriangle(fs, bs *rowScatter, fn func(v graph.NodeID, down, up, id int32)) {
+	F := int32(len(t.fwd.heads))
+	for _, v := range t.order {
+		dLo, dHi := t.bwd.offsets[v], t.bwd.offsets[v+1]
+		uLo, uHi := t.fwd.offsets[v], t.fwd.offsets[v+1]
+		for pd := dLo; pd < dHi; pd++ {
+			u := t.bwd.heads[pd]
+			for pu := uLo; pu < uHi; pu++ {
+				if w := t.fwd.heads[pu]; t.rank[u] < t.rank[w] {
+					fn(v, pd, pu, fs.pos(u, w))
+				}
+			}
+		}
+		for pu := uLo; pu < uHi; pu++ {
+			w := t.fwd.heads[pu]
+			for pd := dLo; pd < dHi; pd++ {
+				if u := t.bwd.heads[pd]; t.rank[w] < t.rank[u] {
+					fn(v, pd, pu, F+bs.pos(w, u))
+				}
+			}
+		}
 	}
-	heads := make([]graph.NodeID, total)
-	i := 0
-	for u := graph.NodeID(0); int(u) < n; u++ {
-		arcs(u, func(w graph.NodeID) {
-			heads[i] = w
-			i++
-		})
+}
+
+// arcID returns the global id of the skeleton arc u→w (u ≠ w): its
+// fwd-half position at u when w ranks higher, else F plus its bwd-half
+// position at w.
+func (t *Topology) arcID(fs, bs *rowScatter, u, w graph.NodeID) int32 {
+	if t.rank[u] < t.rank[w] {
+		return fs.pos(u, w)
+	}
+	return int32(len(t.fwd.heads)) + bs.pos(w, u)
+}
+
+// rowScatter resolves arc positions one skeleton row at a time: scattering
+// row r writes at[h] = position of r's arc to h, after which any arc of
+// that row is one array read. Entries of earlier rows linger, but a
+// lookup only ever asks for an arc the row holds, which the scatter has
+// just written.
+type rowScatter struct {
+	sk  *skeleton
+	at  []int32
+	row graph.NodeID // the scattered row; graph.Invalid before the first
+}
+
+func newRowScatter(sk *skeleton) *rowScatter {
+	return &rowScatter{sk: sk, at: make([]int32, len(sk.offsets)-1), row: graph.Invalid}
+}
+
+// pos returns the position of the arc from row r to h.
+func (s *rowScatter) pos(r, h graph.NodeID) int32 {
+	if s.row != r {
+		for p := s.sk.offsets[r]; p < s.sk.offsets[r+1]; p++ {
+			s.at[s.sk.heads[p]] = p
+		}
+		s.row = r
+	}
+	return s.at[h]
+}
+
+// packSkeleton concatenates per-node rows into CSR form.
+func packSkeleton(rows [][]graph.NodeID) skeleton {
+	offsets := make([]int32, len(rows)+1)
+	for u, row := range rows {
+		offsets[u+1] = offsets[u] + int32(len(row))
+	}
+	heads := make([]graph.NodeID, 0, offsets[len(rows)])
+	for _, row := range rows {
+		heads = append(heads, row...)
 	}
 	return skeleton{offsets: offsets, heads: heads}
 }

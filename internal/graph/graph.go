@@ -209,19 +209,27 @@ type EdgeCostChange struct {
 // at least one edge.
 //
 // Entries are applied in order; later entries targeting the same pair win
-// (for Scale entries, compound). Like all cost mutators, ApplyBatch must
-// be serialised against readers by the caller.
+// (for Scale entries, compound). Every cost the batch produces must be
+// finite and non-negative, compounded products included. Like all cost
+// mutators, ApplyBatch must be serialised against readers by the caller.
 func (g *Graph) ApplyBatch(changes []EdgeCostChange) (int, error) {
+	scales := false
 	for _, ch := range changes {
-		if ch.Cost < 0 || math.IsNaN(ch.Cost) {
+		if ch.Cost < 0 || math.IsNaN(ch.Cost) || math.IsInf(ch.Cost, 0) {
 			what := "cost"
 			if ch.Scale {
 				what = "scale factor"
 			}
-			return 0, fmt.Errorf("graph: %s %v for edge (%d,%d) must be non-negative", what, ch.Cost, ch.Tail, ch.Head)
+			return 0, fmt.Errorf("graph: %s %v for edge (%d,%d) must be finite and non-negative", what, ch.Cost, ch.Tail, ch.Head)
 		}
 		if !g.valid(ch.Tail) || !g.valid(ch.Head) {
 			return 0, fmt.Errorf("graph: edge (%d,%d) references unknown node", ch.Tail, ch.Head)
+		}
+		scales = scales || ch.Scale
+	}
+	if scales {
+		if err := g.checkCompounded(changes); err != nil {
+			return 0, err
 		}
 	}
 	applied := 0
@@ -247,6 +255,35 @@ func (g *Graph) ApplyBatch(changes []EdgeCostChange) (int, error) {
 		g.costVersion.Add(1)
 	}
 	return applied, nil
+}
+
+// checkCompounded replays a batch on a scratch copy of the costs it
+// touches and rejects it if a Scale entry would leave a cost that is not
+// finite: each factor is finite, but products can still overflow to +Inf,
+// and a later factor 0 turns that into NaN. Set entries are finite by the
+// per-entry check. The work is proportional to the edges the batch touches.
+func (g *Graph) checkCompounded(changes []EdgeCostChange) error {
+	pending := make(map[int32]float64, len(changes))
+	for _, ch := range changes {
+		lo, hi := g.offsets[ch.Tail], g.offsets[ch.Tail+1]
+		for i := lo; i < hi; i++ {
+			if g.heads[i] != ch.Head {
+				continue
+			}
+			c := ch.Cost
+			if ch.Scale {
+				cur, ok := pending[i]
+				if !ok {
+					cur = g.costs[i]
+				}
+				if c = cur * ch.Cost; math.IsInf(c, 0) || math.IsNaN(c) {
+					return fmt.Errorf("graph: scale factor %v for edge (%d,%d) makes its cost %v; costs must be finite", ch.Cost, ch.Tail, ch.Head, c)
+				}
+			}
+			pending[i] = c
+		}
+	}
+	return nil
 }
 
 // ScaleArcCost multiplies the cost of every parallel directed edge (u, v) by

@@ -241,6 +241,53 @@ func TestApplyBatchValidatesBeforeApplying(t *testing.T) {
 	}
 }
 
+// TestApplyBatchRejectsNonFiniteResults covers costs that are only bad
+// once compounded: factors 1e300, 1e300 and 0 on a cost-5 edge pass the
+// per-entry check but overflow to +Inf and then NaN. Infinite costs and
+// factors are refused outright. A rejected batch changes nothing.
+func TestApplyBatchRejectsNonFiniteResults(t *testing.T) {
+	g := line(t, 3)
+	if _, err := g.ApplyBatch([]EdgeCostChange{{Tail: 0, Head: 1, Cost: 5}}); err != nil {
+		t.Fatal(err)
+	}
+	v0 := g.CostVersion()
+	for name, batch := range map[string][]EdgeCostChange{
+		"compounded overflow then zero": {
+			{Tail: 1, Head: 2, Cost: 4},
+			{Tail: 0, Head: 1, Cost: 1e300, Scale: true},
+			{Tail: 0, Head: 1, Cost: 1e300, Scale: true},
+			{Tail: 0, Head: 1, Cost: 0, Scale: true},
+		},
+		"compounded overflow":  {{Tail: 0, Head: 1, Cost: 1e300, Scale: true}, {Tail: 0, Head: 1, Cost: 1e10, Scale: true}},
+		"overflow after a set": {{Tail: 0, Head: 1, Cost: 1e300}, {Tail: 0, Head: 1, Cost: 1e10, Scale: true}},
+		"infinite cost":        {{Tail: 0, Head: 1, Cost: math.Inf(1)}},
+		"infinite factor":      {{Tail: 0, Head: 1, Cost: math.Inf(1), Scale: true}},
+	} {
+		if _, err := g.ApplyBatch(batch); err == nil {
+			t.Errorf("%s: batch accepted", name)
+		}
+		if c, ok := g.ArcCost(0, 1); !ok || c != 5 {
+			t.Errorf("%s: cost after rejected batch = %v, %v; want untouched 5", name, c, ok)
+		}
+		if c, _ := g.ArcCost(1, 2); c != 1 {
+			t.Errorf("%s: cost of the batch's valid entry = %v, want untouched 1", name, c)
+		}
+		if g.CostVersion() != v0 {
+			t.Errorf("%s: version bumped by a rejected batch", name)
+		}
+	}
+	// Large factors whose product stays finite still compound.
+	if _, err := g.ApplyBatch([]EdgeCostChange{
+		{Tail: 0, Head: 1, Cost: 1e300, Scale: true},
+		{Tail: 0, Head: 1, Cost: 1e-300, Scale: true},
+	}); err != nil {
+		t.Fatalf("finite compounded batch rejected: %v", err)
+	}
+	if c, _ := g.ArcCost(0, 1); math.Abs(c-5) > 1e-9 {
+		t.Errorf("compounded cost = %v, want 5", c)
+	}
+}
+
 func TestApplyBatchInvalidatesReverseViewOnce(t *testing.T) {
 	g := line(t, 4)
 	r0 := g.ReverseView()

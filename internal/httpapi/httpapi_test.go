@@ -251,6 +251,41 @@ func TestTrafficBatchEndpoint(t *testing.T) {
 	}
 }
 
+// TestTrafficBatchRejectsOverflowingFactors pins the compounding check:
+// each factor is finite, but 1e300 twice overflows the edge cost to +Inf
+// and the trailing 0 would turn it into NaN. The batch is refused as a
+// whole — 400 bad_request, no new snapshot, the edge cost untouched.
+func TestTrafficBatchRejectsOverflowingFactors(t *testing.T) {
+	g := mpls.MustGenerate(mpls.Config{})
+	ts := httptest.NewServer(NewServer(route.NewService(g)).Handler())
+	t.Cleanup(ts.Close)
+	arc := g.Arcs(0)[0]
+	from, to := "0", strconv.Itoa(int(arc.Head))
+
+	var before, after struct {
+		Generation uint64 `json:"generation"`
+	}
+	getJSON(t, ts.URL+"/v1/snapshot", &before)
+	var env errorEnvelope
+	body := `{"changes":[` +
+		`{"from":"` + from + `","to":"` + to + `","factor":1e300},` +
+		`{"from":"` + from + `","to":"` + to + `","factor":1e300},` +
+		`{"from":"` + from + `","to":"` + to + `","factor":0}]}`
+	resp := postJSON(t, ts.URL+"/v1/traffic/batch", body, &env)
+	if resp.StatusCode != http.StatusBadRequest || env.Error.Code != CodeBadRequest {
+		t.Fatalf("overflowing batch: status %d code %q, want 400 %s", resp.StatusCode, env.Error.Code, CodeBadRequest)
+	}
+	getJSON(t, ts.URL+"/v1/snapshot", &after)
+	if after.Generation != before.Generation {
+		t.Errorf("rejected batch moved the snapshot generation %d → %d", before.Generation, after.Generation)
+	}
+	var rr RouteResponse
+	getJSON(t, ts.URL+"/v1/route?from="+from+"&to="+to+"&algo=dijkstra", &rr)
+	if !rr.Found || rr.Cost > arc.Cost {
+		t.Errorf("route over the edge after the rejected batch: found=%v cost %v, want ≤ %v", rr.Found, rr.Cost, arc.Cost)
+	}
+}
+
 func TestReachableEndpoint(t *testing.T) {
 	ts := newTestServer(t)
 	var out struct {
