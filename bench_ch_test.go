@@ -84,7 +84,33 @@ func BenchmarkCHTopology(b *testing.B) {
 // BenchmarkCHQuery compares the cached-index query against Dijkstra, A*,
 // and ALT on the corner-to-corner pair, where region-proportional kernels
 // do maximal work. Same pair, same graph, same allocation accounting.
+// The k=48 row runs the CH query alone over random pairs on the
+// benchmark's grid, reporting the work counters per query.
 func BenchmarkCHQuery(b *testing.B) {
+	{
+		const k = 48
+		g := gridgen.MustGenerate(gridgen.Config{K: k, Model: gridgen.Variance, Seed: benchSeed})
+		ix, err := ch.Build(g, ch.Options{})
+		if err != nil {
+			b.Fatal(err)
+		}
+		pairs := benchPairs(k, 1024)
+		b.Run(fmt.Sprintf("k=%d/ch-pairs", k), func(b *testing.B) {
+			b.ReportAllocs()
+			settled, relaxed := 0, 0
+			for i := 0; i < b.N; i++ {
+				p := pairs[i%len(pairs)]
+				res, err := ix.Query(p.s, p.d)
+				if err != nil || !res.Found {
+					b.Fatalf("ch query %d→%d: %v found=%v", p.s, p.d, err, res.Found)
+				}
+				settled += res.Settled
+				relaxed += res.Relaxed
+			}
+			b.ReportMetric(float64(settled)/float64(b.N), "settled/op")
+			b.ReportMetric(float64(relaxed)/float64(b.N), "relaxed/op")
+		})
+	}
 	for _, k := range []int{30, 64, 100} {
 		g := gridgen.MustGenerate(gridgen.Config{K: k, Model: gridgen.Variance, Seed: benchSeed})
 		s, d := gridgen.Pair(k, gridgen.Diagonal, benchSeed)

@@ -9,8 +9,8 @@ import (
 
 // TestQueryCtxUnreachableZeroAlloc is the gate test behind the
 // //atis:hotpath annotation on QueryCtx: with a warm workspace pool, a
-// query that finds no path — which still runs the full bidirectional
-// stall-on-demand loop but skips the blessed exact-size result copy —
+// query that finds no path — which still walks both ancestor chains
+// but skips the blessed exact-size result copy —
 // performs zero allocations. TestSteadyStateAllocs covers the reachable
 // case, where the result slice is the only allocation left.
 func TestQueryCtxUnreachableZeroAlloc(t *testing.T) {

@@ -22,17 +22,17 @@
 // Classic CH prunes shortcuts with witness searches; those proofs are
 // only valid under the metric they were searched in, so a skeleton meant
 // to survive cost updates cannot use them. The structural skeleton is
-// larger, but queries prune just as hard via ranks and stall-on-demand,
-// and the payoff is that no cost mutation — however large — ever forces
-// a re-contraction.
+// larger, and the payoff is that no cost mutation — however large — ever
+// forces a re-contraction.
 //
-// Queries (query.go) run bidirectional Dijkstra over the *upward* halves
-// only: the forward search follows arcs toward more important nodes, the
-// backward search does the same on the reverse graph, both climbing
-// shallow cones instead of flooding a cost disc. The best meeting node's
-// distance sum is the exact shortest-path cost, and unpacking the meeting
-// path's arcs through their customized middles yields a path that
-// validates edge-by-edge against the original graph.
+// Queries (query.go) use the skeleton's elimination tree, built with the
+// Topology: every upward arc leads to an ancestor, so the forward search
+// from s and the backward search from d each stay on one ancestor chain.
+// The query walks both chains bottom-up in rank order with plain label
+// arrays and no priority queue or stall-on-demand; the best sum of the
+// two labels over the common ancestors is the exact shortest-path cost,
+// and unpacking the meeting path's arcs through their customized middles
+// yields a path that validates edge-by-edge against the original graph.
 //
 // An Index pairs one Topology with one Metric. It is immutable, safe for
 // concurrent queries, and stamped with the graph's CostVersion at

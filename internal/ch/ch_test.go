@@ -1,6 +1,8 @@
 package ch
 
 import (
+	"context"
+	"errors"
 	"math"
 	"math/rand"
 	"sync"
@@ -8,6 +10,7 @@ import (
 
 	"repro/internal/graph"
 	"repro/internal/gridgen"
+	"repro/internal/mpls"
 	"repro/internal/pqueue"
 )
 
@@ -146,24 +149,29 @@ func TestDiamondNeedsNoShortcut(t *testing.T) {
 }
 
 func TestAgreesWithDijkstraOnRandomGrids(t *testing.T) {
+	grid := func(k int, model gridgen.CostModel, seed int64) func() *graph.Graph {
+		return func() *graph.Graph {
+			return gridgen.MustGenerate(gridgen.Config{K: k, Model: model, Seed: seed})
+		}
+	}
 	cases := []struct {
-		k     int
-		model gridgen.CostModel
-		seed  int64
+		name string
+		g    func() *graph.Graph
+		seed int64
 	}{
-		{5, gridgen.Uniform, 11},
-		{9, gridgen.Variance, 12},
-		{13, gridgen.Variance, 13},
+		{"k=5", grid(5, gridgen.Uniform, 11), 11},
+		{"k=9", grid(9, gridgen.Variance, 12), 12},
+		{"k=13", grid(13, gridgen.Variance, 13), 13},
+		// The default mpls map is directed: one-way freeway arcs give the
+		// skeleton upper neighbours the in/out pairs never connect.
+		{"mpls-default", func() *graph.Graph { return mpls.MustGenerate(mpls.Config{}) }, 14},
 	}
 	pairs := 40
 	if testing.Short() {
 		pairs = 10
 	}
 	for _, tc := range cases {
-		g, err := gridgen.Generate(gridgen.Config{K: tc.k, Model: tc.model, Seed: tc.seed})
-		if err != nil {
-			t.Fatal(err)
-		}
+		g := tc.g()
 		ix, err := Build(g, Options{})
 		if err != nil {
 			t.Fatal(err)
@@ -182,13 +190,13 @@ func TestAgreesWithDijkstraOnRandomGrids(t *testing.T) {
 			}
 			want, found := oracleDijkstra(g, s, d)
 			if res.Found != found {
-				t.Fatalf("k=%d %d→%d: ch found=%v, dijkstra found=%v", tc.k, s, d, res.Found, found)
+				t.Fatalf("%s %d→%d: ch found=%v, dijkstra found=%v", tc.name, s, d, res.Found, found)
 			}
 			if !found {
 				continue
 			}
 			if math.Abs(res.Cost-want) > tol*(1+math.Abs(want)) {
-				t.Fatalf("k=%d %d→%d: ch cost %v, dijkstra %v", tc.k, s, d, res.Cost, want)
+				t.Fatalf("%s %d→%d: ch cost %v, dijkstra %v", tc.name, s, d, res.Cost, want)
 			}
 			checkUnpacked(t, g, s, d, res)
 		}
@@ -361,5 +369,59 @@ func TestQuerySettlesFarFewerNodesThanDijkstra(t *testing.T) {
 	}
 	if res.Settled >= g.NumNodes()/2 {
 		t.Fatalf("ch settled %d of %d nodes; hierarchy is not pruning", res.Settled, g.NumNodes())
+	}
+}
+
+// cancelAfterEntry passes QueryCtx's entry check and reports
+// cancellation at every later poll.
+type cancelAfterEntry struct {
+	context.Context
+	polls int
+}
+
+func (c *cancelAfterEntry) Err() error {
+	if c.polls++; c.polls > 1 {
+		return context.Canceled
+	}
+	return nil
+}
+
+// TestQueryCtxCancelMidWalk cancels a query at its first in-loop poll
+// and checks the abort contract: the raw context error with partial
+// counters, every label back at +Inf for the next query from the pool,
+// and that next query exact. The poll comes every ctxCheckInterval
+// chain steps, so it needs two chains longer than that together: the
+// k=150 grid's anti-diagonal pair walks ~1,500 nodes (k=100: ~700).
+func TestQueryCtxCancelMidWalk(t *testing.T) {
+	if testing.Short() {
+		t.Skip("needs a 22,500-node hierarchy")
+	}
+	if raceEnabled {
+		t.Skip("a sequential path: the race detector adds ~15x to the build and can drop the pooled workspace the label check inspects")
+	}
+	const k = 150
+	g := gridgen.MustGenerate(gridgen.Config{K: k, Model: gridgen.Variance, Seed: 7})
+	ix, err := Build(g, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, d := graph.NodeID(k-1), graph.NodeID(k*k-k)
+	res, err := ix.QueryCtx(&cancelAfterEntry{Context: context.Background()}, s, d)
+	if !errors.Is(err, context.Canceled) || res.Found || res.Settled < ctxCheckInterval/2 {
+		t.Fatalf("cancelled walk: err=%v found=%v settled=%d, want context.Canceled after the first poll", err, res.Found, res.Settled)
+	}
+	ws := acquireWorkspace(ix.NumNodes())
+	for u := 0; u < ix.NumNodes(); u++ {
+		if !math.IsInf(ws.df[u], 1) || !math.IsInf(ws.db[u], 1) {
+			t.Fatalf("node %d keeps labels df=%v db=%v after the cancelled walk", u, ws.df[u], ws.db[u])
+		}
+	}
+	releaseWorkspace(ws)
+	got, err := ix.Query(d, s)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want, _ := oracleDijkstra(g, d, s); math.Abs(got.Cost-want) > tol*(1+want) {
+		t.Fatalf("query after the cancelled walk: cost %v, dijkstra %v", got.Cost, want)
 	}
 }

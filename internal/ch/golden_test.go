@@ -66,6 +66,26 @@ func goldenDirected() *graph.Graph {
 	return b.MustBuild()
 }
 
+// goldenCases are the graphs TestTopologyGoldenDigest pins, with their
+// digests and, on the k=48 grid, an allocation budget for one build.
+var goldenCases = []struct {
+	name     string
+	g        func() *graph.Graph
+	want     string
+	maxBytes uint64 // allocation budget of one build; 0 = unchecked
+}{
+	{"grid-k48-variance-seed1", func() *graph.Graph {
+		return gridgen.MustGenerate(gridgen.Config{K: 48, Model: gridgen.Variance, Seed: 1})
+	}, "1e796a47b20048d1d99c278d83ebe6ea54071badce0f9a37722f7d0865283d17", 88_001_096},
+	{"grid-k20-uniform", func() *graph.Graph {
+		return gridgen.MustGenerate(gridgen.Config{K: 20, Model: gridgen.Uniform})
+	}, "2f18d9feebf0e9076964fea3d50cc81fa493d7a8eac1a54a8c1b8927220811aa", 0},
+	{"mpls-default", func() *graph.Graph {
+		return mpls.MustGenerate(mpls.Config{})
+	}, "8b4086580630e45efcaa70c6ca3b91933b5612551c6cd55ad7f2b19bca2070d6", 0},
+	{"directed-small", goldenDirected, "9b97a0b097e97ebf8a109b7caf89fa2d53a240d4e143267590560570fb9045a5", 0},
+}
+
 // TestTopologyGoldenDigest pins BuildTopology's output byte for byte. The
 // digests were captured from the adjacency-scan builder the current one
 // replaced; any change to contraction order, skeleton layout, triangle
@@ -73,24 +93,7 @@ func goldenDirected() *graph.Graph {
 // bounds the bytes one build allocates by what that builder allocated, so
 // a faster build cannot buy its speed with memory.
 func TestTopologyGoldenDigest(t *testing.T) {
-	cases := []struct {
-		name     string
-		g        func() *graph.Graph
-		want     string
-		maxBytes uint64 // allocation budget of one build; 0 = unchecked
-	}{
-		{"grid-k48-variance-seed1", func() *graph.Graph {
-			return gridgen.MustGenerate(gridgen.Config{K: 48, Model: gridgen.Variance, Seed: 1})
-		}, "1e796a47b20048d1d99c278d83ebe6ea54071badce0f9a37722f7d0865283d17", 88_001_096},
-		{"grid-k20-uniform", func() *graph.Graph {
-			return gridgen.MustGenerate(gridgen.Config{K: 20, Model: gridgen.Uniform})
-		}, "2f18d9feebf0e9076964fea3d50cc81fa493d7a8eac1a54a8c1b8927220811aa", 0},
-		{"mpls-default", func() *graph.Graph {
-			return mpls.MustGenerate(mpls.Config{})
-		}, "8b4086580630e45efcaa70c6ca3b91933b5612551c6cd55ad7f2b19bca2070d6", 0},
-		{"directed-small", goldenDirected, "9b97a0b097e97ebf8a109b7caf89fa2d53a240d4e143267590560570fb9045a5", 0},
-	}
-	for _, tc := range cases {
+	for _, tc := range goldenCases {
 		t.Run(tc.name, func(t *testing.T) {
 			g := tc.g()
 			var before, after runtime.MemStats
@@ -106,6 +109,51 @@ func TestTopologyGoldenDigest(t *testing.T) {
 			}
 			if got := after.TotalAlloc - before.TotalAlloc; tc.maxBytes > 0 && got > tc.maxBytes {
 				t.Errorf("BuildTopology allocated %d bytes, budget %d", got, tc.maxBytes)
+			}
+		})
+	}
+}
+
+// TestEliminationTreeCoversUpwardArcs checks the invariant the query's
+// chain walk rests on: on every golden graph, the head of each skeleton
+// arc in either half is a proper ancestor of its tail in the elimination
+// tree. A parent taken as each node's lowest-ranked upper neighbour
+// breaks it on mpls-default, whose one-way freeway arcs leave upper
+// neighbours of a node that the in/out-pair skeleton never connects.
+func TestEliminationTreeCoversUpwardArcs(t *testing.T) {
+	for _, tc := range goldenCases {
+		t.Run(tc.name, func(t *testing.T) {
+			topo, err := BuildTopology(tc.g(), Options{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			for v, p := range topo.parent {
+				if p != graph.Invalid && topo.rank[p] <= topo.rank[v] {
+					t.Fatalf("parent %d of %d ranks %d, not above %d", p, v, topo.rank[p], topo.rank[v])
+				}
+			}
+			isAncestor := func(w, u graph.NodeID) bool {
+				for x := topo.parent[u]; x != graph.Invalid; x = topo.parent[x] {
+					if x == w {
+						return true
+					}
+				}
+				return false
+			}
+			bad := 0
+			for half, sk := range []*skeleton{&topo.fwd, &topo.bwd} {
+				for u := graph.NodeID(0); int(u) < topo.n; u++ {
+					for _, w := range sk.heads[sk.offsets[u]:sk.offsets[u+1]] {
+						if !isAncestor(w, u) {
+							if bad++; bad <= 5 {
+								t.Errorf("half %d arc %d→%d: head is not an ancestor of the tail", half, u, w)
+							}
+						}
+					}
+				}
+			}
+			if bad > 0 {
+				t.Errorf("%d of %d arcs uncovered", bad, topo.Arcs())
 			}
 		})
 	}

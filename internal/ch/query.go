@@ -9,10 +9,11 @@ import (
 	"repro/internal/tracing"
 )
 
-// ctxCheckInterval is the number of settled nodes between ctx.Err()
-// polls in QueryCtx, mirroring search.CheckInterval. CH queries settle
-// a few hundred nodes even on the 100x100 grid, so most runs poll the
-// context at most once beyond the entry check. Must be a power of two.
+// ctxCheckInterval is the number of chain steps between ctx.Err()
+// polls in QueryCtx, mirroring search.CheckInterval. The two ancestor
+// chains a query walks are a few hundred nodes even on the 100x100
+// grid, so most runs poll the context at most once beyond the entry
+// check. Must be a power of two.
 const ctxCheckInterval = 1024
 
 // Result is the outcome of one CH query, mirroring the shape of
@@ -21,31 +22,33 @@ type Result struct {
 	Found bool
 	Path  graph.Path
 	Cost  float64
-	// Settled counts nodes popped across both search directions — the
-	// headline comparison against Dijkstra's settled count.
+	// Settled counts chain nodes whose upward arcs were scanned, once per
+	// direction — the headline comparison against Dijkstra's settled
+	// count.
 	Settled int
-	// Relaxed counts arc relaxations attempted across both directions.
+	// Relaxed counts arcs scanned across both directions.
 	Relaxed int
 }
 
-// Query computes the exact shortest path from s to d using bidirectional
-// Dijkstra restricted to upward arcs, then unpacks shortcuts so the
-// returned path walks only original arcs and validates like every other
-// kernel's. It is safe for concurrent use; steady-state queries allocate
-// only the returned path slice.
+// Query computes the exact shortest path from s to d with the
+// elimination-tree query of customizable contraction hierarchies, then
+// unpacks shortcuts so the returned path walks only original arcs and
+// validates like every other kernel's. It is safe for concurrent use;
+// steady-state queries allocate only the returned path slice.
 //
-// Correctness note on stopping: unlike plain bidirectional Dijkstra, the
-// first meeting of the two searches proves nothing in a hierarchy — a
-// cheaper path may peak at a lower-ranked node still queued. A direction
-// therefore keeps running until its queue minimum is at least the best
-// meeting cost found so far; only then can no undiscovered meeting improve
-// it.
+// Every upward arc leads to an ancestor in the topology's elimination
+// tree, so the forward search from s only ever labels s's ancestor chain
+// and the backward search from d only d's. The query walks both chains
+// bottom-up in rank order with no priority queue: a node's label is
+// final once every lower chain node has been scanned, and the shortest
+// path peaks at a common ancestor, where the two labels sum to a
+// candidate cost.
 func (ix *Index) Query(s, d graph.NodeID) (Result, error) {
 	return ix.QueryCtx(context.Background(), s, d)
 }
 
-// QueryCtx is Query under a request lifecycle: the search loop polls
-// ctx.Err() every ctxCheckInterval settled nodes and stops with the raw
+// QueryCtx is Query under a request lifecycle: the chain walk polls
+// ctx.Err() every ctxCheckInterval steps and stops with the raw
 // context error (context.Canceled or context.DeadlineExceeded) plus the
 // work counters accumulated so far. This package deliberately returns
 // context errors untranslated — it cannot import internal/search for
@@ -54,9 +57,8 @@ func (ix *Index) Query(s, d graph.NodeID) (Result, error) {
 // with search.FromContextErr so every layer above sees one vocabulary.
 //
 // Under an active trace the two phases of a query show up as separate
-// spans — "ch.search" (the stall-on-demand bidirectional loop) and
-// "ch.unpack" (shortcut expansion) — so a slow CH request says which
-// half was at fault.
+// spans — "ch.search" (the chain walk) and "ch.unpack" (shortcut
+// expansion) — so a slow CH request says which half was at fault.
 //
 //atis:hotpath
 func (ix *Index) QueryCtx(ctx context.Context, s, d graph.NodeID) (Result, error) {
@@ -100,110 +102,92 @@ func (ix *Index) QueryCtx(ctx context.Context, s, d graph.NodeID) (Result, error
 	}, nil
 }
 
-// searchCtx runs the stall-on-demand bidirectional loop over a prepared
+// searchCtx walks the ancestor chains of s and d over a prepared
 // workspace, returning the best meeting cost and node plus the work
-// counters. The span attrs are set explicitly before each return rather
+// counters. The chains are merged in rank order: below their lowest
+// common ancestor each step advances the lower-ranked chain; from it up
+// to the root both advance together and every node is a meeting
+// candidate. A node's arcs are scanned only while its label is below the
+// best meeting cost, since every path continuing upward costs at least
+// the label. The span attrs are set explicitly before each return rather
 // than in a deferred closure — a closure capturing the counters would
 // allocate even with tracing disabled.
 func (ix *Index) searchCtx(ctx context.Context, ws *workspace, s, d graph.NodeID) (best float64, meet graph.NodeID, settled, relaxed int, err error) {
 	_, sp := tracing.Start(ctx, "ch.search")
 	defer sp.End()
 
-	// Compose each search side from the topology's skeleton and the
-	// metric's customized weights; positions align by construction.
-	fwdSide := qside{
-		offsets: ix.topo.fwd.offsets,
-		heads:   ix.topo.fwd.heads,
-		costs:   ix.metric.fwd.costs,
-	}
-	bwdSide := qside{
-		offsets: ix.topo.bwd.offsets,
-		heads:   ix.topo.bwd.heads,
-		costs:   ix.metric.bwd.costs,
-	}
+	t, m := ix.topo, ix.metric
+	df, db := ws.df, ws.db
+	df[s], ws.pf[s] = 0, graph.Invalid
+	db[d], ws.pb[d] = 0, graph.Invalid
+	inf := math.Inf(1)
+	best, meet = inf, graph.Invalid
 
-	ws.fwd.set(s, 0, graph.Invalid)
-	ws.hf.Push(int(s), 0)
-	ws.bwd.set(d, 0, graph.Invalid)
-	ws.hb.Push(int(d), 0)
-
-	best = math.Inf(1)
-	meet = graph.Invalid
-	stalls := 0
-
-	// Alternate directions, settling from whichever frontier is cheaper;
-	// a direction is exhausted once empty or its minimum cannot improve
-	// best.
-	polls := 0
-	for {
-		if polls++; polls&(ctxCheckInterval-1) == 0 {
+	steps := 0
+	x, y := s, d // the next unscanned node of each chain
+	for x != graph.Invalid || y != graph.Invalid {
+		if steps++; steps&(ctxCheckInterval-1) == 0 {
 			if cerr := ctx.Err(); cerr != nil {
+				ws.clearChains(t.parent, x, y)
 				sp.SetInt("settled", int64(settled))
 				sp.SetInt("relaxed", int64(relaxed))
-				sp.SetInt("stalls", int64(stalls))
 				return best, meet, settled, relaxed, cerr
 			}
 		}
-		fmin, bmin := math.Inf(1), math.Inf(1)
-		if _, p, ok := ws.hf.Peek(); ok {
-			fmin = p
-		}
-		if _, p, ok := ws.hb.Peek(); ok {
-			bmin = p
-		}
-		if fmin >= best && bmin >= best {
-			break
-		}
-		forward := fmin <= bmin
-		var (
-			heap  = ws.hf
-			mine  = &ws.fwd
-			their = &ws.bwd
-			adj   = &fwdSide
-			down  = &bwdSide
-		)
-		if !forward {
-			heap, mine, their, adj, down = ws.hb, &ws.bwd, &ws.fwd, &bwdSide, &fwdSide
-		}
-		ui, du, _ := heap.PopMin()
-		u := graph.NodeID(ui)
-		if od := their.distAt(u); du+od < best {
-			best = du + od
-			meet = u
-		}
-		// Stall-on-demand: the opposite CSR holds this direction's downward
-		// arcs into u (from higher-ranked x). If any labeled x reaches u
-		// more cheaply through one, no shortest path continues upward
-		// through u — skip its expansion. Labels are upper bounds on true
-		// distance, so stalling on a queued (not yet settled) label is
-		// still conservative.
-		stalled := false
-		for i, hi := down.offsets[u], down.offsets[u+1]; i < hi; i++ {
-			if mine.distAt(down.heads[i])+down.costs[i] < du {
-				stalled = true
-				break
+		// Advance the lower-ranked chain, or both at a common ancestor,
+		// where the two labels are final and sum to a meeting candidate.
+		fwd := y == graph.Invalid || (x != graph.Invalid && t.rank[x] <= t.rank[y])
+		bwd := x == y || !fwd
+		if fwd && bwd {
+			if c := df[x] + db[x]; c < best {
+				best, meet = c, x
 			}
 		}
-		if stalled {
-			stalls++
-			continue
-		}
-		settled++
-		lo, hi := adj.offsets[u], adj.offsets[u+1]
-		for i := lo; i < hi; i++ {
-			relaxed++
-			v := adj.heads[i]
-			nd := du + adj.costs[i]
-			if nd < mine.distAt(v) {
-				mine.set(v, nd, u)
-				heap.PushOrUpdate(int(v), nd)
+		if fwd {
+			if df[x] < best {
+				relaxed += scanUp(&t.fwd, m.fwd.costs, df, ws.pf, x)
+				settled++
 			}
+			df[x] = inf
+			x = t.parent[x]
+		}
+		if bwd {
+			if db[y] < best {
+				relaxed += scanUp(&t.bwd, m.bwd.costs, db, ws.pb, y)
+				settled++
+			}
+			db[y] = inf
+			y = t.parent[y]
 		}
 	}
 	sp.SetInt("settled", int64(settled))
 	sp.SetInt("relaxed", int64(relaxed))
-	sp.SetInt("stalls", int64(stalls))
 	return best, meet, settled, relaxed, nil
+}
+
+// scanUp relaxes u's arcs in one upward half, lowering the labels of
+// their heads, and returns the number of arcs scanned.
+func scanUp(sk *skeleton, costs, dist []float64, prev []graph.NodeID, u graph.NodeID) int {
+	lo, hi := sk.offsets[u], sk.offsets[u+1]
+	du, cs := dist[u], costs[lo:hi]
+	for i, v := range sk.heads[lo:hi] {
+		if nd := du + cs[i]; nd < dist[v] {
+			dist[v], prev[v] = nd, u
+		}
+	}
+	return int(hi - lo)
+}
+
+// clearChains puts +Inf back on the forward labels from x and the
+// backward labels from y up to their roots: the labels a query stopped
+// before x and y can still hold.
+func (ws *workspace) clearChains(parent []graph.NodeID, x, y graph.NodeID) {
+	for ; x != graph.Invalid; x = parent[x] {
+		ws.df[x] = math.Inf(1)
+	}
+	for ; y != graph.Invalid; y = parent[y] {
+		ws.db[y] = math.Inf(1)
+	}
 }
 
 // unpackPath reconstructs the packed meeting path from the search trees
@@ -215,15 +199,15 @@ func (ix *Index) unpackPath(ctx context.Context, ws *workspace, meet graph.NodeI
 
 	// Reconstruct the packed meeting path: s → … → meet from the forward
 	// tree (reversed in place), then meet → … → d from the backward tree,
-	// where prev in the backward search names the next node toward d.
+	// where a backward parent names the next node toward d.
 	packed := ws.packed[:0]
-	for u := meet; u != graph.Invalid; u = ws.fwd.prev[u] {
+	for u := meet; u != graph.Invalid; u = ws.pf[u] {
 		packed = append(packed, u)
 	}
 	for i, j := 0, len(packed)-1; i < j; i, j = i+1, j-1 {
 		packed[i], packed[j] = packed[j], packed[i]
 	}
-	for u := ws.bwd.prev[meet]; u != graph.Invalid; u = ws.bwd.prev[u] {
+	for u := ws.pb[meet]; u != graph.Invalid; u = ws.pb[u] {
 		packed = append(packed, u)
 	}
 	ws.packed = packed // retain any growth for the next query
@@ -241,14 +225,6 @@ func (ix *Index) unpackPath(ctx context.Context, ws *workspace, meet graph.NodeI
 	sp.SetInt("packed", int64(len(packed)))
 	sp.SetInt("nodes", int64(len(nodes)))
 	return nodes
-}
-
-// qside is one direction of the bidirectional search: skeleton structure
-// from the Topology, weights from the Metric, zipped by arc position.
-type qside struct {
-	offsets []int32
-	heads   []graph.NodeID
-	costs   []float64
 }
 
 // unpackInto expands the (possibly shortcut) arc u→w into original arcs,

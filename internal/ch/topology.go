@@ -71,6 +71,12 @@ type Topology struct {
 	edgePos []int32
 
 	shortcuts int // skeleton arcs not backed by any original edge
+
+	// parent is the elimination tree of both halves' undirected union in
+	// contraction order (graph.Invalid at roots): the head of every
+	// skeleton arc is a proper ancestor of its tail, so an upward search
+	// from s labels nothing off s's ancestor chain.
+	parent []graph.NodeID
 }
 
 // NumNodes returns the number of nodes the topology covers.
@@ -399,7 +405,60 @@ func (b *tbuilder) freeze(g *graph.Graph) *Topology {
 		})
 	}
 	t.shortcuts = numArcs - base
+	t.parent = t.eliminationTree()
 	return t
+}
+
+// eliminationTree computes the skeleton's elimination tree with Liu's
+// algorithm: visit nodes v in contraction order and, for each lower
+// neighbour u, climb from u to the root of its current subtree, pointing
+// every node passed at v (path compression), and hang that root below v.
+// A parent is thus the lowest-ranked node adjacent to the child's whole
+// subtree, not just to the child: the skeleton keeps only in/out pairs,
+// so a node's upper neighbours need not be adjacent to each other.
+func (t *Topology) eliminationTree() []graph.NodeID {
+	// Every arc sits at its lower endpoint, so transposing both halves
+	// lists each node's lower neighbours.
+	halves := []*skeleton{&t.fwd, &t.bwd}
+	lowOff := make([]int32, t.n+1)
+	for _, sk := range halves {
+		for _, w := range sk.heads {
+			lowOff[w+1]++
+		}
+	}
+	for v := 0; v < t.n; v++ {
+		lowOff[v+1] += lowOff[v]
+	}
+	low := make([]graph.NodeID, lowOff[t.n])
+	cursor := append([]int32(nil), lowOff[:t.n]...)
+	for _, sk := range halves {
+		for u := graph.NodeID(0); int(u) < t.n; u++ {
+			for _, w := range sk.heads[sk.offsets[u]:sk.offsets[u+1]] {
+				low[cursor[w]] = u
+				cursor[w]++
+			}
+		}
+	}
+
+	parent := make([]graph.NodeID, t.n)
+	anc := make([]graph.NodeID, t.n)
+	for v := range parent {
+		parent[v], anc[v] = graph.Invalid, graph.Invalid
+	}
+	for _, v := range t.order {
+		for _, u := range low[lowOff[v]:lowOff[v+1]] {
+			for r := u; r != v; {
+				next := anc[r]
+				anc[r] = v
+				if next == graph.Invalid {
+					parent[r] = v
+					break
+				}
+				r = next
+			}
+		}
+	}
+	return parent
 }
 
 // eachTriangle calls fn for every lower triangle: middle v, the bwd-half

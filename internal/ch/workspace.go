@@ -5,57 +5,22 @@ import (
 	"sync"
 
 	"repro/internal/graph"
-	"repro/internal/pqueue"
 )
 
-// labels is an epoch-stamped distance/parent label array, the same trick
-// as internal/search's labelSet: bumping the epoch invalidates every label
-// in O(1), so a pooled workspace never pays an O(n) clear between queries.
-type labels struct {
-	epoch uint64
-	stamp []uint64
-	dist  []float64
-	prev  []graph.NodeID
-}
-
-// reset prepares the labels for a fresh query over n nodes.
-func (l *labels) reset(n int) {
-	if cap(l.stamp) < n {
-		l.stamp = make([]uint64, n)
-		l.dist = make([]float64, n)
-		l.prev = make([]graph.NodeID, n)
-		l.epoch = 0
-	}
-	l.stamp = l.stamp[:n]
-	l.dist = l.dist[:n]
-	l.prev = l.prev[:n]
-	l.epoch++
-}
-
-// distAt reads u's distance label, +Inf when untouched this query.
-func (l *labels) distAt(u graph.NodeID) float64 {
-	if l.stamp[u] != l.epoch {
-		return math.Inf(1)
-	}
-	return l.dist[u]
-}
-
-// set writes u's label in the current epoch.
-func (l *labels) set(u graph.NodeID, d float64, p graph.NodeID) {
-	l.stamp[u] = l.epoch
-	l.dist[u] = d
-	l.prev[u] = p
-}
-
 // workspace bundles the mutable per-query state of a CH query: forward and
-// backward label arrays and heaps. Owned by exactly one query at a time and
-// recycled through a sync.Pool, so steady-state queries allocate only the
-// returned path slice.
+// backward distance labels and parents, indexed by node. Between queries
+// every distance is +Inf: a query writes labels only on the ancestor
+// chains of its two endpoints and puts +Inf back on each chain node once
+// it has walked past it, so a pooled workspace never pays an O(n) clear.
+// Parents are read only where this query wrote a finite label and are
+// never cleared. Owned by exactly one query at a time and recycled
+// through a sync.Pool, so steady-state queries allocate only the returned
+// path slice.
 type workspace struct {
-	fwd, bwd labels
-	hf, hb   *pqueue.Indexed
-	packed   []graph.NodeID // scratch for the pre-unpack meeting path
-	nodes    []graph.NodeID // scratch for shortcut unpacking
+	df, db []float64
+	pf, pb []graph.NodeID
+	packed []graph.NodeID // scratch for the pre-unpack meeting path
+	nodes  []graph.NodeID // scratch for shortcut unpacking
 }
 
 var workspacePool = sync.Pool{New: func() any { return &workspace{} }}
@@ -63,22 +28,22 @@ var workspacePool = sync.Pool{New: func() any { return &workspace{} }}
 // acquireWorkspace returns a workspace ready for a query over n nodes.
 func acquireWorkspace(n int) *workspace {
 	ws := workspacePool.Get().(*workspace)
-	//lint:ignore hotpath label storage reallocates only when the graph grows; steady state is an epoch bump
-	ws.fwd.reset(n)
-	//lint:ignore hotpath label storage reallocates only when the graph grows; steady state is an epoch bump
-	ws.bwd.reset(n)
-	if ws.hf == nil {
-		//lint:ignore hotpath first acquisition builds the heaps; every later query reuses them from the pool
-		ws.hf = pqueue.NewIndexed(n)
-		//lint:ignore hotpath first acquisition builds the heaps; every later query reuses them from the pool
-		ws.hb = pqueue.NewIndexed(n)
-	} else {
-		ws.hf.Grow(n)
-		ws.hf.Reset()
-		ws.hb.Grow(n)
-		ws.hb.Reset()
+	if len(ws.df) < n {
+		//lint:ignore hotpath label storage reallocates only when the graph grows; steady state reuses it
+		ws.grow(n)
 	}
 	return ws
+}
+
+// grow replaces the label arrays with n-node ones at +Inf.
+func (ws *workspace) grow(n int) {
+	ws.df = make([]float64, n)
+	ws.db = make([]float64, n)
+	ws.pf = make([]graph.NodeID, n)
+	ws.pb = make([]graph.NodeID, n)
+	for u := range ws.df {
+		ws.df[u], ws.db[u] = math.Inf(1), math.Inf(1)
+	}
 }
 
 // releaseWorkspace returns ws to the pool. Callers must not retain

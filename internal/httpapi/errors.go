@@ -17,6 +17,8 @@ const (
 	CodeBadAlgo = "bad_algo"
 	// CodeBadRequest: any other input validation failure (400).
 	CodeBadRequest = "bad_request"
+	// CodeTooLarge: the request body exceeds the server's size limit (413).
+	CodeTooLarge = "too_large"
 	// CodeNoRoute: the endpoints are valid but no path connects them (404).
 	CodeNoRoute = "no_route"
 	// CodeNotFound: the named resource does not exist — an unknown or

@@ -387,8 +387,7 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 		Algo   string  `json:"algo"`
 		Weight float64 `json:"weight"`
 	}
-	if err := json.NewDecoder(r.Body).Decode(&body); err != nil {
-		s.apiError(w, r, http.StatusBadRequest, CodeBadRequest, err)
+	if !s.decodeBody(w, r, &body) {
 		return
 	}
 	if len(body.Pairs) == 0 {
@@ -520,8 +519,7 @@ func (s *Server) handleEvaluate(w http.ResponseWriter, r *http.Request) {
 	var body struct {
 		Nodes []int32 `json:"nodes"`
 	}
-	if err := json.NewDecoder(r.Body).Decode(&body); err != nil {
-		s.apiError(w, r, http.StatusBadRequest, CodeBadRequest, err)
+	if !s.decodeBody(w, r, &body) {
 		return
 	}
 	p := graph.Path{}
@@ -549,8 +547,7 @@ func (s *Server) handleTraffic(w http.ResponseWriter, r *http.Request) {
 	var body struct {
 		X, Y, Radius, Factor float64
 	}
-	if err := json.NewDecoder(r.Body).Decode(&body); err != nil {
-		s.apiError(w, r, http.StatusBadRequest, CodeBadRequest, err)
+	if !s.decodeBody(w, r, &body) {
 		return
 	}
 	n, err := s.svc.ApplyRegionCongestionCtx(r.Context(), graph.Point{X: body.X, Y: body.Y}, body.Radius, body.Factor)
@@ -565,6 +562,31 @@ func (s *Server) handleTraffic(w http.ResponseWriter, r *http.Request) {
 // per tick should split it — each request is one CostVersion bump and one
 // customization pass either way.
 const maxTrafficChanges = 4096
+
+// maxBodyBytes bounds every JSON request body. The count caps above
+// apply only after a full decode, so the body itself is read through
+// http.MaxBytesReader: room for the larger capped batch at 256 bytes per
+// item, several times what a pair or change needs, and far more than a
+// /v1/traffic or /v1/evaluate body does.
+const maxBodyBytes = 256 * max(maxBatchPairs, maxTrafficChanges)
+
+// decodeBody decodes r's JSON body into v, reading at most maxBodyBytes.
+// On failure it writes the envelope — 413 too_large for an oversized
+// body, 400 bad_request for malformed JSON — and returns false.
+func (s *Server) decodeBody(w http.ResponseWriter, r *http.Request, v any) bool {
+	err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes)).Decode(v)
+	var tooLarge *http.MaxBytesError
+	switch {
+	case err == nil:
+		return true
+	case errors.As(err, &tooLarge):
+		s.apiError(w, r, http.StatusRequestEntityTooLarge, CodeTooLarge,
+			fmt.Errorf("request body exceeds %d bytes", maxBodyBytes))
+	default:
+		s.apiError(w, r, http.StatusBadRequest, CodeBadRequest, err)
+	}
+	return false
+}
 
 // handleTrafficBatch applies a traffic feed's edge updates as one batch:
 // POST /v1/traffic/batch
@@ -583,8 +605,7 @@ func (s *Server) handleTrafficBatch(w http.ResponseWriter, r *http.Request) {
 			Factor *float64 `json:"factor,omitempty"`
 		} `json:"changes"`
 	}
-	if err := json.NewDecoder(r.Body).Decode(&body); err != nil {
-		s.apiError(w, r, http.StatusBadRequest, CodeBadRequest, err)
+	if !s.decodeBody(w, r, &body) {
 		return
 	}
 	if len(body.Changes) == 0 {

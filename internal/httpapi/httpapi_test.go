@@ -406,3 +406,55 @@ func TestNoRouteReportsMinusOne(t *testing.T) {
 		t.Errorf("unreachable route: %+v", rr)
 	}
 }
+
+// TestOversizedBodiesRejected sends each JSON endpoint a body one item
+// past maxBodyBytes: the server stops reading at the limit and answers
+// 413 too_large with the envelope, and the snapshot generation does not
+// move (the /v1/traffic body would congest the whole map if accepted).
+func TestOversizedBodiesRejected(t *testing.T) {
+	items := func(prefix, item, suffix string) string {
+		return prefix + strings.Repeat(item, maxBodyBytes/len(item)+1) + suffix
+	}
+	cases := []struct{ name, path, body string }{
+		{"routes-batch", "/v1/routes/batch", items(`{"pairs":[`, `{"from":"A","to":"B"},`, `{"from":"A","to":"B"}]}`)},
+		{"evaluate", "/v1/evaluate", items(`{"nodes":[`, `1,`, `1]}`)},
+		{"traffic", "/v1/traffic", items(`{"x":16,"y":16,"radius":1000,"factor":2,"note":"`, `x`, `"}`)},
+		{"traffic-batch", "/v1/traffic/batch", items(`{"changes":[`, `{"from":"A","to":"B","factor":2},`, `{"from":"A","to":"B","factor":2}]}`)},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			ts := newTestServer(t)
+			var before, after struct {
+				Generation uint64 `json:"generation"`
+			}
+			getJSON(t, ts.URL+"/v1/snapshot", &before)
+			var env errorEnvelope
+			resp := postJSON(t, ts.URL+tc.path, tc.body, &env)
+			if resp.StatusCode != http.StatusRequestEntityTooLarge || env.Error.Code != CodeTooLarge || env.Error.RequestID == "" {
+				t.Errorf("%d-byte body: status %d envelope %+v, want 413 %s with a requestId",
+					len(tc.body), resp.StatusCode, env.Error, CodeTooLarge)
+			}
+			getJSON(t, ts.URL+"/v1/snapshot", &after)
+			if after.Generation != before.Generation {
+				t.Errorf("rejected body moved the snapshot generation %d → %d", before.Generation, after.Generation)
+			}
+		})
+	}
+}
+
+// TestMaxCountTrafficBatchFitsBodyLimit keeps the byte limit above what
+// the count cap admits: a batch of maxTrafficChanges changes, written
+// verbosely, is read in full and applied.
+func TestMaxCountTrafficBatchFitsBodyLimit(t *testing.T) {
+	g := mpls.MustGenerate(mpls.Config{})
+	ts := httptest.NewServer(NewServer(route.NewService(g)).Handler())
+	t.Cleanup(ts.Close)
+	change := `{"from": "0", "to": "` + strconv.Itoa(int(g.Arcs(0)[0].Head)) + `", "factor": 1.0000000000000000}`
+	body := `{"changes": [` + strings.Repeat(change+", ", maxTrafficChanges-1) + change + `]}`
+	var out struct {
+		Changes int `json:"changes"`
+	}
+	if resp := postJSON(t, ts.URL+"/v1/traffic/batch", body, &out); resp.StatusCode != http.StatusOK || out.Changes != maxTrafficChanges {
+		t.Fatalf("%d-byte batch of %d changes: status %d, applied %d", len(body), maxTrafficChanges, resp.StatusCode, out.Changes)
+	}
+}

@@ -5,11 +5,13 @@ import (
 	"context"
 	"crypto/rand"
 	"encoding/hex"
+	"errors"
 	"fmt"
 	"io"
 	"log/slog"
 	"net"
 	"net/http"
+	"runtime/debug"
 	"strconv"
 	"sync/atomic"
 	"time"
@@ -134,7 +136,8 @@ func (w *statusWriter) ReadFrom(r io.Reader) (int64, error) {
 //     atis_http_request_seconds{path} latency histogram (with an
 //     OpenMetrics exemplar linking to the trace when it was captured),
 //     and the atis_http_in_flight gauge;
-//   - one structured access-log line per request.
+//   - one structured access-log line per request;
+//   - recovery of a handler panic into a 500 internal envelope (serve).
 //
 // pattern is the mux registration pattern, used as the path label so metric
 // cardinality stays bounded by the route table, not by client input. It is
@@ -164,7 +167,7 @@ func (s *Server) instrument(pattern string, h http.HandlerFunc) http.Handler {
 		defer s.inFlight.Dec()
 		start := time.Now()
 		sw := &statusWriter{ResponseWriter: w}
-		h(sw, r)
+		aborted := s.serve(h, sw, r)
 		elapsed := time.Since(start)
 
 		if sw.status == 0 {
@@ -201,5 +204,38 @@ func (s *Server) instrument(pattern string, h http.HandlerFunc) http.Handler {
 			logAttrs = append(logAttrs, slog.String("trace_id", trace.ID()))
 		}
 		s.log.LogAttrs(r.Context(), slog.LevelInfo, "request", logAttrs...)
+		if aborted {
+			panic(http.ErrAbortHandler)
+		}
 	})
+}
+
+// serve runs h, recovering a panic into a 500 internal envelope carrying
+// the request id, so one failing request costs its caller an answer
+// rather than the connection. The panic and its stack go to the error
+// log. http.ErrAbortHandler is re-panicked: it is a handler's own request
+// to drop the connection. A panic after the response has started cannot
+// be answered with an envelope; serve then records a 500 and reports
+// aborted, and the caller drops the connection once it has accounted the
+// request, so the client never takes a truncated body for a whole one.
+func (s *Server) serve(h http.HandlerFunc, sw *statusWriter, r *http.Request) (aborted bool) {
+	defer func() {
+		p := recover()
+		if p == nil {
+			return
+		}
+		if p == http.ErrAbortHandler {
+			panic(p)
+		}
+		s.log.Error("handler panic", "request_id", RequestID(r.Context()),
+			"path", r.URL.Path, "panic", p, "stack", string(debug.Stack()))
+		if sw.status != 0 {
+			sw.status = http.StatusInternalServerError
+			aborted = true
+			return
+		}
+		s.apiError(sw, r, http.StatusInternalServerError, CodeInternal, errors.New("internal server error"))
+	}()
+	h(sw, r)
+	return false
 }

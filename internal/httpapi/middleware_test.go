@@ -1,6 +1,7 @@
 package httpapi
 
 import (
+	"encoding/json"
 	"fmt"
 	"io"
 	"log/slog"
@@ -335,5 +336,59 @@ func TestCounterConsistencyUnderLoad(t *testing.T) {
 	// In-flight gauge must settle back to zero once the load drains.
 	if got := reg.Gauge("atis_http_in_flight", "").Value(); got != 0 {
 		t.Errorf("atis_http_in_flight = %d after drain, want 0", got)
+	}
+}
+
+// TestInstrumentRecoversPanics wraps panicking handlers in instrument: a
+// panic before any response is written becomes a 500 internal envelope
+// carrying the request id and is counted under code 500; a panic after
+// the response started, and http.ErrAbortHandler itself, drop the
+// connection by re-panicking http.ErrAbortHandler to net/http.
+func TestInstrumentRecoversPanics(t *testing.T) {
+	svc := route.NewService(mpls.MustGenerate(mpls.Config{}))
+	srv := NewServer(svc, WithLogger(slog.New(slog.NewTextHandler(io.Discard, nil))))
+	count := func(path string) uint64 {
+		return svc.Registry().Counter("atis_http_requests_total", "",
+			telemetry.L("path", path), telemetry.L("method", "GET"),
+			telemetry.L("code", "500")).Value()
+	}
+	serve := func(path string, h http.HandlerFunc) (rec *httptest.ResponseRecorder, repanic any) {
+		defer func() { repanic = recover() }()
+		req := httptest.NewRequest(http.MethodGet, path, nil)
+		req.Header.Set("X-Request-ID", "panic-trace")
+		rec = httptest.NewRecorder()
+		srv.instrument(path, h).ServeHTTP(rec, req)
+		return rec, nil
+	}
+
+	rec, repanic := serve("/boom", func(http.ResponseWriter, *http.Request) { panic("boom") })
+	if repanic != nil {
+		t.Fatalf("panic escaped instrument: %v", repanic)
+	}
+	var env errorEnvelope
+	if err := json.NewDecoder(rec.Body).Decode(&env); err != nil {
+		t.Fatalf("decode envelope: %v", err)
+	}
+	if rec.Code != http.StatusInternalServerError || env.Error.Code != CodeInternal || env.Error.RequestID != "panic-trace" {
+		t.Errorf("recovered panic: status %d envelope %+v, want 500 %s with requestId panic-trace", rec.Code, env.Error, CodeInternal)
+	}
+	if got := count("/boom"); got != 1 {
+		t.Errorf("requests{/boom,GET,500} = %d, want 1", got)
+	}
+
+	_, repanic = serve("/late", func(w http.ResponseWriter, _ *http.Request) {
+		io.WriteString(w, "partial")
+		panic("late")
+	})
+	if repanic != http.ErrAbortHandler {
+		t.Errorf("panic after the response started: re-panicked %v, want http.ErrAbortHandler", repanic)
+	}
+	if got := count("/late"); got != 1 {
+		t.Errorf("requests{/late,GET,500} = %d, want 1", got)
+	}
+
+	_, repanic = serve("/abort", func(http.ResponseWriter, *http.Request) { panic(http.ErrAbortHandler) })
+	if repanic != http.ErrAbortHandler {
+		t.Errorf("http.ErrAbortHandler: re-panicked %v, want http.ErrAbortHandler", repanic)
 	}
 }
