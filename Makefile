@@ -26,8 +26,10 @@
 #                 the admission gate's grant/shed fast paths, see
 #                 BENCH_PR5.json
 #   make bench-customize — CCH metric-customization suite: re-pricing a
-#                 cached topology vs full structural preprocessing at
-#                 the same k, plus the sustained traffic-stream cycle,
+#                 cached topology (k=30/48/64/100; k=48 is atisbench's
+#                 grid) vs full structural preprocessing at the same k,
+#                 plus the sustained snapshot-publishing traffic-stream
+#                 cycle,
 #                 see BENCH_PR6.json
 #   make bench-trace — span-tracing suite: instrumented kernels with
 #                 tracing disabled vs fully sampled (target: 0 extra

@@ -65,18 +65,22 @@ func BenchmarkCHPreprocess(b *testing.B) {
 
 // BenchmarkCHTopology times the structural pass alone (ordering,
 // contraction, CSR freeze; no customization) — what a server start, an
-// EnableCH or a structural rebuild pays before its first customization.
-// k=48 is the benchmark's grid.
+// EnableCH or a structural rebuild pays before its first customization —
+// and reports the bytes the frozen topology retains. k=48 is the
+// benchmark's grid.
 func BenchmarkCHTopology(b *testing.B) {
 	for _, k := range []int{48, 100} {
 		g := gridgen.MustGenerate(gridgen.Config{K: k, Model: gridgen.Variance, Seed: benchSeed})
 		b.Run(fmt.Sprintf("k=%d", k), func(b *testing.B) {
 			b.ReportAllocs()
+			var topo *ch.Topology
 			for i := 0; i < b.N; i++ {
-				if _, err := ch.BuildTopology(g, ch.Options{}); err != nil {
+				var err error
+				if topo, err = ch.BuildTopology(g, ch.Options{}); err != nil {
 					b.Fatal(err)
 				}
 			}
+			b.ReportMetric(float64(topo.RetainedBytes()), "retained-B")
 		})
 	}
 }
@@ -192,9 +196,9 @@ func BenchmarkCHRebuildAfterMutation(b *testing.B) {
 // topology: apply a 16-edge cost batch, then re-customize the hierarchy
 // (Topology.NewIndex). The ratio against BenchmarkCHPreprocess at the
 // same k is the whole point of the CCH split — the structural pass runs
-// once, cost changes pay only this.
+// once, cost changes pay only this. k=48 is the benchmark's grid.
 func BenchmarkCHCustomize(b *testing.B) {
-	for _, k := range []int{30, 64, 100} {
+	for _, k := range []int{30, 48, 64, 100} {
 		g := gridgen.MustGenerate(gridgen.Config{K: k, Model: gridgen.Variance, Seed: benchSeed})
 		topo, err := ch.BuildTopology(g, ch.Options{})
 		if err != nil {
@@ -277,7 +281,7 @@ func BenchmarkCHTrafficStream(b *testing.B) {
 var benchPairCursor atomic.Uint64
 
 // BenchmarkCHServiceQuery measures the full service path (cache lookup,
-// version gate, index query, telemetry) for algo=ch against algo=dijkstra.
+// snapshot load, index query, telemetry) for algo=ch against algo=dijkstra.
 // The pair pool is far larger than the route cache and consumed through a
 // process-global cursor, so every request is a cache miss and the search
 // engine actually runs; a cached hit is ~250ns regardless of algorithm and

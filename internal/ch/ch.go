@@ -11,13 +11,17 @@
 // (CRP) and customizable contraction hierarchies:
 //
 //   - The Topology (topology.go) contracts nodes in importance order and
-//     keeps a shortcut arc for every in/out pair, plus the lower-triangle
-//     lists describing how each arc can be composed from cheaper ones. It
-//     depends only on the graph's structure and is built once.
-//   - The Metric (customize.go) assigns each skeleton arc a weight and an
-//     unpack middle under one concrete cost function, derived by a single
-//     bottom-up triangle-relaxation sweep. A traffic update re-customizes
-//     a fresh Metric in milliseconds; the Topology is untouched.
+//     keeps a shortcut arc for every in/out pair. It stores the arcs as
+//     one undirected upward skeleton, each arc once at its lower-ranked
+//     endpoint, plus the lower-triangle lists describing how each arc
+//     can be composed from cheaper ones; one stored triangle serves both
+//     directions. It depends only on the graph's structure and is built
+//     once.
+//   - The Metric (customize.go) assigns each skeleton arc an up and a
+//     down weight, each with an unpack middle, under one concrete cost
+//     function, derived by a single bottom-up triangle-relaxation sweep.
+//     A traffic update re-customizes a fresh Metric in milliseconds; the
+//     Topology is untouched.
 //
 // Classic CH prunes shortcuts with witness searches; those proofs are
 // only valid under the metric they were searched in, so a skeleton meant
@@ -27,7 +31,8 @@
 //
 // Queries (query.go) use the skeleton's elimination tree, built with the
 // Topology: every upward arc leads to an ancestor, so the forward search
-// from s and the backward search from d each stay on one ancestor chain.
+// from s (over up weights) and the backward search from d (over down
+// weights) each stay on one ancestor chain.
 // The query walks both chains bottom-up in rank order with plain label
 // arrays and no priority queue or stall-on-demand; the best sum of the
 // two labels over the common ancestors is the exact shortest-path cost,
@@ -37,7 +42,7 @@
 // An Index pairs one Topology with one Metric. It is immutable, safe for
 // concurrent queries, and stamped with the graph's CostVersion at
 // customization time; see (*Index).CostVersion for the staleness contract
-// the route service's version gate relies on.
+// callers holding a mutable graph must keep.
 package ch
 
 import (

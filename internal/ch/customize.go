@@ -7,11 +7,13 @@ import (
 	"repro/internal/graph"
 )
 
-// metricHalf carries the customized weights of one skeleton half, indexed
-// by the half's arc positions: costs[p] is the current weight of the arc
-// at position p, mid[p] the middle node of the triangle that produced it
-// (graph.Invalid when an original edge is the cheapest realisation, in
-// which case unpacking terminates at a base arc).
+// metricHalf carries the customized weights of one direction of the
+// skeleton, indexed by the topology's arc positions: costs[p] is the
+// current weight of the arc at position p in that direction, mid[p] the
+// middle node of the triangle that produced it (graph.Invalid when an
+// original edge is the cheapest realisation, in which case unpacking
+// terminates at a base arc). A direction the graph cannot realise is
+// +Inf.
 //
 // Middle nodes are metric-dependent — under one cost function a shortcut
 // unpacks through one triangle, under another through a different one —
@@ -21,32 +23,38 @@ type metricHalf struct {
 	mid   []graph.NodeID
 }
 
-// Metric is the metric-dependent layer of a hierarchy: one customized
-// weight and middle node per skeleton arc, stamped with the
-// graph.CostVersion the weights were derived from. A Metric is immutable
-// after Customize and safe for concurrent queries; a cost mutation is
-// served by customizing a fresh Metric, never by editing one in place —
-// the same frozen-slice discipline the costversion analyzer enforces
-// (and atislint's immutsnapshot analyzer checks mechanically).
+// Metric is the metric-dependent layer of a hierarchy: per skeleton arc,
+// an up weight (lower endpoint → upper) and a down weight (upper → lower),
+// each with its middle node, stamped with the graph.CostVersion the
+// weights were derived from. A Metric is immutable after Customize and
+// safe for concurrent queries; a cost mutation is served by customizing a
+// fresh Metric, never by editing one in place — the same frozen-slice
+// discipline the costversion analyzer enforces (and atislint's
+// immutsnapshot analyzer checks mechanically).
 //
 //atis:immutable
 type Metric struct {
-	fwd, bwd    metricHalf
+	up, down    metricHalf
 	costVersion uint64
 }
 
 // Customize derives a fresh Metric for g's current costs in one bottom-up
-// pass over the topology: seed every base-backed arc with its cheapest
+// pass over the topology: seed every base-backed weight with its cheapest
 // original edge cost, then sweep nodes in contraction order relaxing each
-// arc through its lower triangles
+// arc {x, y} of the node x through its lower triangles, up weights first
+// and then down weights:
 //
-//	w(u,w) ← min(w(u,w), w(u→v) + w(v→w))
+//	up(x,y)   ← min(up(x,y),   w(x→v) + w(v→y))
+//	down(x,y) ← min(down(x,y), w(y→v) + w(v→x))
 //
-// Both constituents of a triangle hang off the middle node v, which is
-// ranked below u and w — so when the sweep reaches an arc's lower
-// endpoint, every triangle constituent is already final, and one pass
-// suffices. This is the whole trick: O(triangles) arithmetic instead of
-// re-running ordering, witness searches and contraction.
+// Every constituent hangs off the middle node v, which is ranked below x
+// and y — so when the sweep reaches x, every triangle constituent is
+// already final, and one pass suffices. This is the whole trick:
+// O(triangles) arithmetic instead of re-running ordering, witness
+// searches and contraction. Both directions walk the same shared list in
+// middle-contraction order, and only a strictly smaller sum wins, so an
+// original edge that realises the weight beats every triangle, and
+// otherwise the middle is the lowest-ranked one realising it.
 //
 // The Metric is stamped with g.CostVersion() as read when Customize
 // starts; the same concurrent-mutation contract as Build applies (the
@@ -57,23 +65,20 @@ func (t *Topology) Customize(g *graph.Graph) (*Metric, error) {
 			g.NumNodes(), g.NumEdges(), t.n, t.m)
 	}
 	version := g.CostVersion()
-	F := len(t.fwd.heads)
-	B := len(t.bwd.heads)
+	A := len(t.heads)
 	m := &Metric{
-		fwd: metricHalf{costs: make([]float64, F), mid: make([]graph.NodeID, F)},
-		bwd: metricHalf{costs: make([]float64, B), mid: make([]graph.NodeID, B)},
+		up:   metricHalf{costs: make([]float64, A), mid: make([]graph.NodeID, A)},
+		down: metricHalf{costs: make([]float64, A), mid: make([]graph.NodeID, A)},
 	}
-	fc, bc := m.fwd.costs, m.bwd.costs
-	fm, bm := m.fwd.mid, m.bwd.mid
+	up, down := m.up.costs, m.down.costs
+	upMid, downMid := m.up.mid, m.down.mid
 	inf := math.Inf(1)
-	for i := range fc {
-		fc[i], fm[i] = inf, graph.Invalid
-	}
-	for i := range bc {
-		bc[i], bm[i] = inf, graph.Invalid
+	for p := range up {
+		up[p], down[p] = inf, inf
+		upMid[p], downMid[p] = graph.Invalid, graph.Invalid
 	}
 
-	// Seed base costs through the edge→arc map, min-collapsing parallel
+	// Seed base costs through the edge→slot map, min-collapsing parallel
 	// edges exactly as any shortest-path computation would.
 	ei := 0
 	for u := graph.NodeID(0); int(u) < t.n; u++ {
@@ -83,39 +88,39 @@ func (t *Topology) Customize(g *graph.Graph) (*Metric, error) {
 			if p < 0 {
 				return // self loop, not represented in the skeleton
 			}
-			if int(p) < F {
-				if a.Cost < fc[p] {
-					fc[p] = a.Cost
+			if int(p) < A {
+				if a.Cost < up[p] {
+					up[p] = a.Cost
 				}
-			} else if q := p - int32(F); a.Cost < bc[q] {
-				bc[q] = a.Cost
+			} else if q := p - int32(A); a.Cost < down[q] {
+				down[q] = a.Cost
 			}
 		})
 	}
 
 	// Bottom-up triangle relaxation: nodes in contraction order, each
-	// node's arcs (both halves) finalized before any arc that could use
-	// them as a constituent.
+	// node's arcs (both directions) finalized before any arc that could
+	// use them as a constituent.
 	for r := 0; r < t.n; r++ {
 		x := t.order[r]
-		for p := t.fwd.offsets[x]; p < t.fwd.offsets[x+1]; p++ {
-			best, mid := fc[p], fm[p]
-			for ti := t.triOff[p]; ti < t.triOff[p+1]; ti++ {
-				if c := bc[t.triDown[ti]] + fc[t.triUp[ti]]; c < best {
-					best, mid = c, t.triMid[ti]
+		lo, hi := t.offsets[x], t.offsets[x+1]
+		for p := lo; p < hi; p++ {
+			best, mid := up[p], upMid[p]
+			for _, tr := range t.tris[t.triOff[p]:t.triOff[p+1]] {
+				if c := down[tr.lo] + up[tr.hi]; c < best {
+					best, mid = c, t.owner[tr.lo]
 				}
 			}
-			fc[p], fm[p] = best, mid
+			up[p], upMid[p] = best, mid
 		}
-		for p := t.bwd.offsets[x]; p < t.bwd.offsets[x+1]; p++ {
-			id := int32(F) + p
-			best, mid := bc[p], bm[p]
-			for ti := t.triOff[id]; ti < t.triOff[id+1]; ti++ {
-				if c := bc[t.triDown[ti]] + fc[t.triUp[ti]]; c < best {
-					best, mid = c, t.triMid[ti]
+		for p := lo; p < hi; p++ {
+			best, mid := down[p], downMid[p]
+			for _, tr := range t.tris[t.triOff[p]:t.triOff[p+1]] {
+				if c := down[tr.hi] + up[tr.lo]; c < best {
+					best, mid = c, t.owner[tr.lo]
 				}
 			}
-			bc[p], bm[p] = best, mid
+			down[p], downMid[p] = best, mid
 		}
 	}
 

@@ -1,6 +1,7 @@
 package ch
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"sync"
@@ -8,6 +9,7 @@ import (
 
 	"repro/internal/graph"
 	"repro/internal/gridgen"
+	"repro/internal/pqueue"
 )
 
 // TestCustomizedMatchesRebuildAndDijkstra is the differential guarantee of
@@ -232,4 +234,138 @@ func TestConcurrentQueriesDuringCustomization(t *testing.T) {
 		}()
 	}
 	wg.Wait()
+}
+
+// lowerRankDistances returns, for every node y, the cost of the shortest
+// path from x to y (or from y to x when reverse is set) whose interior
+// nodes all rank below x, by a Dijkstra over adj that never expands a
+// node other than x ranked at or above it. Self loops are harmless: they
+// never shorten a path.
+func lowerRankDistances(adj [][]graph.Edge, rank []int32, x graph.NodeID) []float64 {
+	dist := make([]float64, len(adj))
+	for i := range dist {
+		dist[i] = math.Inf(1)
+	}
+	dist[x] = 0
+	h := pqueue.NewIndexed(len(adj))
+	h.Push(int(x), 0)
+	for h.Len() > 0 {
+		ui, du, _ := h.PopMin()
+		u := graph.NodeID(ui)
+		if u != x && rank[u] >= rank[x] {
+			continue // an endpoint, not an interior node
+		}
+		for _, e := range adj[u] {
+			if nd := du + e.Cost; nd < dist[e.Head] {
+				dist[e.Head] = nd
+				h.PushOrUpdate(int(e.Head), nd)
+			}
+		}
+	}
+	return dist
+}
+
+// randomDirectedGraph builds an n-node graph with integer costs in
+// [0, 9]: two-way streets, one-way streets, parallel edges and self
+// loops, so every structural corner of the skeleton is exercised.
+func randomDirectedGraph(rng *rand.Rand, n int) *graph.Graph {
+	b := builderWithNodes(n)
+	cost := func() float64 { return float64(rng.Intn(10)) }
+	for i := 0; i < 3*n; i++ {
+		u, w := graph.NodeID(rng.Intn(n)), graph.NodeID(rng.Intn(n))
+		switch r := rng.Intn(10); {
+		case r < 4:
+			b.AddUndirectedEdge(u, w, cost())
+		case r < 8:
+			b.AddEdge(u, w, cost())
+		case r < 9:
+			b.AddEdge(u, w, cost())
+			b.AddEdge(u, w, cost()) // parallel
+		default:
+			b.AddEdge(u, u, cost()) // self loop
+		}
+	}
+	return b.MustBuild()
+}
+
+// TestCustomizeMatchesLowerRankOracle pins what basic customization
+// computes, independently of how the triangles are laid out: for every
+// skeleton arc {x, y} with rank x < rank y, the up weight is the shortest
+// x→y path whose interior nodes all rank below x, and the down weight the
+// shortest y→x path under the same rule, each +Inf when no such path
+// exists. Every middle ranks below x, and the two arcs through it sum to
+// the weight exactly; an arc without a middle is one original edge.
+// Costs are integers, so every comparison is exact.
+func TestCustomizeMatchesLowerRankOracle(t *testing.T) {
+	grid := gridgen.MustGenerate(gridgen.Config{K: 8, Model: gridgen.Variance, Seed: 3})
+	rng := rand.New(rand.NewSource(3))
+	var integral []graph.EdgeCostChange
+	for _, e := range grid.Edges() {
+		integral = append(integral, graph.EdgeCostChange{Tail: e.Tail, Head: e.Head, Cost: float64(1 + rng.Intn(9))})
+	}
+	if _, err := grid.ApplyBatch(integral); err != nil {
+		t.Fatal(err)
+	}
+	names, graphs := []string{"directed-small", "grid-k8"}, []*graph.Graph{goldenDirected(), grid}
+	for seed := int64(1); seed <= 6; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		names = append(names, fmt.Sprintf("random-seed%d", seed))
+		graphs = append(graphs, randomDirectedGraph(rng, 12+rng.Intn(40)))
+	}
+	for i, g := range graphs {
+		t.Run(names[i], func(t *testing.T) {
+			ix, err := Build(g, Options{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			topo, m := ix.topo, ix.metric
+			out := make([][]graph.Edge, g.NumNodes())
+			in := make([][]graph.Edge, g.NumNodes())
+			for _, e := range g.Edges() {
+				out[e.Tail] = append(out[e.Tail], e)
+				in[e.Head] = append(in[e.Head], graph.Edge{Tail: e.Head, Head: e.Tail, Cost: e.Cost})
+			}
+			// weight returns the customized weight of the arc a→b.
+			weight := func(a, b graph.NodeID) float64 {
+				if topo.rank[a] < topo.rank[b] {
+					return m.up.costs[topo.findArc(a, b)]
+				}
+				return m.down.costs[topo.findArc(b, a)]
+			}
+			for x := graph.NodeID(0); int(x) < topo.n; x++ {
+				from := lowerRankDistances(out, topo.rank, x)
+				to := lowerRankDistances(in, topo.rank, x)
+				for p := topo.offsets[x]; p < topo.offsets[x+1]; p++ {
+					y := topo.heads[p]
+					for _, dir := range []struct {
+						a, b    graph.NodeID
+						w, want float64
+						mid     graph.NodeID
+					}{
+						{x, y, m.up.costs[p], from[y], m.up.mid[p]},
+						{y, x, m.down.costs[p], to[y], m.down.mid[p]},
+					} {
+						if dir.w != dir.want {
+							t.Fatalf("arc %d→%d: weight %v, lower-rank oracle %v", dir.a, dir.b, dir.w, dir.want)
+						}
+						if math.IsInf(dir.w, 1) {
+							continue
+						}
+						if dir.mid == graph.Invalid {
+							if c, ok := g.ArcCost(dir.a, dir.b); !ok || c != dir.w {
+								t.Fatalf("arc %d→%d: no middle, but the cheapest edge is %v (exists %v), weight %v", dir.a, dir.b, c, ok, dir.w)
+							}
+							continue
+						}
+						if topo.rank[dir.mid] >= topo.rank[x] {
+							t.Fatalf("arc %d→%d: middle %d ranks %d, not below %d", dir.a, dir.b, dir.mid, topo.rank[dir.mid], topo.rank[x])
+						}
+						if s := weight(dir.a, dir.mid) + weight(dir.mid, dir.b); s != dir.w {
+							t.Fatalf("arc %d→%d: through middle %d sums to %v, weight %v", dir.a, dir.b, dir.mid, s, dir.w)
+						}
+					}
+				}
+			}
+		})
+	}
 }

@@ -12,32 +12,55 @@ import (
 	"repro/internal/mpls"
 )
 
-// topologyDigest hashes every structural field of t in a fixed order:
-// rank, order, both CSR halves, the triangle lists, edgePos and the
-// shortcut count, each as little-endian fixed-width integers. Two
-// topologies with equal digests are interchangeable byte for byte.
-func topologyDigest(t *Topology) string {
+// digest hashes vals in order, each as little-endian fixed-width
+// integers.
+func digest(vals ...any) string {
 	h := sha256.New()
-	write := func(v any) {
+	for _, v := range vals {
 		if err := binary.Write(h, binary.LittleEndian, v); err != nil {
 			panic(err)
 		}
 	}
-	write(int64(t.n))
-	write(int64(t.m))
-	write(t.rank)
-	write(t.order)
-	write(t.fwd.offsets)
-	write(t.fwd.heads)
-	write(t.bwd.offsets)
-	write(t.bwd.heads)
-	write(t.triOff)
-	write(t.triMid)
-	write(t.triDown)
-	write(t.triUp)
-	write(t.edgePos)
-	write(int64(t.shortcuts))
 	return hex.EncodeToString(h.Sum(nil))
+}
+
+// topologyDigest hashes every structural field of t in a fixed order:
+// rank, order, the undirected skeleton and its row owners, the triangle
+// lists, edgePos and the shortcut count. Two topologies with equal
+// digests are interchangeable byte for byte.
+func topologyDigest(t *Topology) string {
+	return digest(int64(t.n), int64(t.m), t.rank, t.order, t.offsets, t.heads, t.owner,
+		t.triOff, t.tris, t.edgePos, int64(t.shortcuts))
+}
+
+// directedDigest hashes the two-half directed view the skeleton replaced,
+// rebuilt from t: the fwd and bwd halves (each equal to the undirected
+// rows), per-direction triangle lists (fwd arcs at ids [0,A), bwd arcs at
+// [A,2A), each entry a middle, the bwd-half position of the arc into the
+// middle and the fwd-half position of the arc out of it), edgePos and the
+// shortcut count. On a graph whose arcs all run both ways that view is
+// exactly what the directed builder froze, so its digests still pin the
+// undirected layout byte for byte.
+func directedDigest(t *Topology) string {
+	A := int32(len(t.heads))
+	T := int32(len(t.tris))
+	triOff := make([]int32, 0, 2*A+1)
+	triOff = append(triOff, t.triOff...)
+	for _, o := range t.triOff[1:] {
+		triOff = append(triOff, T+o)
+	}
+	mid := make([]graph.NodeID, 0, 2*T)
+	down := make([]int32, 0, 2*T)
+	up := make([]int32, 0, 2*T)
+	for _, tr := range t.tris { // fwd arc x→y: x→v, then v→y
+		mid, down, up = append(mid, t.owner[tr.lo]), append(down, tr.lo), append(up, tr.hi)
+	}
+	for _, tr := range t.tris { // bwd arc y→x: y→v, then v→x
+		mid, down, up = append(mid, t.owner[tr.lo]), append(down, tr.hi), append(up, tr.lo)
+	}
+	return digest(int64(t.n), int64(t.m), t.rank, t.order,
+		t.offsets, t.heads, t.offsets, t.heads, // fwd, then bwd
+		triOff, mid, down, up, t.edgePos, int64(t.shortcuts))
 }
 
 // goldenDirected is a small directed graph exercising every structural
@@ -67,31 +90,41 @@ func goldenDirected() *graph.Graph {
 }
 
 // goldenCases are the graphs TestTopologyGoldenDigest pins, with their
-// digests and, on the k=48 grid, an allocation budget for one build.
+// digests and, on the k=48 grid, an allocation budget for one build and a
+// ceiling on the bytes the frozen topology retains.
+//
+// The two grids have arcs running both ways, so their digests are of the
+// directed view (directedDigest) and have not changed since the directed
+// two-half builder: the undirected skeleton reproduces it exactly. The
+// directed graphs' digests are of the undirected fields (topologyDigest),
+// whose rows gained the union's missing directions.
 var goldenCases = []struct {
 	name     string
 	g        func() *graph.Graph
+	directed bool // want is a directedDigest; else a topologyDigest
 	want     string
 	maxBytes uint64 // allocation budget of one build; 0 = unchecked
+	maxHeld  int    // ceiling on RetainedBytes; 0 = unchecked
 }{
 	{"grid-k48-variance-seed1", func() *graph.Graph {
 		return gridgen.MustGenerate(gridgen.Config{K: 48, Model: gridgen.Variance, Seed: 1})
-	}, "1e796a47b20048d1d99c278d83ebe6ea54071badce0f9a37722f7d0865283d17", 88_001_096},
+	}, true, "1e796a47b20048d1d99c278d83ebe6ea54071badce0f9a37722f7d0865283d17", 88_001_096, 5_000_000},
 	{"grid-k20-uniform", func() *graph.Graph {
 		return gridgen.MustGenerate(gridgen.Config{K: 20, Model: gridgen.Uniform})
-	}, "2f18d9feebf0e9076964fea3d50cc81fa493d7a8eac1a54a8c1b8927220811aa", 0},
+	}, true, "2f18d9feebf0e9076964fea3d50cc81fa493d7a8eac1a54a8c1b8927220811aa", 0, 0},
 	{"mpls-default", func() *graph.Graph {
 		return mpls.MustGenerate(mpls.Config{})
-	}, "8b4086580630e45efcaa70c6ca3b91933b5612551c6cd55ad7f2b19bca2070d6", 0},
-	{"directed-small", goldenDirected, "9b97a0b097e97ebf8a109b7caf89fa2d53a240d4e143267590560570fb9045a5", 0},
+	}, false, "12078230fadc65ab709fbc33429449e5a2dbb6e05ca6cd96e612602916a6931c", 0, 0},
+	{"directed-small", goldenDirected, false, "ed98e21b060b542429dc428b1ad42c543bc6ada68005396e232ced7f639ea9df", 0, 0},
 }
 
-// TestTopologyGoldenDigest pins BuildTopology's output byte for byte. The
-// digests were captured from the adjacency-scan builder the current one
-// replaced; any change to contraction order, skeleton layout, triangle
-// enumeration or the edge→arc map shows up here. On the k=48 grid it also
-// bounds the bytes one build allocates by what that builder allocated, so
-// a faster build cannot buy its speed with memory.
+// TestTopologyGoldenDigest pins BuildTopology's output byte for byte; any
+// change to contraction order, skeleton layout, triangle enumeration or
+// the edge→slot map shows up here. On the k=48 grid it also bounds the
+// bytes one build allocates by what the adjacency-scan builder allocated,
+// so a faster build cannot buy its speed with memory, and the bytes the
+// frozen topology keeps, so a layout change cannot regrow the index
+// silently.
 func TestTopologyGoldenDigest(t *testing.T) {
 	for _, tc := range goldenCases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -103,12 +136,19 @@ func TestTopologyGoldenDigest(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if got := topologyDigest(topo); got != tc.want {
+			digest := topologyDigest
+			if tc.directed {
+				digest = directedDigest
+			}
+			if got := digest(topo); got != tc.want {
 				t.Errorf("topology digest %s, want %s (arcs %d, triangles %d, shortcuts %d)",
 					got, tc.want, topo.Arcs(), topo.Triangles(), topo.Shortcuts())
 			}
 			if got := after.TotalAlloc - before.TotalAlloc; tc.maxBytes > 0 && got > tc.maxBytes {
 				t.Errorf("BuildTopology allocated %d bytes, budget %d", got, tc.maxBytes)
+			}
+			if got := topo.RetainedBytes(); tc.maxHeld > 0 && got > tc.maxHeld {
+				t.Errorf("topology retains %d bytes, ceiling %d", got, tc.maxHeld)
 			}
 		})
 	}
@@ -116,7 +156,7 @@ func TestTopologyGoldenDigest(t *testing.T) {
 
 // TestEliminationTreeCoversUpwardArcs checks the invariant the query's
 // chain walk rests on: on every golden graph, the head of each skeleton
-// arc in either half is a proper ancestor of its tail in the elimination
+// arc is a proper ancestor of its tail in the elimination
 // tree. A parent taken as each node's lowest-ranked upper neighbour
 // breaks it on mpls-default, whose one-way freeway arcs leave upper
 // neighbours of a node that the in/out-pair skeleton never connects.
@@ -141,19 +181,15 @@ func TestEliminationTreeCoversUpwardArcs(t *testing.T) {
 				return false
 			}
 			bad := 0
-			for half, sk := range []*skeleton{&topo.fwd, &topo.bwd} {
-				for u := graph.NodeID(0); int(u) < topo.n; u++ {
-					for _, w := range sk.heads[sk.offsets[u]:sk.offsets[u+1]] {
-						if !isAncestor(w, u) {
-							if bad++; bad <= 5 {
-								t.Errorf("half %d arc %d→%d: head is not an ancestor of the tail", half, u, w)
-							}
-						}
+			for p, w := range topo.heads {
+				if u := topo.owner[p]; !isAncestor(w, u) {
+					if bad++; bad <= 5 {
+						t.Errorf("arc %d–%d: head is not an ancestor of the tail", u, w)
 					}
 				}
 			}
 			if bad > 0 {
-				t.Errorf("%d of %d arcs uncovered", bad, topo.Arcs())
+				t.Errorf("%d of %d arcs uncovered", bad, len(topo.heads))
 			}
 		})
 	}

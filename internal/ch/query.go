@@ -145,7 +145,7 @@ func (ix *Index) searchCtx(ctx context.Context, ws *workspace, s, d graph.NodeID
 		}
 		if fwd {
 			if df[x] < best {
-				relaxed += scanUp(&t.fwd, m.fwd.costs, df, ws.pf, x)
+				relaxed += t.scanUp(m.up.costs, df, ws.pf, x)
 				settled++
 			}
 			df[x] = inf
@@ -153,7 +153,7 @@ func (ix *Index) searchCtx(ctx context.Context, ws *workspace, s, d graph.NodeID
 		}
 		if bwd {
 			if db[y] < best {
-				relaxed += scanUp(&t.bwd, m.bwd.costs, db, ws.pb, y)
+				relaxed += t.scanUp(m.down.costs, db, ws.pb, y)
 				settled++
 			}
 			db[y] = inf
@@ -165,12 +165,14 @@ func (ix *Index) searchCtx(ctx context.Context, ws *workspace, s, d graph.NodeID
 	return best, meet, settled, relaxed, nil
 }
 
-// scanUp relaxes u's arcs in one upward half, lowering the labels of
-// their heads, and returns the number of arcs scanned.
-func scanUp(sk *skeleton, costs, dist []float64, prev []graph.NodeID, u graph.NodeID) int {
-	lo, hi := sk.offsets[u], sk.offsets[u+1]
+// scanUp relaxes u's row under one direction's weights (the Metric's up
+// weights for the forward search, its down weights for the backward one),
+// lowering the labels of the row's heads, and returns the number of arcs
+// scanned.
+func (t *Topology) scanUp(costs, dist []float64, prev []graph.NodeID, u graph.NodeID) int {
+	lo, hi := t.offsets[u], t.offsets[u+1]
 	du, cs := dist[u], costs[lo:hi]
-	for i, v := range sk.heads[lo:hi] {
+	for i, v := range t.heads[lo:hi] {
 		if nd := du + cs[i]; nd < dist[v] {
 			dist[v], prev[v] = nd, u
 		}
@@ -237,9 +239,9 @@ func (ix *Index) unpackInto(nodes []graph.NodeID, u, w graph.NodeID) []graph.Nod
 	t := ix.topo
 	var mid graph.NodeID
 	if t.rank[w] > t.rank[u] {
-		mid = ix.metric.fwd.mid[t.findFwd(u, w)]
+		mid = ix.metric.up.mid[t.findArc(u, w)]
 	} else {
-		mid = ix.metric.bwd.mid[t.findBwd(w, u)]
+		mid = ix.metric.down.mid[t.findArc(w, u)]
 	}
 	if mid == graph.Invalid {
 		return append(nodes, w)

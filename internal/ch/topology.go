@@ -4,19 +4,11 @@ import (
 	"fmt"
 	"runtime"
 	"sync"
+	"unsafe"
 
 	"repro/internal/graph"
 	"repro/internal/pqueue"
 )
-
-// skeleton is one upward half of the hierarchy in structural CSR form:
-// arcs of node u occupy heads[offsets[u]:offsets[u+1]]. It carries no
-// weights — those live in the Metric layer, one slice per half, indexed
-// by the same positions.
-type skeleton struct {
-	offsets []int32
-	heads   []graph.NodeID
-}
 
 // Topology is the metric-independent half of a contraction hierarchy: the
 // contraction order, the shortcut skeleton (every arc any cost function
@@ -45,39 +37,51 @@ type Topology struct {
 	rank  []int32        // contraction order; higher = more important
 	order []graph.NodeID // order[r] = the node contracted r-th
 
-	// fwd holds upward arcs of the original direction (tail rank < head
-	// rank); bwd holds upward arcs of the reverse graph, i.e. the original
-	// arc x→y with rank(x) > rank(y) sits in bwd at node y with head x.
-	// Every skeleton arc lives in exactly one half, at its lower-ranked
-	// endpoint — which is what lets customization finalize all arcs of a
-	// node in one contraction-order sweep.
-	fwd, bwd skeleton
+	// The skeleton is one undirected upward CSR: row v,
+	// heads[offsets[v]:offsets[v+1]], lists every neighbour ranked above
+	// v that contraction joined to v in either direction — v's out-heads
+	// in insertion order, then the in-heads it has no out-arc to. Every
+	// skeleton arc lives once, at its lower-ranked endpoint, which is
+	// what lets customization finalize all arcs of a node in one
+	// contraction-order sweep. The Metric gives each position p two
+	// weights: up (v→heads[p]) and down (heads[p]→v). A direction
+	// contraction never inserted stays +Inf under every metric.
+	offsets []int32
+	heads   []graph.NodeID
+	owner   []graph.NodeID // owner[p] = the node whose row holds position p
 
-	// Lower-triangle lists, CSR-indexed by global arc id (fwd arcs are
-	// ids [0,F), bwd arcs [F,F+B)). Triangle ti of arc (u,w) names a
-	// middle node v contracted before both endpoints, with triDown[ti]
-	// the bwd-half position of arc u→v and triUp[ti] the fwd-half
-	// position of arc v→w: customization relaxes
-	// w(u,w) ← min(w(u,w), w(u→v) + w(v→w)) over these entries.
-	triOff  []int32
-	triMid  []graph.NodeID
-	triDown []int32
-	triUp   []int32
+	// Lower-triangle lists, CSR-indexed by arc position. Triangle ti of
+	// the arc {x, y} at position p of x's row (rank x < rank y) names a
+	// middle v ranked below both by the positions of x and y in v's row,
+	// tris[ti] = {lo: pos_v(x), hi: pos_v(y)}, and serves both
+	// directions:
+	//
+	//	up(p)   ← min(up(p),   down(lo) + up(hi))   x→v→y
+	//	down(p) ← min(down(p), down(hi) + up(lo))   y→v→x
+	//
+	// The middle itself is owner[lo], read only when a triangle wins.
+	triOff []int32
+	tris   []triangle
 
 	// edgePos maps the i-th directed edge of the source graph (CSR
-	// order, the order Neighbors visits) to its skeleton arc's global
-	// id, -1 for self loops. Customization seeds base costs through it
-	// in one O(m) pass without any adjacency lookups.
+	// order, the order Neighbors visits) to its weight slot: p for the
+	// up weight of position p, len(heads)+p for its down weight, -1 for
+	// self loops. Customization seeds base costs through it in one O(m)
+	// pass without any adjacency lookups.
 	edgePos []int32
 
-	shortcuts int // skeleton arcs not backed by any original edge
+	shortcuts int // directed skeleton arcs not backed by any original edge
 
-	// parent is the elimination tree of both halves' undirected union in
-	// contraction order (graph.Invalid at roots): the head of every
-	// skeleton arc is a proper ancestor of its tail, so an upward search
-	// from s labels nothing off s's ancestor chain.
+	// parent is the elimination tree of the skeleton in contraction
+	// order (graph.Invalid at roots): the head of every skeleton arc is a
+	// proper ancestor of its tail, so an upward search from s labels
+	// nothing off s's ancestor chain.
 	parent []graph.NodeID
 }
+
+// triangle is one lower triangle of a skeleton arc {x, y}: the positions
+// of x and y in the middle node's row.
+type triangle struct{ lo, hi int32 }
 
 // NumNodes returns the number of nodes the topology covers.
 func (t *Topology) NumNodes() int { return t.n }
@@ -86,12 +90,27 @@ func (t *Topology) NumNodes() int { return t.n }
 // the original edge set.
 func (t *Topology) Shortcuts() int { return t.shortcuts }
 
-// Triangles returns the total number of lower-triangle entries —
-// the work one customization pass performs.
-func (t *Topology) Triangles() int { return len(t.triMid) }
+// Triangles returns the number of triangle relaxations one customization
+// pass performs: two per stored lower triangle, one per direction.
+func (t *Topology) Triangles() int { return 2 * len(t.tris) }
 
-// Arcs returns the total number of skeleton arcs across both halves.
-func (t *Topology) Arcs() int { return len(t.fwd.heads) + len(t.bwd.heads) }
+// Arcs returns the number of weight slots a Metric carries: two per
+// skeleton arc, one per direction.
+func (t *Topology) Arcs() int { return 2 * len(t.heads) }
+
+// RetainedBytes returns the bytes the topology's slices hold, summed from
+// their lengths: the hierarchy's structural footprint, shared by every
+// Metric customized from it.
+func (t *Topology) RetainedBytes() int {
+	return sliceBytes(t.rank) + sliceBytes(t.order) + sliceBytes(t.offsets) +
+		sliceBytes(t.heads) + sliceBytes(t.owner) + sliceBytes(t.triOff) +
+		sliceBytes(t.tris) + sliceBytes(t.edgePos) + sliceBytes(t.parent)
+}
+
+func sliceBytes[T any](s []T) int {
+	var zero T
+	return len(s) * int(unsafe.Sizeof(zero))
+}
 
 // Rank returns node u's contraction rank (0 = contracted first, least
 // important). It panics on out-of-range nodes, mirroring slice indexing.
@@ -106,27 +125,16 @@ func (t *Topology) Matches(g *graph.Graph) bool {
 	return g.NumNodes() == t.n && g.NumEdges() == t.m
 }
 
-// findFwd returns the fwd-half position of arc u→w (rank w above rank u).
-// The arc exists for every consecutive pair of a packed query path; a miss
-// means the caller broke that invariant.
-func (t *Topology) findFwd(u, w graph.NodeID) int32 {
-	for p := t.fwd.offsets[u]; p < t.fwd.offsets[u+1]; p++ {
-		if t.fwd.heads[p] == w {
+// findArc returns the position of the skeleton arc {x, y} in the row of
+// its lower endpoint x. The arc exists for every consecutive pair of a
+// packed query path; a miss means the caller broke that invariant.
+func (t *Topology) findArc(x, y graph.NodeID) int32 {
+	for p := t.offsets[x]; p < t.offsets[x+1]; p++ {
+		if t.heads[p] == y {
 			return p
 		}
 	}
-	panic(fmt.Sprintf("ch: no upward arc %d→%d in the skeleton", u, w))
-}
-
-// findBwd returns the bwd-half position of the original arc x→y with
-// rank(x) above rank(y) — stored at y with head x.
-func (t *Topology) findBwd(y, x graph.NodeID) int32 {
-	for p := t.bwd.offsets[y]; p < t.bwd.offsets[y+1]; p++ {
-		if t.bwd.heads[p] == x {
-			return p
-		}
-	}
-	panic(fmt.Sprintf("ch: no downward arc %d→%d in the skeleton", x, y))
+	panic(fmt.Sprintf("ch: no skeleton arc between %d and %d", x, y))
 }
 
 // markSet is an epoch-stamped node set, the search.labelSet idiom: clear
@@ -344,69 +352,99 @@ func BuildTopology(g *graph.Graph, opts Options) (*Topology, error) {
 	return b.freeze(g), nil
 }
 
-// freeze packs the contracted skeleton into the Topology's CSR halves,
-// enumerates every lower triangle from the middle nodes' rows, and maps
-// the source graph's edges onto skeleton arcs.
+// freeze packs the contracted rows into the Topology's undirected CSR
+// skeleton, enumerates every lower triangle from the middle nodes' rows,
+// and maps the source graph's edges onto weight slots.
 func (b *tbuilder) freeze(g *graph.Graph) *Topology {
 	t := &Topology{
 		n:     b.n,
 		m:     g.NumEdges(),
 		rank:  b.rank,
 		order: b.order,
-		fwd:   packSkeleton(b.fwd),
-		bwd:   packSkeleton(b.bwd),
 	}
-	numArcs := t.Arcs()
-	fs, bs := newRowScatter(&t.fwd), newRowScatter(&t.bwd)
+	// Size each row first, so the skeleton is allocated exactly once.
+	t.offsets = make([]int32, b.n+1)
+	directed := 0
+	var row []graph.NodeID
+	for v := graph.NodeID(0); int(v) < b.n; v++ {
+		row = b.appendRow(row[:0], v)
+		t.offsets[v+1] = t.offsets[v] + int32(len(row))
+		directed += len(b.fwd[v]) + len(b.bwd[v])
+	}
+	numArcs := t.offsets[b.n]
+	t.heads = make([]graph.NodeID, 0, numArcs)
+	t.owner = make([]graph.NodeID, numArcs)
+	for v := graph.NodeID(0); int(v) < b.n; v++ {
+		t.heads = b.appendRow(t.heads, v)
+		for p := t.offsets[v]; p < t.offsets[v+1]; p++ {
+			t.owner[p] = v
+		}
+	}
+	sc := newRowScatter(t)
 
-	// Counting sort of the triangles by target arc id into CSR form. The
+	// Counting sort of the triangles by target arc into CSR form. The
 	// enumeration visits middles in contraction order and gives a target
 	// at most one triangle per middle, so each arc's list comes out
 	// ordered by its middles' contraction order.
 	t.triOff = make([]int32, numArcs+1)
-	t.eachTriangle(fs, bs, func(_ graph.NodeID, _, _, id int32) {
-		t.triOff[id+1]++
+	t.eachTriangle(sc, func(_ triangle, p int32) {
+		t.triOff[p+1]++
 	})
-	for i := 0; i < numArcs; i++ {
-		t.triOff[i+1] += t.triOff[i]
+	for p := int32(0); p < numArcs; p++ {
+		t.triOff[p+1] += t.triOff[p]
 	}
-	numTris := t.triOff[numArcs]
-	t.triMid = make([]graph.NodeID, numTris)
-	t.triDown = make([]int32, numTris)
-	t.triUp = make([]int32, numTris)
+	t.tris = make([]triangle, t.triOff[numArcs])
 	cursor := make([]int32, numArcs)
-	t.eachTriangle(fs, bs, func(v graph.NodeID, down, up, id int32) {
-		at := t.triOff[id] + cursor[id]
-		cursor[id]++
-		t.triMid[at] = v
-		t.triDown[at] = down
-		t.triUp[at] = up
+	t.eachTriangle(sc, func(tr triangle, p int32) {
+		t.tris[t.triOff[p]+cursor[p]] = tr
+		cursor[p]++
 	})
 
-	// Edge → arc mapping plus the base-backed arc census.
+	// Edge → weight-slot mapping plus the base-backed census. Up slots
+	// resolve in the edge's own row and down slots in the head's, so each
+	// gets its own scatter.
 	t.edgePos = make([]int32, g.NumEdges())
-	baseBacked := make([]bool, numArcs)
+	baseBacked := make([]bool, 2*numArcs)
+	upSc, downSc := sc, newRowScatter(t)
 	base := 0
 	ei := 0
 	for u := graph.NodeID(0); int(u) < b.n; u++ {
 		g.Neighbors(u, func(a graph.Arc) {
-			if a.Head == u {
-				t.edgePos[ei] = -1
-				ei++
-				return
+			id := int32(-1) // self loops never lie on a shortest path
+			if w := a.Head; t.rank[u] < t.rank[w] {
+				id, _ = upSc.pos(u, w)
+			} else if w != u {
+				p, _ := downSc.pos(w, u)
+				id = numArcs + p
 			}
-			id := t.arcID(fs, bs, u, a.Head)
 			t.edgePos[ei] = id
 			ei++
-			if !baseBacked[id] {
+			if id >= 0 && !baseBacked[id] {
 				baseBacked[id] = true
 				base++
 			}
 		})
 	}
-	t.shortcuts = numArcs - base
+	t.shortcuts = directed - base
 	t.parent = t.eliminationTree()
 	return t
+}
+
+// appendRow appends v's skeleton row to dst: its out-heads in insertion
+// order, then the in-heads it has no out-arc to. On a graph whose arcs
+// all run both ways the two lists are equal and the row is the out-list.
+func (b *tbuilder) appendRow(dst []graph.NodeID, v graph.NodeID) []graph.NodeID {
+	b.marks.clear()
+	for _, w := range b.fwd[v] {
+		b.marks.add(w)
+	}
+	dst = append(dst, b.fwd[v]...)
+	for _, u := range b.bwd[v] {
+		if !b.marks.has(u) {
+			dst = append(dst, u)
+		}
+	}
+	return dst
 }
 
 // eliminationTree computes the skeleton's elimination tree with Liu's
@@ -417,27 +455,20 @@ func (b *tbuilder) freeze(g *graph.Graph) *Topology {
 // subtree, not just to the child: the skeleton keeps only in/out pairs,
 // so a node's upper neighbours need not be adjacent to each other.
 func (t *Topology) eliminationTree() []graph.NodeID {
-	// Every arc sits at its lower endpoint, so transposing both halves
+	// Every arc sits at its lower endpoint, so transposing the skeleton
 	// lists each node's lower neighbours.
-	halves := []*skeleton{&t.fwd, &t.bwd}
 	lowOff := make([]int32, t.n+1)
-	for _, sk := range halves {
-		for _, w := range sk.heads {
-			lowOff[w+1]++
-		}
+	for _, w := range t.heads {
+		lowOff[w+1]++
 	}
 	for v := 0; v < t.n; v++ {
 		lowOff[v+1] += lowOff[v]
 	}
 	low := make([]graph.NodeID, lowOff[t.n])
 	cursor := append([]int32(nil), lowOff[:t.n]...)
-	for _, sk := range halves {
-		for u := graph.NodeID(0); int(u) < t.n; u++ {
-			for _, w := range sk.heads[sk.offsets[u]:sk.offsets[u+1]] {
-				low[cursor[w]] = u
-				cursor[w]++
-			}
-		}
+	for p, w := range t.heads {
+		low[cursor[w]] = t.owner[p]
+		cursor[w]++
 	}
 
 	parent := make([]graph.NodeID, t.n)
@@ -461,82 +492,55 @@ func (t *Topology) eliminationTree() []graph.NodeID {
 	return parent
 }
 
-// eachTriangle calls fn for every lower triangle: middle v, the bwd-half
-// position of u→v, the fwd-half position of v→w, and the global id of
-// u→w, for every u in v's bwd row and w ≠ u in its fwd row — exactly
-// the in/out pairs contraction connected through v. Middles come in
-// contraction order. Within one middle, targets owned by u (fwd row of
-// u) are visited u-major and those owned by w (bwd row of w) w-major,
-// so each owner's row is scattered once per middle.
-func (t *Topology) eachTriangle(fs, bs *rowScatter, fn func(v graph.NodeID, down, up, id int32)) {
-	F := int32(len(t.fwd.heads))
+// eachTriangle calls fn for every lower triangle with the position p of
+// its target arc: for every middle v in contraction order, every pair
+// x, y of v's row with rank x < rank y that the skeleton joins. On a
+// graph whose arcs all run both ways every such pair is joined, because
+// contraction connected each in/out pair through v; on a directed one a
+// pair of two out-heads (or two in-heads) may not be, and is skipped.
+// Targets are visited x-major, so each owner's row is scattered once per
+// middle.
+func (t *Topology) eachTriangle(sc *rowScatter, fn func(tr triangle, p int32)) {
 	for _, v := range t.order {
-		dLo, dHi := t.bwd.offsets[v], t.bwd.offsets[v+1]
-		uLo, uHi := t.fwd.offsets[v], t.fwd.offsets[v+1]
-		for pd := dLo; pd < dHi; pd++ {
-			u := t.bwd.heads[pd]
-			for pu := uLo; pu < uHi; pu++ {
-				if w := t.fwd.heads[pu]; t.rank[u] < t.rank[w] {
-					fn(v, pd, pu, fs.pos(u, w))
-				}
-			}
-		}
-		for pu := uLo; pu < uHi; pu++ {
-			w := t.fwd.heads[pu]
-			for pd := dLo; pd < dHi; pd++ {
-				if u := t.bwd.heads[pd]; t.rank[w] < t.rank[u] {
-					fn(v, pd, pu, F+bs.pos(w, u))
+		lo, hi := t.offsets[v], t.offsets[v+1]
+		for i := lo; i < hi; i++ {
+			x := t.heads[i]
+			for j := lo; j < hi; j++ {
+				if y := t.heads[j]; t.rank[x] < t.rank[y] {
+					if p, ok := sc.pos(x, y); ok {
+						fn(triangle{lo: i, hi: j}, p)
+					}
 				}
 			}
 		}
 	}
-}
-
-// arcID returns the global id of the skeleton arc u→w (u ≠ w): its
-// fwd-half position at u when w ranks higher, else F plus its bwd-half
-// position at w.
-func (t *Topology) arcID(fs, bs *rowScatter, u, w graph.NodeID) int32 {
-	if t.rank[u] < t.rank[w] {
-		return fs.pos(u, w)
-	}
-	return int32(len(t.fwd.heads)) + bs.pos(w, u)
 }
 
 // rowScatter resolves arc positions one skeleton row at a time: scattering
-// row r writes at[h] = position of r's arc to h, after which any arc of
-// that row is one array read. Entries of earlier rows linger, but a
-// lookup only ever asks for an arc the row holds, which the scatter has
-// just written.
+// row r marks each head h of the row and writes at[h] = its position,
+// after which any lookup in that row is two array reads. Entries of
+// earlier rows linger in at but not in the marks.
 type rowScatter struct {
-	sk  *skeleton
-	at  []int32
-	row graph.NodeID // the scattered row; graph.Invalid before the first
+	t     *Topology
+	at    []int32
+	marks *markSet
+	row   graph.NodeID // the scattered row; graph.Invalid before the first
 }
 
-func newRowScatter(sk *skeleton) *rowScatter {
-	return &rowScatter{sk: sk, at: make([]int32, len(sk.offsets)-1), row: graph.Invalid}
+func newRowScatter(t *Topology) *rowScatter {
+	return &rowScatter{t: t, at: make([]int32, t.n), marks: newMarkSet(t.n), row: graph.Invalid}
 }
 
-// pos returns the position of the arc from row r to h.
-func (s *rowScatter) pos(r, h graph.NodeID) int32 {
+// pos returns the position of the arc from row r to h, and whether row r
+// holds one.
+func (s *rowScatter) pos(r, h graph.NodeID) (int32, bool) {
 	if s.row != r {
-		for p := s.sk.offsets[r]; p < s.sk.offsets[r+1]; p++ {
-			s.at[s.sk.heads[p]] = p
+		s.marks.clear()
+		for p := s.t.offsets[r]; p < s.t.offsets[r+1]; p++ {
+			s.at[s.t.heads[p]] = p
+			s.marks.add(s.t.heads[p])
 		}
 		s.row = r
 	}
-	return s.at[h]
-}
-
-// packSkeleton concatenates per-node rows into CSR form.
-func packSkeleton(rows [][]graph.NodeID) skeleton {
-	offsets := make([]int32, len(rows)+1)
-	for u, row := range rows {
-		offsets[u+1] = offsets[u] + int32(len(row))
-	}
-	heads := make([]graph.NodeID, 0, offsets[len(rows)])
-	for _, row := range rows {
-		heads = append(heads, row...)
-	}
-	return skeleton{offsets: offsets, heads: heads}
+	return s.at[h], s.marks.has(h)
 }

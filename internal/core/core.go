@@ -194,12 +194,6 @@ func MustNew(g *graph.Graph, opts ...PlannerOption) *Planner {
 	return p
 }
 
-// NewPlanner wraps g.
-//
-// Deprecated: use New, which takes functional options (WithCH,
-// WithTracer) instead of post-construction setters.
-func NewPlanner(g *graph.Graph) *Planner { return &Planner{g: g} }
-
 // Graph returns the planner's graph.
 func (p *Planner) Graph() *graph.Graph { return p.g }
 

@@ -52,14 +52,3 @@ func TestMustNewPanicsOnOptionError(t *testing.T) {
 	empty := graph.NewBuilder(0, 0).MustBuild()
 	MustNew(empty, WithCH())
 }
-
-func TestDeprecatedNewPlannerStillWorks(t *testing.T) {
-	const k = 6
-	g := gridgen.MustGenerate(gridgen.Config{K: k, Model: gridgen.Variance, Seed: 3})
-	p := NewPlanner(g)
-	s, d := gridgen.Pair(k, gridgen.SemiDiagonal, 0)
-	r, err := p.Route(s, d, Options{Algorithm: Dijkstra})
-	if err != nil || !r.Found {
-		t.Fatalf("NewPlanner route: %v, found=%v", err, r.Found)
-	}
-}

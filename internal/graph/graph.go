@@ -210,17 +210,18 @@ type EdgeCostChange struct {
 //
 // Entries are applied in order; later entries targeting the same pair win
 // (for Scale entries, compound). Every cost the batch produces must be
-// finite and non-negative, compounded products included. Like all cost
+// finite and non-negative, compounded products included. A scale factor
+// must be positive: a factor of 0 would erase the base cost in a way no
+// later factor can undo, short of a reset. Like all cost
 // mutators, ApplyBatch must be serialised against readers by the caller.
 func (g *Graph) ApplyBatch(changes []EdgeCostChange) (int, error) {
 	scales := false
 	for _, ch := range changes {
+		if ch.Scale && (!(ch.Cost > 0) || math.IsInf(ch.Cost, 0)) {
+			return 0, fmt.Errorf("graph: scale factor %v for edge (%d,%d) must be finite and positive", ch.Cost, ch.Tail, ch.Head)
+		}
 		if ch.Cost < 0 || math.IsNaN(ch.Cost) || math.IsInf(ch.Cost, 0) {
-			what := "cost"
-			if ch.Scale {
-				what = "scale factor"
-			}
-			return 0, fmt.Errorf("graph: %s %v for edge (%d,%d) must be finite and non-negative", what, ch.Cost, ch.Tail, ch.Head)
+			return 0, fmt.Errorf("graph: cost %v for edge (%d,%d) must be finite and non-negative", ch.Cost, ch.Tail, ch.Head)
 		}
 		if !g.valid(ch.Tail) || !g.valid(ch.Head) {
 			return 0, fmt.Errorf("graph: edge (%d,%d) references unknown node", ch.Tail, ch.Head)
@@ -259,9 +260,9 @@ func (g *Graph) ApplyBatch(changes []EdgeCostChange) (int, error) {
 
 // checkCompounded replays a batch on a scratch copy of the costs it
 // touches and rejects it if a Scale entry would leave a cost that is not
-// finite: each factor is finite, but products can still overflow to +Inf,
-// and a later factor 0 turns that into NaN. Set entries are finite by the
-// per-entry check. The work is proportional to the edges the batch touches.
+// finite: each factor is finite and positive, but products can still
+// overflow to +Inf. Set entries are finite by the per-entry check. The
+// work is proportional to the edges the batch touches.
 func (g *Graph) checkCompounded(changes []EdgeCostChange) error {
 	pending := make(map[int32]float64, len(changes))
 	for _, ch := range changes {
@@ -288,10 +289,11 @@ func (g *Graph) checkCompounded(changes []EdgeCostChange) error {
 
 // ScaleArcCost multiplies the cost of every parallel directed edge (u, v) by
 // factor and reports whether such an edge exists. This is the primitive
-// behind traffic-congestion updates.
+// behind traffic-congestion updates. The factor must be finite and
+// positive, as in ApplyBatch.
 func (g *Graph) ScaleArcCost(u, v NodeID, factor float64) (bool, error) {
-	if factor < 0 || math.IsNaN(factor) {
-		return false, fmt.Errorf("graph: scale factor %v for edge (%d,%d) must be non-negative", factor, u, v)
+	if !(factor > 0) || math.IsInf(factor, 0) {
+		return false, fmt.Errorf("graph: scale factor %v for edge (%d,%d) must be finite and positive", factor, u, v)
 	}
 	if !g.valid(u) || !g.valid(v) {
 		return false, fmt.Errorf("graph: edge (%d,%d) references unknown node", u, v)

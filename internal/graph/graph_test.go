@@ -186,6 +186,28 @@ func TestScaleArcCost(t *testing.T) {
 	}
 }
 
+// TestScaleFactorMustBePositive: a factor of 0 would erase an edge's cost
+// for good under compounding, so ApplyBatch and ScaleArcCost refuse it
+// (and NaN) while a Set entry may still make an edge free.
+func TestScaleFactorMustBePositive(t *testing.T) {
+	g := line(t, 3)
+	v0 := g.CostVersion()
+	for _, f := range []float64{0, math.Copysign(0, -1), math.NaN()} {
+		if _, err := g.ApplyBatch([]EdgeCostChange{{Tail: 0, Head: 1, Cost: f, Scale: true}}); err == nil {
+			t.Errorf("ApplyBatch accepted scale factor %v", f)
+		}
+		if _, err := g.ScaleArcCost(0, 1, f); err == nil {
+			t.Errorf("ScaleArcCost accepted factor %v", f)
+		}
+	}
+	if c, _ := g.ArcCost(0, 1); c != 1 || g.CostVersion() != v0 {
+		t.Errorf("after rejected factors: cost %v version %d, want 1 and %d", c, g.CostVersion(), v0)
+	}
+	if _, err := g.ApplyBatch([]EdgeCostChange{{Tail: 0, Head: 1, Cost: 0}}); err != nil {
+		t.Errorf("ApplyBatch refused a zero set cost: %v", err)
+	}
+}
+
 func TestApplyBatchBumpsVersionOnce(t *testing.T) {
 	g := line(t, 4)
 	v0 := g.CostVersion()
@@ -242,9 +264,11 @@ func TestApplyBatchValidatesBeforeApplying(t *testing.T) {
 }
 
 // TestApplyBatchRejectsNonFiniteResults covers costs that are only bad
-// once compounded: factors 1e300, 1e300 and 0 on a cost-5 edge pass the
-// per-entry check but overflow to +Inf and then NaN. Infinite costs and
-// factors are refused outright. A rejected batch changes nothing.
+// once compounded: factors 1e300 and 1e300 (or a large set cost and a
+// factor) on a cost-5 edge pass the per-entry check but overflow to +Inf.
+// Infinite costs and factors are refused outright, and so is the factor
+// 0 that ends the first batch, on its own. A rejected batch changes
+// nothing.
 func TestApplyBatchRejectsNonFiniteResults(t *testing.T) {
 	g := line(t, 3)
 	if _, err := g.ApplyBatch([]EdgeCostChange{{Tail: 0, Head: 1, Cost: 5}}); err != nil {

@@ -252,9 +252,10 @@ func TestTrafficBatchEndpoint(t *testing.T) {
 }
 
 // TestTrafficBatchRejectsOverflowingFactors pins the compounding check:
-// each factor is finite, but 1e300 twice overflows the edge cost to +Inf
-// and the trailing 0 would turn it into NaN. The batch is refused as a
-// whole — 400 bad_request, no new snapshot, the edge cost untouched.
+// each factor is finite, but 1e300 twice overflows the edge cost to +Inf.
+// The trailing 0 is refused on its own (TestTrafficRejectsZeroFactor).
+// The batch is refused as a whole — 400 bad_request, no new snapshot,
+// the edge cost untouched.
 func TestTrafficBatchRejectsOverflowingFactors(t *testing.T) {
 	g := mpls.MustGenerate(mpls.Config{})
 	ts := httptest.NewServer(NewServer(route.NewService(g)).Handler())
@@ -283,6 +284,34 @@ func TestTrafficBatchRejectsOverflowingFactors(t *testing.T) {
 	getJSON(t, ts.URL+"/v1/route?from="+from+"&to="+to+"&algo=dijkstra", &rr)
 	if !rr.Found || rr.Cost > arc.Cost {
 		t.Errorf("route over the edge after the rejected batch: found=%v cost %v, want ≤ %v", rr.Found, rr.Cost, arc.Cost)
+	}
+}
+
+// TestTrafficRejectsZeroFactor: a congestion factor of 0 would erase
+// edge costs beyond recovery by any later factor, so both traffic
+// endpoints answer 400 bad_request and publish nothing.
+func TestTrafficRejectsZeroFactor(t *testing.T) {
+	ts := newTestServer(t)
+	generation := func() uint64 {
+		var snap struct {
+			Generation uint64 `json:"generation"`
+		}
+		getJSON(t, ts.URL+"/v1/snapshot", &snap)
+		return snap.Generation
+	}
+	before := generation()
+	for path, body := range map[string]string{
+		"/v1/traffic":       `{"x":16,"y":16,"radius":1000,"factor":0}`,
+		"/v1/traffic/batch": `{"changes":[{"from":"A","to":"B","factor":2},{"from":"0","to":"1","factor":0}]}`,
+	} {
+		var env errorEnvelope
+		resp := postJSON(t, ts.URL+path, body, &env)
+		if resp.StatusCode != http.StatusBadRequest || env.Error.Code != CodeBadRequest {
+			t.Errorf("%s factor 0: status %d code %q, want 400 %s", path, resp.StatusCode, env.Error.Code, CodeBadRequest)
+		}
+	}
+	if after := generation(); after != before {
+		t.Errorf("rejected factors moved the snapshot generation %d → %d", before, after)
 	}
 }
 

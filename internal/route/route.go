@@ -804,7 +804,7 @@ func (s *Service) DisplayReachable(from graph.NodeID, budget float64, width, hei
 }
 
 // ApplyCongestion scales the live cost of the directed segment (from, to)
-// and its reverse (if present) by factor ≥ 0; factor 2 doubles travel time.
+// and its reverse (if present) by factor > 0; factor 2 doubles travel time.
 // It reports whether any edge changed.
 func (s *Service) ApplyCongestion(from, to graph.NodeID, factor float64) (bool, error) {
 	return s.ApplyCongestionCtx(context.Background(), from, to, factor)
@@ -842,8 +842,8 @@ func (s *Service) ApplyRegionCongestion(center graph.Point, radius, factor float
 // ApplyRegionCongestionCtx is ApplyRegionCongestion carrying the
 // caller's context for span attribution.
 func (s *Service) ApplyRegionCongestionCtx(ctx context.Context, center graph.Point, radius, factor float64) (int, error) {
-	if factor < 0 {
-		return 0, fmt.Errorf("route: negative congestion factor %v", factor)
+	if !(factor > 0) {
+		return 0, fmt.Errorf("route: congestion factor %v must be positive", factor)
 	}
 	s.writeMu.Lock()
 	defer s.writeMu.Unlock()

@@ -135,6 +135,26 @@ func TestApplyCongestionMissingEdge(t *testing.T) {
 	}
 }
 
+// TestCongestionRejectsZeroFactor: factor 0 would zero every cost it
+// touches beyond recovery by any later factor, so both congestion calls
+// refuse it and publish nothing.
+func TestCongestionRejectsZeroFactor(t *testing.T) {
+	s := gridService(t, 4)
+	gen := s.Snapshot().Generation()
+	if _, err := s.ApplyCongestion(0, 1, 0); err == nil {
+		t.Error("ApplyCongestion accepted factor 0")
+	}
+	if _, err := s.ApplyRegionCongestion(graph.Point{X: 1, Y: 1}, 100, 0); err == nil {
+		t.Error("ApplyRegionCongestion accepted factor 0")
+	}
+	if got := s.Snapshot().Generation(); got != gen {
+		t.Errorf("rejected factors moved the snapshot generation %d → %d", gen, got)
+	}
+	if c, _ := s.Graph().ArcCost(0, 1); c != 1 {
+		t.Errorf("edge cost after rejected factors = %v, want 1", c)
+	}
+}
+
 func TestApplyRegionCongestion(t *testing.T) {
 	s := gridService(t, 7)
 	n, err := s.ApplyRegionCongestion(graph.Point{X: 3, Y: 3}, 1.5, 3)
