@@ -18,7 +18,9 @@
 #                 delta is the Recorder hook's cost (target < 2%), see
 #                 BENCH_PR2.json
 #   make bench-ch — contraction-hierarchy suite: preprocessing and
-#                 structural-pass cost, cached-index query vs
+#                 structural-pass cost (the structural pass at workers=1
+#                 beside the default, with their within-run ratio),
+#                 cached-index query vs
 #                 dijkstra/astar/alt, and the mutate-then-rebuild cycle,
 #                 see BENCH_PR4.json
 #   make bench-admission — request-lifecycle suite: ctx-polling overhead
@@ -38,9 +40,8 @@
 #                 module (type-check excluded); keeps the interprocedural
 #                 hotpath/immutsnapshot passes honest as the graph grows
 #   make bench-snapshot — reader latency under a sustained mutation
-#                 stream: the lock-free snapshot read path vs the old
-#                 RWMutex discipline (target: reader p99 within 10% of
-#                 idle for the snapshot path), see BENCH_PR10.json
+#                 stream on the lock-free snapshot read path (target:
+#                 reader p99 within 10% of idle), see BENCH_PR10.json
 
 GO ?= go
 FUZZTIME ?= 30s
@@ -101,4 +102,4 @@ bench-lint:
 	$(GO) test -run xxx -bench 'LintModule' -benchmem -count 3 ./internal/lint
 
 bench-snapshot:
-	$(GO) test -run xxx -bench 'SnapshotReadUnderMutation|RWMutexReadUnderMutation' -benchtime 5000x -count 3 -timeout 30m .
+	$(GO) test -run xxx -bench 'SnapshotReadUnderMutation' -benchtime 5000x -count 3 -timeout 30m .

@@ -18,6 +18,7 @@ import (
 	"math/rand"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"repro/internal/alt"
 	"repro/internal/ch"
@@ -67,20 +68,45 @@ func BenchmarkCHPreprocess(b *testing.B) {
 // contraction, CSR freeze; no customization) — what a server start, an
 // EnableCH or a structural rebuild pays before its first customization —
 // and reports the bytes the frozen topology retains. k=48 is the
-// benchmark's grid.
+// benchmark's grid. Each size has a workers=1 row, the build on one
+// goroutine, beside the default row. The default row also times one
+// workers=1 build before each timed build, off the clock, and reports
+// its time over theirs as ratio-to-workers=1: the parallel phases' gain
+// as one within-run number that host drift and -count cannot skew.
 func BenchmarkCHTopology(b *testing.B) {
 	for _, k := range []int{48, 100} {
 		g := gridgen.MustGenerate(gridgen.Config{K: k, Model: gridgen.Variance, Seed: benchSeed})
-		b.Run(fmt.Sprintf("k=%d", k), func(b *testing.B) {
+		build := func(b *testing.B, workers int) *ch.Topology {
+			topo, err := ch.BuildTopology(g, ch.Options{Workers: workers})
+			if err != nil {
+				b.Fatal(err)
+			}
+			return topo
+		}
+		b.Run(fmt.Sprintf("k=%d/workers=1", k), func(b *testing.B) {
 			b.ReportAllocs()
 			var topo *ch.Topology
 			for i := 0; i < b.N; i++ {
-				var err error
-				if topo, err = ch.BuildTopology(g, ch.Options{}); err != nil {
-					b.Fatal(err)
-				}
+				topo = build(b, 1)
 			}
 			b.ReportMetric(float64(topo.RetainedBytes()), "retained-B")
+		})
+		b.Run(fmt.Sprintf("k=%d", k), func(b *testing.B) {
+			b.ReportAllocs()
+			var topo *ch.Topology
+			var seq, par time.Duration
+			for i := 0; i < b.N; i++ {
+				b.StopTimer()
+				t0 := time.Now()
+				build(b, 1)
+				seq += time.Since(t0)
+				b.StartTimer()
+				t0 = time.Now()
+				topo = build(b, 0)
+				par += time.Since(t0)
+			}
+			b.ReportMetric(float64(topo.RetainedBytes()), "retained-B")
+			b.ReportMetric(float64(par)/float64(seq), "ratio-to-workers=1")
 		})
 	}
 }

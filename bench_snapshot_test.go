@@ -1,18 +1,11 @@
 // Snapshot-serving benchmarks: what a reader pays when the world is
-// republished under it. The old design guarded the service's graph and
-// CH index with one RWMutex — every reader share-locked, and a traffic
-// writer held the exclusive lock across its whole customization, so
-// reader tail latency grew a full customization-length stall. The
-// snapshot design publishes each new world through one atomic pointer:
-// readers load it and never touch a lock, so a sustained mutation stream
-// should leave reader p99 within 10% of the idle run.
-//
-// Both harnesses run the identical query kernel (one CH point-to-point
-// query against the current index) so the only difference measured is
-// the coordination discipline: RLock/RUnlock around the query plus
-// mutate-and-customize under the writer lock, versus an atomic snapshot
-// load plus clone-customize-publish off to the side. `make
-// bench-snapshot` records both; see BENCH_PR10.json.
+// republished under it. The snapshot design publishes each new world
+// through one atomic pointer: readers load it and never touch a lock, so
+// a sustained mutation stream should leave reader p99 within 10% of the
+// idle run. The RWMutex discipline it replaced — readers share-locked,
+// the writer customizing under the exclusive lock — put reader p99 at
+// 29× idle on the same mix (BENCH_PR10.json); its harness is retired and
+// the figure kept there. `make bench-snapshot` records the snapshot path.
 package repro_test
 
 import (
@@ -24,7 +17,6 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/ch"
 	"repro/internal/graph"
 	"repro/internal/gridgen"
 	"repro/internal/route"
@@ -141,94 +133,5 @@ func BenchmarkSnapshotReadUnderMutation(b *testing.B) {
 		if st := svc.CHStats(); st.StaleFallbacks != 0 {
 			b.Fatalf("%d stale fallbacks under the mutation stream, want 0", st.StaleFallbacks)
 		}
-	})
-}
-
-// rwWorld reproduces the pre-snapshot coordination discipline for
-// comparison: one RWMutex guards the graph and index; every reader
-// share-locks around its query, and a traffic writer mutates the graph
-// in place and re-customizes the metric while holding the exclusive
-// lock — so readers queue behind the full customization.
-type rwWorld struct {
-	mu   sync.RWMutex
-	g    *graph.Graph
-	topo *ch.Topology
-	ix   *ch.Index
-}
-
-func (w *rwWorld) query(ctx context.Context, from, to graph.NodeID) (ch.Result, error) {
-	w.mu.RLock()
-	defer w.mu.RUnlock()
-	return w.ix.QueryCtx(ctx, from, to)
-}
-
-func (w *rwWorld) apply(changes []graph.EdgeCostChange) error {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	if _, err := w.g.ApplyBatch(changes); err != nil {
-		return err
-	}
-	ix, err := w.topo.NewIndex(w.g)
-	if err != nil {
-		return err
-	}
-	w.ix = ix
-	return nil
-}
-
-// BenchmarkRWMutexReadUnderMutation is the baseline the snapshot design
-// replaces, on the identical query and mutation mix.
-func BenchmarkRWMutexReadUnderMutation(b *testing.B) {
-	g := gridgen.MustGenerate(gridgen.Config{K: snapBenchK, Model: gridgen.Variance, Seed: benchSeed})
-	topo, err := ch.BuildTopology(g, ch.Options{})
-	if err != nil {
-		b.Fatal(err)
-	}
-	ix, err := topo.NewIndex(g)
-	if err != nil {
-		b.Fatal(err)
-	}
-	w := &rwWorld{g: g, topo: topo, ix: ix}
-	pairs := snapBenchPairs(g)
-	base := g.Edges()
-	ctx := context.Background()
-
-	query := func(from, to graph.NodeID) {
-		if _, err := w.query(ctx, from, to); err != nil {
-			b.Error(err)
-		}
-	}
-
-	b.Run("idle", func(b *testing.B) {
-		measureReaders(b, pairs, query)
-	})
-
-	b.Run("mutating", func(b *testing.B) {
-		stop := make(chan struct{})
-		var wg sync.WaitGroup
-		var published atomic.Uint64
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			rng := rand.New(rand.NewSource(benchSeed))
-			changes := make([]graph.EdgeCostChange, 16)
-			for {
-				select {
-				case <-stop:
-					return
-				default:
-				}
-				snapBenchBatch(rng, base, changes)
-				if err := w.apply(changes); err != nil {
-					b.Error(err)
-					return
-				}
-				published.Add(1)
-			}
-		}()
-		measureReaders(b, pairs, query)
-		close(stop)
-		wg.Wait()
-		b.ReportMetric(float64(published.Load()), "publishes")
 	})
 }

@@ -51,9 +51,11 @@ import (
 
 // Options tunes preprocessing. The zero value is ready to use.
 type Options struct {
-	// Workers bounds the worker pool computing initial contraction
-	// priorities (the independent per-node pair counts). 0 means
-	// GOMAXPROCS.
+	// Workers bounds the goroutines of every parallel phase of the
+	// structural build: the initial contraction priorities (independent
+	// per-node pair counts) and the triangle packing. 0 means GOMAXPROCS;
+	// 1 builds on the calling goroutine alone. The topology built is the
+	// same for every value.
 	Workers int
 }
 

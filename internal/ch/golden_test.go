@@ -194,3 +194,34 @@ func TestEliminationTreeCoversUpwardArcs(t *testing.T) {
 		})
 	}
 }
+
+// TestTopologyIndependentOfWorkers checks that the worker count changes
+// how a topology is built, never what is built: every Options.Workers
+// value gives the identical digest on every golden graph, and on a k=100
+// grid, whose rows are long enough that every packing worker gets
+// middles of its own.
+func TestTopologyIndependentOfWorkers(t *testing.T) {
+	agree := func(t *testing.T, g *graph.Graph) {
+		want := ""
+		for _, workers := range []int{1, 2, 3, 8} {
+			topo, err := BuildTopology(g, Options{Workers: workers})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := topologyDigest(topo); want == "" {
+				want = got
+			} else if got != want {
+				t.Errorf("Workers=%d: digest %s, want the Workers=1 digest %s", workers, got, want)
+			}
+		}
+	}
+	for _, tc := range goldenCases {
+		t.Run(tc.name, func(t *testing.T) { agree(t, tc.g()) })
+	}
+	t.Run("grid-k100-variance-seed1", func(t *testing.T) {
+		if testing.Short() || raceEnabled {
+			t.Skip("four k=100 builds are too slow under -short and -race")
+		}
+		agree(t, gridgen.MustGenerate(gridgen.Config{K: 100, Model: gridgen.Variance, Seed: 1}))
+	})
+}

@@ -3,6 +3,7 @@ package ch
 import (
 	"fmt"
 	"runtime"
+	"slices"
 	"sync"
 	"unsafe"
 
@@ -287,12 +288,13 @@ func (b *tbuilder) contract(v graph.NodeID) {
 // graph is only read, and only its structure matters: two graphs with the
 // same arcs but different costs produce the identical topology.
 //
-// Initial priorities — one independent pair count per node — are computed
-// across a GOMAXPROCS-bounded worker pool, each worker with its own mark
-// set; the contraction loop itself is sequential because each contraction
-// reshapes the graph the next evaluates against, with the classic
-// lazy-update rule re-queueing a popped candidate whose priority has
-// deteriorated past the next key.
+// Two phases run on opts.Workers goroutines: the initial priorities — one
+// independent pair count per node, each worker with its own mark set —
+// and the triangle packing in freeze. The contraction loop between them
+// is sequential because each contraction reshapes the graph the next
+// evaluates against, with the classic lazy-update rule re-queueing a
+// popped candidate whose priority has deteriorated past the next key.
+// The result does not depend on the worker count.
 func BuildTopology(g *graph.Graph, opts Options) (*Topology, error) {
 	n := g.NumNodes()
 	if n == 0 {
@@ -300,34 +302,18 @@ func BuildTopology(g *graph.Graph, opts Options) (*Topology, error) {
 	}
 	b := newTBuilder(g)
 
-	prio := make([]float64, n)
 	workers := opts.Workers
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	if workers > n {
-		workers = n
-	}
-	var wg sync.WaitGroup
-	chunk := (n + workers - 1) / workers
-	for w := 0; w < workers; w++ {
-		lo, hi := w*chunk, (w+1)*chunk
-		if hi > n {
-			hi = n
+	workers = min(workers, n)
+	prio := make([]float64, n)
+	fanOut(workers, func(w int) {
+		marks := newMarkSet(n)
+		for v := w * n / workers; v < (w+1)*n/workers; v++ {
+			prio[v] = b.priority(graph.NodeID(v), marks)
 		}
-		if lo >= hi {
-			break
-		}
-		wg.Add(1)
-		go func(lo, hi int) {
-			defer wg.Done()
-			marks := newMarkSet(n)
-			for v := lo; v < hi; v++ {
-				prio[v] = b.priority(graph.NodeID(v), marks)
-			}
-		}(lo, hi)
-	}
-	wg.Wait()
+	})
 
 	queue := pqueue.NewIndexed(n)
 	for v := 0; v < n; v++ {
@@ -349,13 +335,14 @@ func BuildTopology(g *graph.Graph, opts Options) (*Topology, error) {
 		b.contract(v)
 	}
 
-	return b.freeze(g), nil
+	return b.freeze(g, workers), nil
 }
 
 // freeze packs the contracted rows into the Topology's undirected CSR
-// skeleton, enumerates every lower triangle from the middle nodes' rows,
-// and maps the source graph's edges onto weight slots.
-func (b *tbuilder) freeze(g *graph.Graph) *Topology {
+// skeleton, enumerates every lower triangle from the middle nodes' rows
+// on up to workers goroutines, and maps the source graph's edges onto
+// weight slots.
+func (b *tbuilder) freeze(g *graph.Graph, workers int) *Topology {
 	t := &Topology{
 		n:     b.n,
 		m:     g.NumEdges(),
@@ -380,32 +367,14 @@ func (b *tbuilder) freeze(g *graph.Graph) *Topology {
 			t.owner[p] = v
 		}
 	}
-	sc := newRowScatter(t)
-
-	// Counting sort of the triangles by target arc into CSR form. The
-	// enumeration visits middles in contraction order and gives a target
-	// at most one triangle per middle, so each arc's list comes out
-	// ordered by its middles' contraction order.
-	t.triOff = make([]int32, numArcs+1)
-	t.eachTriangle(sc, func(_ triangle, p int32) {
-		t.triOff[p+1]++
-	})
-	for p := int32(0); p < numArcs; p++ {
-		t.triOff[p+1] += t.triOff[p]
-	}
-	t.tris = make([]triangle, t.triOff[numArcs])
-	cursor := make([]int32, numArcs)
-	t.eachTriangle(sc, func(tr triangle, p int32) {
-		t.tris[t.triOff[p]+cursor[p]] = tr
-		cursor[p]++
-	})
+	t.packTriangles(workers)
 
 	// Edge → weight-slot mapping plus the base-backed census. Up slots
 	// resolve in the edge's own row and down slots in the head's, so each
 	// gets its own scatter.
 	t.edgePos = make([]int32, g.NumEdges())
 	baseBacked := make([]bool, 2*numArcs)
-	upSc, downSc := sc, newRowScatter(t)
+	upSc, downSc := newRowScatter(t), newRowScatter(t)
 	base := 0
 	ei := 0
 	for u := graph.NodeID(0); int(u) < b.n; u++ {
@@ -492,55 +461,161 @@ func (t *Topology) eliminationTree() []graph.NodeID {
 	return parent
 }
 
-// eachTriangle calls fn for every lower triangle with the position p of
-// its target arc: for every middle v in contraction order, every pair
-// x, y of v's row with rank x < rank y that the skeleton joins. On a
-// graph whose arcs all run both ways every such pair is joined, because
-// contraction connected each in/out pair through v; on a directed one a
-// pair of two out-heads (or two in-heads) may not be, and is skipped.
-// Targets are visited x-major, so each owner's row is scattered once per
-// middle.
-func (t *Topology) eachTriangle(sc *rowScatter, fn func(tr triangle, p int32)) {
+// packTriangles fills triOff and tris: a counting sort of every lower
+// triangle by target arc into CSR form, on up to workers goroutines.
+//
+// The middles are cut into contiguous runs of the contraction order, one
+// per worker. Each worker counts its run's triangles per arc with its own
+// scatter; a prefix pass over (arc, worker) turns the counts into each
+// worker's first slot per arc, and a second pass over the same runs fills
+// those disjoint slots. A run gives a target at most one triangle per
+// middle, in contraction order, and the runs are laid out in that order
+// too, so each arc's list comes out ordered by its middles' contraction
+// order whatever the worker count.
+func (t *Topology) packTriangles(workers int) {
+	runs := t.splitMiddles(workers)
+	numArcs := len(t.heads)
+	scatters := make([]*rowScatter, len(runs)-1)
+	cursors := make([][]int32, len(runs)-1)
+	fanOut(len(cursors), func(w int) {
+		scatters[w], cursors[w] = newRowScatter(t), make([]int32, numArcs)
+		t.packRun(t.order[runs[w]:runs[w+1]], scatters[w], cursors[w], nil)
+	})
+	t.triOff = make([]int32, numArcs+1)
+	next := int32(0)
+	for p := range numArcs {
+		t.triOff[p] = next
+		for _, cursor := range cursors {
+			next, cursor[p] = next+cursor[p], next
+		}
+	}
+	t.triOff[numArcs] = next
+	t.tris = make([]triangle, next)
+	fanOut(len(cursors), func(w int) {
+		t.packRun(t.order[runs[w]:runs[w+1]], scatters[w], cursors[w], t.tris)
+	})
+}
+
+// splitMiddles cuts the contraction order into at most workers non-empty
+// runs of about equal packing work and returns their bounds as indices
+// into t.order. A middle of degree d costs packRun its d(d-1)/2 pairs
+// plus one scatter of each of its d heads' rows.
+func (t *Topology) splitMiddles(workers int) []int {
+	deg := func(v graph.NodeID) int { return int(t.offsets[v+1] - t.offsets[v]) }
+	work := func(v graph.NodeID) int {
+		w := deg(v) * (deg(v) - 1) / 2
+		for _, x := range t.heads[t.offsets[v]:t.offsets[v+1]] {
+			w += deg(x)
+		}
+		return w
+	}
+	total := 0
 	for _, v := range t.order {
-		lo, hi := t.offsets[v], t.offsets[v+1]
-		for i := lo; i < hi; i++ {
+		total += work(v)
+	}
+	bounds := []int{0}
+	done := 0
+	for i, v := range t.order[:len(t.order)-1] {
+		done += work(v)
+		if k := len(bounds); k < workers && done*workers >= total*k {
+			bounds = append(bounds, i+1)
+		}
+	}
+	return append(bounds, len(t.order))
+}
+
+// fanOut runs fn(0), …, fn(n-1) on n goroutines and waits for all of
+// them; with n == 1 it calls fn(0) on the calling goroutine.
+func fanOut(n int, fn func(w int)) {
+	if n == 1 {
+		fn(0)
+		return
+	}
+	var wg sync.WaitGroup
+	for w := range n {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			fn(w)
+		}()
+	}
+	wg.Wait()
+}
+
+// packRun visits every lower triangle through the given middles, in
+// their order: every pair x, y of a middle's row with rank x < rank y
+// that the skeleton joins. On a graph whose arcs all run both ways every
+// such pair is joined, because contraction connected each in/out pair
+// through the middle; on a directed one a pair of two out-heads (or two
+// in-heads) may not be, and is skipped. For each triangle it bumps cursor
+// at the target arc's position p, first storing the triangle at
+// tris[cursor[p]] when tris is not nil: from zeroed cursors a run counts
+// each arc's triangles, and from each arc's first slot it fills them.
+//
+// A middle gives each target at most one triangle, so the order within a
+// middle is free. Its row is visited by rank: each x is paired with the
+// heads after it alone, with no rank test, and x's row is scattered once.
+func (t *Topology) packRun(middles []graph.NodeID, sc *rowScatter, cursor []int32, tris []triangle) {
+	var byRank []uint64 // rank<<32 | position, for one middle's row
+	for _, v := range middles {
+		byRank = byRank[:0]
+		for i := t.offsets[v]; i < t.offsets[v+1]; i++ {
+			byRank = append(byRank, uint64(t.rank[t.heads[i]])<<32|uint64(i))
+		}
+		slices.Sort(byRank)
+		for a, kx := range byRank {
+			i := int32(uint32(kx))
 			x := t.heads[i]
-			for j := lo; j < hi; j++ {
-				if y := t.heads[j]; t.rank[x] < t.rank[y] {
-					if p, ok := sc.pos(x, y); ok {
-						fn(triangle{lo: i, hi: j}, p)
+			sc.scatter(x)
+			xlo, xhi := t.offsets[x], t.offsets[x+1]
+			for _, ky := range byRank[a+1:] {
+				j := int32(uint32(ky))
+				if p := sc.at[t.heads[j]]; p >= xlo && p < xhi {
+					if tris != nil {
+						tris[cursor[p]] = triangle{lo: i, hi: j}
 					}
+					cursor[p]++
 				}
 			}
 		}
 	}
 }
 
-// rowScatter resolves arc positions one skeleton row at a time: scattering
-// row r marks each head h of the row and writes at[h] = its position,
-// after which any lookup in that row is two array reads. Entries of
-// earlier rows linger in at but not in the marks.
+// rowScatter resolves arc positions one skeleton row at a time:
+// scattering row r writes at[h] = the position of h in r's row for each
+// head h, after which any lookup in that row is one array read and a
+// range test. Entries of earlier rows linger in at, but every entry is
+// -1 or a position holding its own node, so an entry inside r's range
+// was written by r's scatter: h is in the row exactly when at[h] falls in
+// its range, and no mark set is needed.
 type rowScatter struct {
-	t     *Topology
-	at    []int32
-	marks *markSet
-	row   graph.NodeID // the scattered row; graph.Invalid before the first
+	t   *Topology
+	at  []int32
+	row graph.NodeID // the scattered row; graph.Invalid before the first
 }
 
 func newRowScatter(t *Topology) *rowScatter {
-	return &rowScatter{t: t, at: make([]int32, t.n), marks: newMarkSet(t.n), row: graph.Invalid}
+	at := make([]int32, t.n)
+	for i := range at {
+		at[i] = -1
+	}
+	return &rowScatter{t: t, at: at, row: graph.Invalid}
+}
+
+// scatter makes r the scattered row.
+func (s *rowScatter) scatter(r graph.NodeID) {
+	if s.row != r {
+		for p := s.t.offsets[r]; p < s.t.offsets[r+1]; p++ {
+			s.at[s.t.heads[p]] = p
+		}
+		s.row = r
+	}
 }
 
 // pos returns the position of the arc from row r to h, and whether row r
 // holds one.
 func (s *rowScatter) pos(r, h graph.NodeID) (int32, bool) {
-	if s.row != r {
-		s.marks.clear()
-		for p := s.t.offsets[r]; p < s.t.offsets[r+1]; p++ {
-			s.at[s.t.heads[p]] = p
-			s.marks.add(s.t.heads[p])
-		}
-		s.row = r
-	}
-	return s.at[h], s.marks.has(h)
+	s.scatter(r)
+	p := s.at[h]
+	return p, p >= s.t.offsets[r] && p < s.t.offsets[r+1]
 }

@@ -212,7 +212,9 @@ type EdgeCostChange struct {
 // (for Scale entries, compound). Every cost the batch produces must be
 // finite and non-negative, compounded products included. A scale factor
 // must be positive: a factor of 0 would erase the base cost in a way no
-// later factor can undo, short of a reset. Like all cost
+// later factor can undo, short of a reset. For the same reason a product
+// of positive factors that underflows a positive cost to 0 is refused,
+// whether it builds up within the batch or across batches. Like all cost
 // mutators, ApplyBatch must be serialised against readers by the caller.
 func (g *Graph) ApplyBatch(changes []EdgeCostChange) (int, error) {
 	scales := false
@@ -259,10 +261,12 @@ func (g *Graph) ApplyBatch(changes []EdgeCostChange) (int, error) {
 }
 
 // checkCompounded replays a batch on a scratch copy of the costs it
-// touches and rejects it if a Scale entry would leave a cost that is not
-// finite: each factor is finite and positive, but products can still
-// overflow to +Inf. Set entries are finite by the per-entry check. The
-// work is proportional to the edges the batch touches.
+// touches and rejects it if a Scale entry would leave a cost that
+// scaledCostOK refuses: each factor is finite and positive, but products
+// can still overflow to +Inf or underflow a positive cost to 0, within
+// one batch or on top of earlier ones. Set entries are finite by the
+// per-entry check. The work is proportional to the edges the batch
+// touches.
 func (g *Graph) checkCompounded(changes []EdgeCostChange) error {
 	pending := make(map[int32]float64, len(changes))
 	for _, ch := range changes {
@@ -277,8 +281,8 @@ func (g *Graph) checkCompounded(changes []EdgeCostChange) error {
 				if !ok {
 					cur = g.costs[i]
 				}
-				if c = cur * ch.Cost; math.IsInf(c, 0) || math.IsNaN(c) {
-					return fmt.Errorf("graph: scale factor %v for edge (%d,%d) makes its cost %v; costs must be finite", ch.Cost, ch.Tail, ch.Head, c)
+				if c = cur * ch.Cost; !scaledCostOK(cur, c) {
+					return fmt.Errorf("graph: scale factor %v for edge (%d,%d) makes its cost %v from %v; a scaled cost must stay finite, and positive if it was", ch.Cost, ch.Tail, ch.Head, c, cur)
 				}
 			}
 			pending[i] = c
@@ -289,27 +293,20 @@ func (g *Graph) checkCompounded(changes []EdgeCostChange) error {
 
 // ScaleArcCost multiplies the cost of every parallel directed edge (u, v) by
 // factor and reports whether such an edge exists. This is the primitive
-// behind traffic-congestion updates. The factor must be finite and
-// positive, as in ApplyBatch.
+// behind traffic-congestion updates. It is a one-entry ApplyBatch, and
+// refuses what that refuses: a factor that is not finite and positive, or
+// a product that is not finite or that underflows a positive cost to 0.
+// A refused factor changes no edge.
 func (g *Graph) ScaleArcCost(u, v NodeID, factor float64) (bool, error) {
-	if !(factor > 0) || math.IsInf(factor, 0) {
-		return false, fmt.Errorf("graph: scale factor %v for edge (%d,%d) must be finite and positive", factor, u, v)
-	}
-	if !g.valid(u) || !g.valid(v) {
-		return false, fmt.Errorf("graph: edge (%d,%d) references unknown node", u, v)
-	}
-	found := false
-	lo, hi := g.offsets[u], g.offsets[u+1]
-	for i := lo; i < hi; i++ {
-		if g.heads[i] == v {
-			g.costs[i] *= factor
-			found = true
-		}
-	}
-	if found {
-		g.costVersion.Add(1)
-	}
-	return found, nil
+	n, err := g.ApplyBatch([]EdgeCostChange{{Tail: u, Head: v, Cost: factor, Scale: true}})
+	return n > 0, err
+}
+
+// scaledCostOK reports whether scaling a cost from cur to next keeps it
+// usable: finite, and not underflowed from a positive cost to 0, which
+// no later factor could undo, short of a reset.
+func scaledCostOK(cur, next float64) bool {
+	return !math.IsInf(next, 0) && !math.IsNaN(next) && (next > 0 || cur == 0)
 }
 
 // MinArcCost returns the smallest edge cost in the graph, or +Inf for a

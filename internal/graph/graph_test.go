@@ -312,6 +312,65 @@ func TestApplyBatchRejectsNonFiniteResults(t *testing.T) {
 	}
 }
 
+// TestScaleRefusesUnderflowToZero: factors 1e-200 and 1e-200 are each
+// positive, but their product underflows a cost-1 edge to 0, as
+// irreversible as factor 0. ApplyBatch refuses the product within one
+// batch and across two, ScaleArcCost across two calls, and a refusal
+// changes nothing. An edge that is already free may still be scaled.
+func TestScaleRefusesUnderflowToZero(t *testing.T) {
+	tiny := EdgeCostChange{Tail: 0, Head: 1, Cost: 1e-200, Scale: true}
+	check := func(t *testing.T, g *Graph, v0 uint64) {
+		t.Helper()
+		if c, _ := g.ArcCost(0, 1); c != 1e-200 || g.CostVersion() != v0 {
+			t.Errorf("after the refusal: cost %v version %d, want 1e-200 and %d", c, g.CostVersion(), v0)
+		}
+	}
+	t.Run("one batch", func(t *testing.T) {
+		g := line(t, 3)
+		v0 := g.CostVersion()
+		if _, err := g.ApplyBatch([]EdgeCostChange{tiny, tiny}); err == nil {
+			t.Fatal("ApplyBatch accepted a batch that underflows cost 1 to 0")
+		}
+		if c, _ := g.ArcCost(0, 1); c != 1 || g.CostVersion() != v0 {
+			t.Errorf("after the refusal: cost %v version %d, want 1 and %d", c, g.CostVersion(), v0)
+		}
+	})
+	t.Run("two batches", func(t *testing.T) {
+		g := line(t, 3)
+		if _, err := g.ApplyBatch([]EdgeCostChange{tiny}); err != nil {
+			t.Fatal(err)
+		}
+		v1 := g.CostVersion()
+		if _, err := g.ApplyBatch([]EdgeCostChange{{Tail: 1, Head: 2, Cost: 2, Scale: true}, tiny}); err == nil {
+			t.Fatal("ApplyBatch accepted a factor that underflows cost 1e-200 to 0")
+		}
+		check(t, g, v1)
+		if c, _ := g.ArcCost(1, 2); c != 1 {
+			t.Errorf("the refused batch's valid entry landed: cost %v, want 1", c)
+		}
+	})
+	t.Run("ScaleArcCost", func(t *testing.T) {
+		g := line(t, 3)
+		if _, err := g.ScaleArcCost(0, 1, 1e-200); err != nil {
+			t.Fatal(err)
+		}
+		v1 := g.CostVersion()
+		if _, err := g.ScaleArcCost(0, 1, 1e-200); err == nil {
+			t.Fatal("ScaleArcCost accepted a factor that underflows cost 1e-200 to 0")
+		}
+		check(t, g, v1)
+	})
+	t.Run("free edge", func(t *testing.T) {
+		g := line(t, 3)
+		if _, err := g.ApplyBatch([]EdgeCostChange{{Tail: 0, Head: 1, Cost: 0}, tiny}); err != nil {
+			t.Errorf("ApplyBatch refused to scale a free edge: %v", err)
+		}
+		if _, err := g.ScaleArcCost(0, 1, 1e-200); err != nil {
+			t.Errorf("ScaleArcCost refused to scale a free edge: %v", err)
+		}
+	})
+}
+
 func TestApplyBatchInvalidatesReverseViewOnce(t *testing.T) {
 	g := line(t, 4)
 	r0 := g.ReverseView()

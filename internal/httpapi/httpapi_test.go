@@ -287,6 +287,42 @@ func TestTrafficBatchRejectsOverflowingFactors(t *testing.T) {
 	}
 }
 
+// TestTrafficBatchRejectsUnderflowingFactors: factors 1e-200 are each
+// positive, but two of them underflow an edge cost to 0, as irreversible
+// as factor 0. Within one batch or across two, the batch that would do it
+// is refused as a whole — 400 bad_request, no new snapshot.
+func TestTrafficBatchRejectsUnderflowingFactors(t *testing.T) {
+	g := mpls.MustGenerate(mpls.Config{})
+	ts := httptest.NewServer(NewServer(route.NewService(g)).Handler())
+	t.Cleanup(ts.Close)
+	arc := g.Arcs(0)[0]
+	change := `{"from":"0","to":"` + strconv.Itoa(int(arc.Head)) + `","factor":1e-200}`
+	generation := func() uint64 {
+		var snap struct {
+			Generation uint64 `json:"generation"`
+		}
+		getJSON(t, ts.URL+"/v1/snapshot", &snap)
+		return snap.Generation
+	}
+	refused := func(body string) {
+		t.Helper()
+		before := generation()
+		var env errorEnvelope
+		resp := postJSON(t, ts.URL+"/v1/traffic/batch", body, &env)
+		if resp.StatusCode != http.StatusBadRequest || env.Error.Code != CodeBadRequest {
+			t.Errorf("underflowing batch %s: status %d code %q, want 400 %s", body, resp.StatusCode, env.Error.Code, CodeBadRequest)
+		}
+		if after := generation(); after != before {
+			t.Errorf("rejected batch moved the snapshot generation %d → %d", before, after)
+		}
+	}
+	refused(`{"changes":[` + change + `,` + change + `]}`)
+	if resp := postJSON(t, ts.URL+"/v1/traffic/batch", `{"changes":[`+change+`]}`, nil); resp.StatusCode != http.StatusOK {
+		t.Fatalf("one factor 1e-200: status %d, want 200", resp.StatusCode)
+	}
+	refused(`{"changes":[` + change + `]}`)
+}
+
 // TestTrafficRejectsZeroFactor: a congestion factor of 0 would erase
 // edge costs beyond recovery by any later factor, so both traffic
 // endpoints answer 400 bad_request and publish nothing.
