@@ -42,11 +42,14 @@
 #   make bench-snapshot — reader latency under a sustained mutation
 #                 stream on the lock-free snapshot read path (target:
 #                 reader p99 within 10% of idle), see BENCH_PR10.json
+#   make loc    — non-test Go lines per package directory and in total,
+#                 excluding testdata/ and the atisbench/ module: the
+#                 code-size number the deletion ledger in CHANGES.md quotes
 
 GO ?= go
 FUZZTIME ?= 30s
 
-.PHONY: build test vet lint race check fuzz-short bench bench-paper bench-telemetry bench-ch bench-admission bench-customize bench-trace bench-lint bench-snapshot
+.PHONY: build test vet lint race check loc fuzz-short bench bench-paper bench-telemetry bench-ch bench-admission bench-customize bench-trace bench-lint bench-snapshot
 
 build:
 	$(GO) build ./...
@@ -64,6 +67,12 @@ race:
 	$(GO) test -race ./...
 
 check: vet lint race
+
+loc:
+	@files=$$(find . -name '*.go' ! -name '*_test.go' ! -path '*/testdata/*' ! -path './atisbench/*'); \
+	wc -l $$files | awk '$$2 != "total" { d = $$2; sub(/\/[^\/]*$$/, "", d); n[d] += $$1 } \
+		END { for (d in n) printf "%7d  %s\n", n[d], d }' | sort -k2; \
+	cat $$files | wc -l | awk '{ printf "%7d  total\n", $$1 }'
 
 fuzz-short:
 	$(GO) test -run '^$$' -fuzz FuzzRead -fuzztime $(FUZZTIME) ./internal/graphio

@@ -294,10 +294,9 @@ func BenchmarkCHTrafficStream(b *testing.B) {
 		if err != nil || !rt.Found {
 			b.Fatalf("ch route: %v found=%v", err, rt.Found)
 		}
-	}
-	b.StopTimer()
-	if st := svc.CHStats(); st.StaleFallbacks != 0 {
-		b.Fatalf("%d queries fell back to Dijkstra during the stream", st.StaleFallbacks)
+		if rt.Algorithm != core.CH {
+			b.Fatalf("stream query served by %v, want ch", rt.Algorithm)
+		}
 	}
 }
 

@@ -93,8 +93,12 @@ func BenchmarkSnapshotReadUnderMutation(b *testing.B) {
 	ctx := context.Background()
 
 	query := func(from, to graph.NodeID) {
-		sn := svc.Snapshot()
-		if _, err := sn.CH().QueryCtx(ctx, from, to); err != nil {
+		ix := svc.Snapshot().CH()
+		if ix == nil {
+			b.Error("a published snapshot carries no index")
+			return
+		}
+		if _, err := ix.QueryCtx(ctx, from, to); err != nil {
 			b.Error(err)
 		}
 	}
@@ -130,8 +134,5 @@ func BenchmarkSnapshotReadUnderMutation(b *testing.B) {
 		close(stop)
 		wg.Wait()
 		b.ReportMetric(float64(published.Load()), "publishes")
-		if st := svc.CHStats(); st.StaleFallbacks != 0 {
-			b.Fatalf("%d stale fallbacks under the mutation stream, want 0", st.StaleFallbacks)
-		}
 	})
 }

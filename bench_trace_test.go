@@ -12,6 +12,7 @@ import (
 	"context"
 	"testing"
 
+	"repro/internal/ch"
 	"repro/internal/core"
 	"repro/internal/gridgen"
 	"repro/internal/tracing"
@@ -20,29 +21,38 @@ import (
 // BenchmarkTraceOverhead runs the same warm Dijkstra and CH query
 // workloads with tracing disabled (no trace in the context, the
 // production default) and enabled (every request sampled and captured —
-// the worst case).
+// the worst case). Dijkstra runs through the Planner's "kernel" span; CH
+// queries a prebuilt index directly, under its ch.search and ch.unpack
+// spans.
 func BenchmarkTraceOverhead(b *testing.B) {
 	const k = 30
 	g := gridgen.MustGenerate(gridgen.Config{K: k, Model: gridgen.Variance, Seed: benchSeed})
 	s, d := gridgen.Pair(k, gridgen.Diagonal, benchSeed)
-	p := core.MustNew(g)
-	if _, err := p.CHIndex(); err != nil { // build once, outside timing
+	p := core.New(g)
+	ix, err := ch.Build(g, ch.Options{}) // build once, outside timing
+	if err != nil {
 		b.Fatal(err)
 	}
 
 	kernels := []struct {
 		name string
-		opts core.Options
+		run  func(ctx context.Context) error
 	}{
-		{"dijkstra", core.Options{Algorithm: core.Dijkstra}},
-		{"ch", core.Options{Algorithm: core.CH}},
+		{"dijkstra", func(ctx context.Context) error {
+			_, err := p.RouteCtx(ctx, s, d, core.Options{Algorithm: core.Dijkstra})
+			return err
+		}},
+		{"ch", func(ctx context.Context) error {
+			_, err := ix.QueryCtx(ctx, s, d)
+			return err
+		}},
 	}
 	for _, kn := range kernels {
 		b.Run(kn.name+"/disabled", func(b *testing.B) {
 			ctx := context.Background()
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				if _, err := p.RouteCtx(ctx, s, d, kn.opts); err != nil {
+				if err := kn.run(ctx); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -52,7 +62,7 @@ func BenchmarkTraceOverhead(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				ctx, tr := tracer.StartRequest(context.Background(), "bench", "")
-				if _, err := p.RouteCtx(ctx, s, d, kn.opts); err != nil {
+				if err := kn.run(ctx); err != nil {
 					b.Fatal(err)
 				}
 				tracer.Finish(tr)

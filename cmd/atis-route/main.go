@@ -87,8 +87,8 @@ func main() {
 	}
 
 	if *compare {
-		// Prebuild the hierarchy so the ch row reports index queries, not
-		// the Dijkstra fallback a cold service would serve.
+		// The ch row needs the hierarchy: without EnableCH it would
+		// answer route.ErrCHDisabled.
 		if err := svc.EnableCH(); err != nil {
 			fatal(err)
 		}
@@ -111,8 +111,8 @@ func main() {
 		fatal(err)
 	}
 	if algo == core.CH {
-		// Build synchronously: a one-shot CLI run has no background
-		// rebuild to wait for, and a cold service would fall back.
+		// Only EnableCH builds a hierarchy; without it the query would
+		// answer route.ErrCHDisabled.
 		if err := svc.EnableCH(); err != nil {
 			fatal(err)
 		}

@@ -66,7 +66,7 @@ func main() {
 		mapKind     = flag.String("map", "mpls", "map to serve: mpls | grid")
 		k           = flag.Int("k", 30, "grid side for -map grid")
 		seed        = flag.Int64("seed", 1993, "map seed")
-		enableCH    = flag.Bool("ch", false, "prebuild the contraction hierarchy so algo=ch is served from the index immediately")
+		enableCH    = flag.Bool("ch", false, "build the contraction hierarchy at startup; without it algo=ch answers 400")
 		enablePprof = flag.Bool("pprof", false, "mount net/http/pprof under /debug/pprof/")
 		jsonLogs    = flag.Bool("log-json", false, "emit logs as JSON instead of text")
 		gracePeriod = flag.Duration("grace", 10*time.Second, "shutdown grace period for in-flight requests")

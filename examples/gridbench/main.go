@@ -25,10 +25,13 @@ func main() {
 			if err != nil {
 				log.Fatal(err)
 			}
-			planner := core.MustNew(g)
+			planner := core.New(g)
 			for _, kind := range []gridgen.PairKind{gridgen.Horizontal, gridgen.Diagonal} {
 				s, d := gridgen.Pair(k, kind, 0)
 				for _, algo := range core.Algorithms() {
+					if algo == core.CH {
+						continue // not one of the paper's kernels; served by route.Service
+					}
 					r, err := planner.Route(s, d, core.Options{Algorithm: algo})
 					if err != nil {
 						log.Fatal(err)

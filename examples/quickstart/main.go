@@ -23,7 +23,7 @@ func main() {
 		log.Fatal(err)
 	}
 
-	planner := core.MustNew(g)
+	planner := core.New(g)
 
 	// Route along the bottom of the map: a short path relative to the
 	// graph's diameter, the regime where the paper shows estimator-based

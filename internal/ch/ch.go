@@ -39,10 +39,9 @@
 // and unpacking the meeting path's arcs through their customized middles
 // yields a path that validates edge-by-edge against the original graph.
 //
-// An Index pairs one Topology with one Metric. It is immutable, safe for
-// concurrent queries, and stamped with the graph's CostVersion at
-// customization time; see (*Index).CostVersion for the staleness contract
-// callers holding a mutable graph must keep.
+// An Index pairs one Topology with one Metric. It is immutable and safe
+// for concurrent queries; it answers for the costs the graph had when it
+// was customized, so a caller that mutates the graph re-customizes.
 package ch
 
 import (
@@ -67,13 +66,6 @@ type Index struct {
 	topo   *Topology
 	metric *Metric
 }
-
-// CostVersion returns the graph.CostVersion() the index's metric was
-// customized under. An index answers for exactly that version: callers
-// owning a mutable graph must compare against the live CostVersion() and
-// re-customize (or fall back to a direct search) on mismatch — the same
-// staleness contract as graph.ReverseView.
-func (ix *Index) CostVersion() uint64 { return ix.metric.costVersion }
 
 // NumNodes returns the number of nodes the index covers.
 func (ix *Index) NumNodes() int { return ix.topo.n }

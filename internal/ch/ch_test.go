@@ -176,9 +176,6 @@ func TestAgreesWithDijkstraOnRandomGrids(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if ix.CostVersion() != g.CostVersion() {
-			t.Fatalf("fresh index version %d != graph version %d", ix.CostVersion(), g.CostVersion())
-		}
 		rng := rand.New(rand.NewSource(tc.seed))
 		n := g.NumNodes()
 		for i := 0; i < pairs; i++ {
@@ -249,12 +246,10 @@ func TestUnreachableAndOutOfRange(t *testing.T) {
 	}
 }
 
-func TestCostVersionStampDetectsMutation(t *testing.T) {
+// TestBuildAfterMutationAgreesWithDijkstra mutates a graph in place
+// and checks that a fresh build answers under the new costs.
+func TestBuildAfterMutationAgreesWithDijkstra(t *testing.T) {
 	g, err := gridgen.Generate(gridgen.Config{K: 5, Model: gridgen.Variance, Seed: 3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	ix, err := Build(g, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -262,18 +257,11 @@ func TestCostVersionStampDetectsMutation(t *testing.T) {
 	if _, err := g.SetArcCost(e.Tail, e.Head, e.Cost*2); err != nil {
 		t.Fatal(err)
 	}
-	if ix.CostVersion() == g.CostVersion() {
-		t.Fatal("SetArcCost did not change the version the index is stamped with")
-	}
-	// A rebuild restores agreement at the new version.
-	ix2, err := Build(g, Options{})
+	ix, err := Build(g, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if ix2.CostVersion() != g.CostVersion() {
-		t.Fatalf("rebuilt index version %d != graph version %d", ix2.CostVersion(), g.CostVersion())
-	}
-	res, err := ix2.Query(0, graph.NodeID(g.NumNodes()-1))
+	res, err := ix.Query(0, graph.NodeID(g.NumNodes()-1))
 	if err != nil {
 		t.Fatal(err)
 	}

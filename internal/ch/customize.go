@@ -25,17 +25,14 @@ type metricHalf struct {
 
 // Metric is the metric-dependent layer of a hierarchy: per skeleton arc,
 // an up weight (lower endpoint → upper) and a down weight (upper → lower),
-// each with its middle node, stamped with the graph.CostVersion the
-// weights were derived from. A Metric is immutable after Customize and
+// each with its middle node. A Metric is immutable after Customize and
 // safe for concurrent queries; a cost mutation is served by customizing a
-// fresh Metric, never by editing one in place — the same frozen-slice
-// discipline the costversion analyzer enforces (and atislint's
-// immutsnapshot analyzer checks mechanically).
+// fresh Metric, never by editing one in place (atislint's immutsnapshot
+// analyzer checks this mechanically).
 //
 //atis:immutable
 type Metric struct {
-	up, down    metricHalf
-	costVersion uint64
+	up, down metricHalf
 }
 
 // Customize derives a fresh Metric for g's current costs in one bottom-up
@@ -56,15 +53,13 @@ type Metric struct {
 // original edge that realises the weight beats every triangle, and
 // otherwise the middle is the lowest-ranked one realising it.
 //
-// The Metric is stamped with g.CostVersion() as read when Customize
-// starts; the same concurrent-mutation contract as Build applies (the
-// route service serialises mutations behind its write lock).
+// The same concurrent-mutation contract as Build applies (the route
+// service serialises mutations behind its write lock).
 func (t *Topology) Customize(g *graph.Graph) (*Metric, error) {
 	if !t.Matches(g) {
 		return nil, fmt.Errorf("ch: graph (%d nodes, %d edges) does not match topology (%d nodes, %d edges); structural rebuild required",
 			g.NumNodes(), g.NumEdges(), t.n, t.m)
 	}
-	version := g.CostVersion()
 	A := len(t.heads)
 	m := &Metric{
 		up:   metricHalf{costs: make([]float64, A), mid: make([]graph.NodeID, A)},
@@ -124,7 +119,6 @@ func (t *Topology) Customize(g *graph.Graph) (*Metric, error) {
 		}
 	}
 
-	m.costVersion = version
 	return m, nil
 }
 

@@ -4,14 +4,14 @@
 // Information System would call it.
 //
 //	g := mpls.MustGenerate(mpls.Config{})
-//	p, err := core.New(g)
+//	p := core.New(g)
 //	route, err := p.RouteByName("A", "B", core.Options{})
 //
-// Construction is configured with functional options rather than ad-hoc
-// setters: core.New(g, core.WithCH(), core.WithTracer(t)) readies the
-// contraction hierarchy eagerly and attaches a tracer in one call, so a
-// fully-configured Planner is immutable from the caller's point of view —
-// the property the route package's snapshot publication relies on.
+// A Planner holds nothing but its graph, so it is immutable from the
+// caller's point of view — the property the route package's snapshot
+// publication relies on. It runs the paper's kernels only: the
+// contraction hierarchy (Algorithm CH) needs preprocessing, which the
+// route package's Service owns (route.Service.EnableCH).
 //
 // The default algorithm is A* with the euclidean estimator, which is
 // admissible (hence optimal) whenever edge costs dominate straight-line
@@ -22,12 +22,10 @@ package core
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"strings"
-	"sync"
-	"sync/atomic"
 
-	"repro/internal/ch"
 	"repro/internal/estimator"
 	"repro/internal/graph"
 	"repro/internal/search"
@@ -54,10 +52,9 @@ const (
 	Bidirectional
 	// CH answers queries over a precomputed contraction hierarchy
 	// (internal/ch): per-query work nearly independent of graph size, at
-	// the price of a preprocessing pass after every cost change. The
-	// Planner builds the hierarchy lazily on first use and rebuilds
-	// synchronously when edge costs have changed; the route service layers
-	// background rebuilds with Dijkstra fallback on top.
+	// the price of a preprocessing pass after every cost change. Only
+	// route.Service serves it, from the hierarchy EnableCH builds; a bare
+	// Planner rejects it.
 	CH
 )
 
@@ -124,75 +121,23 @@ type Route struct {
 	Trace search.Trace
 }
 
+// errCHUnsupported answers Algorithm CH on a bare Planner: the hierarchy
+// needs preprocessing, which the route service owns.
+var errCHUnsupported = errors.New("core: the ch algorithm needs a prebuilt hierarchy; use route.Service with EnableCH")
+
 // Planner computes routes over one graph. It is safe for concurrent use as
 // long as edge costs are not mutated concurrently; the route package's
 // Service adds that synchronisation by binding each Planner to an
 // immutable published snapshot.
 type Planner struct {
 	g *graph.Graph
-
-	// tracer, when set via WithTracer, gives work the Planner starts on
-	// its own (the lazy CH build) a trace of its own; request-path spans
-	// ride the caller's context and need no tracer here. A nil tracer is
-	// disabled — every tracing call is nil-safe.
-	tracer *tracing.Tracer
-
-	// Contraction-hierarchy state for the CH algorithm: the index is built
-	// lazily on first use and keyed on the graph's CostVersion. chMu
-	// serialises builds so concurrent first queries trigger exactly one.
-	chIdx atomic.Pointer[ch.Index]
-	chMu  sync.Mutex
 }
 
-// PlannerOption configures a Planner at construction. Options are applied
-// in the order given; put WithTracer before WithCH so the eager hierarchy
-// build it triggers is traced.
-type PlannerOption func(*Planner) error
-
-// WithCH readies the contraction hierarchy eagerly, so the first
-// Algorithm: CH route is served by the index instead of paying the
-// structural contraction on a query path.
-func WithCH() PlannerOption {
-	return func(p *Planner) error {
-		_, err := p.CHIndex()
-		return err
-	}
-}
-
-// WithTracer attaches a tracer for the work the Planner starts on its own
-// (the lazy or eager CH build). Request-path spans attach to the span
-// already in the caller's context and do not need it.
-func WithTracer(t *tracing.Tracer) PlannerOption {
-	return func(p *Planner) error {
-		p.tracer = t
-		return nil
-	}
-}
-
-// New wraps g, applying options in order. The graph is not copied; the
-// caller promises not to mutate edge costs concurrently with computations
-// (the route package keeps that promise by giving each snapshot its own
-// Planner over a graph that is frozen at publish time). New fails only
-// when a fallible option (WithCH on an empty graph) does.
-func New(g *graph.Graph, opts ...PlannerOption) (*Planner, error) {
-	p := &Planner{g: g}
-	for _, o := range opts {
-		if err := o(p); err != nil {
-			return nil, err
-		}
-	}
-	return p, nil
-}
-
-// MustNew is New, panicking on option failure — for construction sites
-// whose options are statically known to be infallible.
-func MustNew(g *graph.Graph, opts ...PlannerOption) *Planner {
-	p, err := New(g, opts...)
-	if err != nil {
-		panic(fmt.Sprintf("core: MustNew: %v", err))
-	}
-	return p
-}
+// New wraps g. The graph is not copied; the caller promises not to mutate
+// edge costs concurrently with computations (the route package keeps that
+// promise by giving each snapshot its own Planner over a graph that is
+// frozen at publish time).
+func New(g *graph.Graph) *Planner { return &Planner{g: g} }
 
 // Graph returns the planner's graph.
 func (p *Planner) Graph() *graph.Graph { return p.g }
@@ -209,8 +154,7 @@ func (p *Planner) Route(from, to graph.NodeID, opts Options) (Route, error) {
 // context dies or the expansion budget (search.WithBudget) runs out.
 //
 // Under an active trace the computation shows up as a "kernel" span
-// carrying the algorithm and its work counters; the CH path nests its
-// search and unpack phases beneath it.
+// carrying the algorithm and its work counters.
 func (p *Planner) RouteCtx(ctx context.Context, from, to graph.NodeID, opts Options) (Route, error) {
 	ctx, sp := tracing.Start(ctx, "kernel")
 	defer sp.End()
@@ -257,7 +201,7 @@ func (p *Planner) routeDispatch(ctx context.Context, from, to graph.NodeID, opts
 			Label:       opts.Algorithm.String(),
 		})
 	case CH:
-		return p.routeCH(ctx, from, to)
+		return Route{}, errCHUnsupported
 	default:
 		return Route{}, fmt.Errorf("core: unknown algorithm %v", opts.Algorithm)
 	}
@@ -270,73 +214,6 @@ func (p *Planner) routeDispatch(ctx context.Context, from, to graph.NodeID, opts
 		Cost:      res.Cost,
 		Algorithm: opts.Algorithm,
 		Trace:     res.Trace,
-	}, nil
-}
-
-// CHIndex returns the planner's contraction hierarchy for the graph's
-// current cost version, readying it if needed. The first call pays a
-// structural contraction; afterwards the topology is cached and a cost
-// mutation only costs a metric customization, so even the synchronous
-// refresh here is milliseconds. Callers who cannot afford the first
-// build on a query path (the route service) maintain their own index and
-// use the planner only for fallback.
-func (p *Planner) CHIndex() (*ch.Index, error) {
-	want := p.g.CostVersion()
-	if ix := p.chIdx.Load(); ix != nil && ix.CostVersion() == want {
-		return ix, nil
-	}
-	p.chMu.Lock()
-	defer p.chMu.Unlock()
-	// Re-check under the lock: another goroutine may have readied the
-	// index while we waited, and the version may have moved again.
-	want = p.g.CostVersion()
-	if ix := p.chIdx.Load(); ix != nil && ix.CostVersion() == want {
-		return ix, nil
-	}
-	if old := p.chIdx.Load(); old != nil && old.Topology().Matches(p.g) {
-		ix, err := old.Topology().NewIndex(p.g)
-		if err != nil {
-			return nil, err
-		}
-		p.chIdx.Store(ix)
-		return ix, nil
-	}
-	// The structural contraction is the Planner's one self-started heavy
-	// phase; under WithTracer it gets a trace of its own.
-	_, tr := p.tracer.StartBackground("core.ch.build")
-	ix, err := ch.Build(p.g, ch.Options{})
-	p.tracer.Finish(tr)
-	if err != nil {
-		return nil, err
-	}
-	p.chIdx.Store(ix)
-	return ix, nil
-}
-
-// routeCH answers via the contraction hierarchy. Settled nodes map onto the
-// trace's expansion counters so the experiment harness and /stats compare
-// CH work against the other kernels on the same axis. The ch package
-// returns raw context errors; FromContextErr folds them into the search
-// package's typed vocabulary so callers handle one error set.
-func (p *Planner) routeCH(ctx context.Context, from, to graph.NodeID) (Route, error) {
-	ix, err := p.CHIndex()
-	if err != nil {
-		return Route{}, err
-	}
-	res, err := ix.QueryCtx(ctx, from, to)
-	if err != nil {
-		return Route{}, search.FromContextErr(err)
-	}
-	return Route{
-		Found:     res.Found,
-		Path:      res.Path,
-		Cost:      res.Cost,
-		Algorithm: CH,
-		Trace: search.Trace{
-			Iterations:  res.Settled,
-			Expansions:  res.Settled,
-			Relaxations: res.Relaxed,
-		},
 	}, nil
 }
 

@@ -2,6 +2,7 @@ package core
 
 import (
 	"math"
+	"strings"
 	"testing"
 
 	"repro/internal/gridgen"
@@ -30,11 +31,14 @@ func TestAlgorithmNamesRoundTrip(t *testing.T) {
 func TestAllAlgorithmsAgreeOnOptimalCost(t *testing.T) {
 	const k = 12
 	g := gridgen.MustGenerate(gridgen.Config{K: k, Model: gridgen.Variance, Seed: 5})
-	p := MustNew(g)
+	p := New(g)
 	s, d := gridgen.Pair(k, gridgen.SemiDiagonal, 0)
 
 	want := math.NaN()
 	for _, a := range Algorithms() {
+		if a == CH {
+			continue // needs a prebuilt hierarchy; see TestCHOnBarePlannerRejected
+		}
 		r, err := p.Route(s, d, Options{Algorithm: a})
 		if err != nil {
 			t.Fatalf("%v: %v", a, err)
@@ -58,7 +62,7 @@ func TestAllAlgorithmsAgreeOnOptimalCost(t *testing.T) {
 func TestWeightedRouteBounded(t *testing.T) {
 	const k = 15
 	g := gridgen.MustGenerate(gridgen.Config{K: k, Model: gridgen.Variance, Seed: 2})
-	p := MustNew(g)
+	p := New(g)
 	s, d := gridgen.Pair(k, gridgen.Diagonal, 0)
 	opt, err := p.Route(s, d, Options{Algorithm: Dijkstra})
 	if err != nil {
@@ -78,7 +82,7 @@ func TestWeightedRouteBounded(t *testing.T) {
 
 func TestRouteByName(t *testing.T) {
 	g := gridgen.MustGenerate(gridgen.Config{K: 5})
-	p := MustNew(g)
+	p := New(g)
 	// Grids have no names; expect errors.
 	if _, err := p.RouteByName("A", "B", Options{}); err == nil {
 		t.Error("unknown landmark accepted")
@@ -90,7 +94,7 @@ func TestRouteByName(t *testing.T) {
 
 func TestFrontierOptionPassedThrough(t *testing.T) {
 	g := gridgen.MustGenerate(gridgen.Config{K: 8, Model: gridgen.Variance, Seed: 1})
-	p := MustNew(g)
+	p := New(g)
 	s, d := gridgen.Pair(8, gridgen.Diagonal, 0)
 	heap, err := p.Route(s, d, Options{Algorithm: Dijkstra, Frontier: search.FrontierHeap})
 	if err != nil {
@@ -105,9 +109,24 @@ func TestFrontierOptionPassedThrough(t *testing.T) {
 	}
 }
 
+// TestCHOnBarePlannerRejected pins the Planner's CH outcome: the
+// hierarchy is built and owned by route.Service, so a bare Planner
+// answers Algorithm CH with an error instead of preprocessing on a
+// query path.
+func TestCHOnBarePlannerRejected(t *testing.T) {
+	g := gridgen.MustGenerate(gridgen.Config{K: 6})
+	r, err := New(g).Route(0, 35, Options{Algorithm: CH})
+	if err == nil || !strings.Contains(err.Error(), "route.Service") {
+		t.Fatalf("CH on a bare Planner: err %v, want one naming route.Service", err)
+	}
+	if r.Found {
+		t.Fatalf("CH on a bare Planner reported a route: %+v", r)
+	}
+}
+
 func TestUnknownAlgorithmRejected(t *testing.T) {
 	g := gridgen.MustGenerate(gridgen.Config{K: 4})
-	p := MustNew(g)
+	p := New(g)
 	if _, err := p.Route(0, 5, Options{Algorithm: Algorithm(42)}); err == nil {
 		t.Error("unknown algorithm accepted")
 	}
@@ -115,7 +134,7 @@ func TestUnknownAlgorithmRejected(t *testing.T) {
 
 func TestDefaultIsAStarEuclidean(t *testing.T) {
 	g := gridgen.MustGenerate(gridgen.Config{K: 6})
-	p := MustNew(g)
+	p := New(g)
 	r, err := p.Route(0, 35, Options{})
 	if err != nil {
 		t.Fatal(err)

@@ -11,7 +11,7 @@ import (
 // planner, compute a route.
 func ExamplePlanner() {
 	g := gridgen.MustGenerate(gridgen.Config{K: 5, Model: gridgen.Uniform})
-	planner := core.MustNew(g)
+	planner := core.New(g)
 	from, to := gridgen.Pair(5, gridgen.Diagonal, 0)
 
 	route, err := planner.Route(from, to, core.Options{})
@@ -27,7 +27,7 @@ func ExamplePlanner() {
 // same pair: A* explores the least, Iterative the whole graph.
 func ExamplePlanner_algorithms() {
 	g := gridgen.MustGenerate(gridgen.Config{K: 10, Model: gridgen.Uniform})
-	planner := core.MustNew(g)
+	planner := core.New(g)
 	from, to := gridgen.Pair(10, gridgen.Horizontal, 0)
 
 	for _, algo := range []core.Algorithm{core.AStarManhattan, core.Dijkstra, core.Iterative} {

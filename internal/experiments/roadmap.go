@@ -125,7 +125,7 @@ func runTable8(w io.Writer, cfg RunConfig) error {
 	for _, pp := range paths {
 		s, _ := g.Lookup(pp.From)
 		d, _ := g.Lookup(pp.To)
-		planner := core.MustNew(g)
+		planner := core.New(g)
 		opt, err := planner.Route(s, d, core.Options{Algorithm: core.Dijkstra})
 		if err != nil {
 			return err

@@ -3,15 +3,15 @@ package httpapi
 import (
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"testing"
-	"time"
 
 	"repro/internal/mpls"
 	"repro/internal/route"
 )
 
-// newCHTestServer is newTestServer with the contraction hierarchy prebuilt,
-// so algo=ch is served by the index rather than the cold-start fallback.
+// newCHTestServer is newTestServer with the contraction hierarchy built,
+// so algo=ch is served by the index.
 func newCHTestServer(t *testing.T) *httptest.Server {
 	t.Helper()
 	g := mpls.MustGenerate(mpls.Config{})
@@ -50,47 +50,46 @@ func TestStatsReportsCH(t *testing.T) {
 		CH route.CHStats `json:"ch"`
 	}
 	getJSON(t, ts.URL+"/stats", &stats)
-	if !stats.CH.Ready || !stats.CH.Fresh {
+	if !stats.CH.Ready {
 		t.Fatalf("stats ch block: %+v", stats.CH)
 	}
 	if stats.CH.Queries == 0 {
 		t.Fatalf("index query not counted: %+v", stats.CH)
 	}
+	before := stats.CH
 
-	// A traffic mutation must flip the index to stale; CH requests keep
-	// succeeding (fallback) while the background rebuild runs.
+	// A traffic mutation re-customizes before it returns: the next CH
+	// request is index-served, and the structure is never rebuilt.
 	var applied map[string]int
 	if resp := postJSON(t, ts.URL+"/traffic", `{"x":16,"y":16,"radius":5,"factor":4}`, &applied); resp.StatusCode != http.StatusOK || applied["affectedEdges"] == 0 {
 		t.Fatalf("traffic: %d %v", resp.StatusCode, applied)
 	}
 	getJSON(t, ts.URL+"/stats", &stats)
-	if stats.CH.Fresh {
-		// The rebuild may already have finished on a fast machine; only a
-		// fresh index with zero rebuild growth would indicate a gate bypass.
-		if stats.CH.Rebuilds < 1 {
-			t.Fatalf("index fresh without any rebuild after mutation: %+v", stats.CH)
-		}
+	if !stats.CH.Ready || stats.CH.Rebuilds != 1 || stats.CH.Customizations != before.Customizations+1 {
+		t.Fatalf("after a mutation: %+v, want ready, 1 rebuild, one more customization than %+v", stats.CH, before)
 	}
 	if resp := getJSON(t, ts.URL+"/route?from=G&to=D&algo=ch", &rr); resp.StatusCode != http.StatusOK {
-		t.Fatalf("ch route during rebuild: status %d", resp.StatusCode)
+		t.Fatalf("ch route after mutation: status %d", resp.StatusCode)
 	}
-	if !rr.Found {
-		t.Fatalf("ch route during rebuild not found: %+v", rr)
+	if !rr.Found || rr.Algorithm != "ch" {
+		t.Fatalf("ch route after mutation: %+v", rr)
 	}
-	// The stale index never serves: the response is either the rebuilt
-	// index's (fresh) or Dijkstra's — both carry current costs.
-	if rr.Algorithm != "ch" && rr.Algorithm != "dijkstra" {
-		t.Fatalf("served by %q during rebuild window", rr.Algorithm)
+}
+
+// TestRouteEndpointCHDisabled: algo=ch on a server whose service never
+// called EnableCH answers 400 in the error envelope, not a route from
+// another algorithm.
+func TestRouteEndpointCHDisabled(t *testing.T) {
+	ts := newTestServer(t)
+	resp, err := http.Get(ts.URL + "/v1/route?from=G&to=D&algo=ch")
+	if err != nil {
+		t.Fatal(err)
 	}
-	deadline := time.Now().Add(10 * time.Second)
-	for {
-		getJSON(t, ts.URL+"/stats", &stats)
-		if stats.CH.Fresh {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("index did not become fresh: %+v", stats.CH)
-		}
-		time.Sleep(5 * time.Millisecond)
+	if resp.StatusCode != http.StatusBadRequest {
+		t.Fatalf("status %d, want 400", resp.StatusCode)
+	}
+	env := decodeError(t, resp)
+	if env.Error.Code != CodeBadRequest || !strings.Contains(env.Error.Message, "EnableCH") || env.Error.RequestID == "" {
+		t.Fatalf("error envelope %+v", env.Error)
 	}
 }

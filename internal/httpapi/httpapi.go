@@ -98,8 +98,7 @@ func WithAdmission(cfg admission.Config) Option {
 // WithTracing enables per-request span tracing (see internal/tracing):
 // every request builds a span tree, requests over cfg.SlowThreshold are
 // always captured, a cfg.SampleRate fraction of the rest are kept, and
-// captured traces are served by GET /v1/debug/traces. The tracer is also
-// attached to the route service so background CH rebuilds produce traces.
+// captured traces are served by GET /v1/debug/traces.
 func WithTracing(cfg tracing.Config) Option {
 	return func(s *Server) { s.tracer = tracing.New(cfg) }
 }
@@ -114,9 +113,6 @@ func NewServer(svc *route.Service, opts ...Option) *Server {
 	telemetry.RegisterRuntimeMetrics(s.reg)
 	for _, o := range opts {
 		o(s)
-	}
-	if s.tracer != nil {
-		svc.SetTracer(s.tracer)
 	}
 	s.gate = admission.NewGate(s.admissionCfg, s.reg)
 	s.canceledReqs = s.reg.Counter("atis_request_lifecycle_total",

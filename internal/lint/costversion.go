@@ -25,13 +25,12 @@ import (
 // initialises, it does not mutate.
 //
 // The pairing also reaches one level of nesting, for index-shaped stores
-// like ch.Metric where the version stamp lives on the owner while the
-// priced arrays sit inside embedded halves: a struct declaring
-// costVersion next to a field whose struct type carries a costs slice
-// versions that nested slice too, and a write through it must bump the
-// owner's counter. Those frozen slices are exactly where a stale write
-// would desynchronise the hierarchy from the version gate with no crash
-// to point at it.
+// where the version stamp lives on the owner while the priced arrays sit
+// inside embedded halves: a struct declaring costVersion next to a field
+// whose struct type carries a costs slice versions that nested slice too,
+// and a write through it must bump the owner's counter. Those slices are
+// exactly where a stale write would desynchronise a derived structure
+// from its version gate with no crash to point at it.
 //
 // Tracking follows slice headers through local aliases: after
 // cs := m.fwd.costs, a write cs[i] = v mutates the same backing array the
@@ -74,7 +73,7 @@ func (a *CostVersion) Run(u *Unit) []Diagnostic {
 
 // Depth of a tracked costs field relative to its costVersion owner:
 // sameStruct pairs both fields in one struct; nested pairs a costVersion
-// owner with a costs slice one struct level down (the ch.Index shape),
+// owner with a costs slice one struct level down (an index-shaped store),
 // where the bump belongs on the outer receiver.
 const (
 	sameStruct = iota

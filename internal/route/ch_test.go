@@ -1,6 +1,7 @@
 package route
 
 import (
+	"errors"
 	"math"
 	"math/rand"
 	"sync"
@@ -22,29 +23,13 @@ func chTestService(t *testing.T, k int, seed int64) (*Service, *graph.Graph) {
 	return NewService(g), g
 }
 
-// waitForFreshCH spins until the service's hierarchy matches the live cost
-// version (background rebuilds are asynchronous).
-func waitForFreshCH(t *testing.T, s *Service, within time.Duration) {
-	t.Helper()
-	deadline := time.Now().Add(within)
-	for {
-		if st := s.CHStats(); st.Ready && st.Fresh {
-			return
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("hierarchy did not become fresh within %v: %+v", within, s.CHStats())
-		}
-		time.Sleep(time.Millisecond)
-	}
-}
-
 func TestCHServedFromIndexAfterEnable(t *testing.T) {
 	s, g := chTestService(t, 12, 1)
 	if err := s.EnableCH(); err != nil {
 		t.Fatal(err)
 	}
 	st := s.CHStats()
-	if !st.Ready || !st.Fresh || st.Rebuilds != 1 {
+	if !st.Ready || st.Rebuilds != 1 {
 		t.Fatalf("after EnableCH: %+v", st)
 	}
 	from, to := graph.NodeID(0), graph.NodeID(g.NumNodes()-1)
@@ -62,44 +47,71 @@ func TestCHServedFromIndexAfterEnable(t *testing.T) {
 	if math.Abs(rt.Cost-dij.Cost) > 1e-9*(1+dij.Cost) {
 		t.Fatalf("ch cost %v disagrees with dijkstra %v", rt.Cost, dij.Cost)
 	}
-	if st := s.CHStats(); st.Queries != 1 || st.StaleFallbacks != 0 {
+	if st := s.CHStats(); st.Queries != 1 {
 		t.Fatalf("expected one index-served query, got %+v", st)
 	}
 }
 
-func TestCHColdServiceFallsBackThenConverges(t *testing.T) {
+// TestCHDisabledReturnsErrCHDisabled pins the outcome of algo=ch on a
+// service that never called EnableCH: every entry point answers
+// ErrCHDisabled, no other algorithm stands in, nothing is cached, and
+// nothing is published.
+func TestCHDisabledReturnsErrCHDisabled(t *testing.T) {
 	s, g := chTestService(t, 10, 2)
 	from, to := graph.NodeID(0), graph.NodeID(g.NumNodes()-1)
-	// No index yet: the request must still succeed (Dijkstra fallback,
-	// honestly labeled) and trigger a background build.
-	rt, err := s.Compute(from, to, core.Options{Algorithm: core.CH})
-	if err != nil {
+	opts := core.Options{Algorithm: core.CH}
+	seq := s.Snapshot().Generation()
+
+	if _, err := s.Compute(from, to, opts); !errors.Is(err, ErrCHDisabled) {
+		t.Fatalf("Compute: err %v, want ErrCHDisabled", err)
+	}
+	if _, err := s.ComputeVia([]graph.NodeID{from, 5, to}, opts); !errors.Is(err, ErrCHDisabled) {
+		t.Fatalf("ComputeVia: err %v, want ErrCHDisabled", err)
+	}
+	for i, res := range s.ComputeBatch([]Pair{{from, to}, {to, from}, {3, 7}}, opts) {
+		if !errors.Is(res.Err, ErrCHDisabled) {
+			t.Fatalf("ComputeBatch pair %d: err %v, want ErrCHDisabled", i, res.Err)
+		}
+	}
+	if _, ok := s.ComputeDegraded(from, to, opts); ok {
+		t.Fatal("ComputeDegraded answered without an index")
+	}
+	if _, _, entries := s.CacheStats(); entries != 0 {
+		t.Fatalf("route cache holds %d entries, want 0", entries)
+	}
+	if got := s.Snapshot().Generation(); got != seq {
+		t.Fatalf("snapshot generation moved %d → %d", seq, got)
+	}
+	if st := s.CHStats(); st.Ready || st.Rebuilds != 0 || st.Queries != 0 {
+		t.Fatalf("CH stats on a disabled service: %+v", st)
+	}
+}
+
+// TestEnableCHTwiceReusesTopology pins EnableCH's cost: the first call
+// builds the topology, every call and every later mutation customizes
+// once, and nothing rebuilds the structure.
+func TestEnableCHTwiceReusesTopology(t *testing.T) {
+	s, _ := chTestService(t, 8, 4)
+	for i := 1; i <= 2; i++ {
+		if err := s.EnableCH(); err != nil {
+			t.Fatal(err)
+		}
+		if st := s.CHStats(); !st.Ready || st.Rebuilds != 1 || st.Customizations != uint64(i) {
+			t.Fatalf("after EnableCH #%d: %+v, want ready, 1 rebuild, %d customizations", i, st, i)
+		}
+	}
+	if _, err := s.ApplyCongestion(0, 1, 2); err != nil {
 		t.Fatal(err)
 	}
-	if rt.Algorithm != core.Dijkstra {
-		t.Fatalf("cold CH request served by %v, want dijkstra fallback", rt.Algorithm)
-	}
-	if st := s.CHStats(); st.StaleFallbacks != 1 {
-		t.Fatalf("fallback not counted: %+v", st)
-	}
-	waitForFreshCH(t, s, 10*time.Second)
-	rt2, err := s.Compute(from, to, core.Options{Algorithm: core.CH})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rt2.Algorithm != core.CH {
-		t.Fatalf("post-rebuild request served by %v, want ch", rt2.Algorithm)
-	}
-	if math.Abs(rt.Cost-rt2.Cost) > 1e-9*(1+rt.Cost) {
-		t.Fatalf("index cost %v disagrees with fallback cost %v", rt2.Cost, rt.Cost)
+	if st := s.CHStats(); st.Rebuilds != 1 || st.Customizations != 3 {
+		t.Fatalf("after a mutation: %+v, want 1 rebuild, 3 customizations", st)
 	}
 }
 
 // TestCHMutationRecustomizesSynchronously is the tentpole guarantee of the
 // topology/metric split: a traffic mutation no longer stales the index at
 // all. The mutator re-customizes the metric before returning, so the very
-// next CH request is index-served with the congested costs — no Dijkstra
-// fallback, no waiting for a background rebuild.
+// next CH request is index-served with the congested costs.
 func TestCHMutationRecustomizesSynchronously(t *testing.T) {
 	s, g := chTestService(t, 10, 3)
 	if err := s.EnableCH(); err != nil {
@@ -110,8 +122,8 @@ func TestCHMutationRecustomizesSynchronously(t *testing.T) {
 		t.Fatal(err)
 	}
 	st := s.CHStats()
-	if !st.Fresh {
-		t.Fatalf("index stale after a mutation; customization should run under the mutator's lock: %+v", st)
+	if !st.Ready {
+		t.Fatalf("mutation published a snapshot without an index: %+v", st)
 	}
 	if st.Customizations <= before.Customizations {
 		t.Fatalf("mutation did not run a customization pass: before %d, after %d",
@@ -136,16 +148,12 @@ func TestCHMutationRecustomizesSynchronously(t *testing.T) {
 	if math.Abs(rt.Cost-dij.Cost) > 1e-9*(1+dij.Cost) {
 		t.Fatalf("index cost %v disagrees with dijkstra %v under congestion", rt.Cost, dij.Cost)
 	}
-	if st := s.CHStats(); st.StaleFallbacks != 0 {
-		t.Fatalf("mutation opened a stale window: %+v", st)
-	}
 }
 
 // TestSustainedMutationStreamZeroStaleFallbacks drives a warm service with
 // a stream of batched traffic updates interleaved with CH queries: every
-// query must be index-served (zero Dijkstra fallbacks) and agree exactly
-// with Dijkstra under the same costs — the ISSUE's sustained-stream
-// acceptance bar.
+// query must be index-served and agree exactly with Dijkstra under the
+// same costs.
 func TestSustainedMutationStreamZeroStaleFallbacks(t *testing.T) {
 	s, g := chTestService(t, 12, 6)
 	if err := s.EnableCH(); err != nil {
@@ -189,9 +197,6 @@ func TestSustainedMutationStreamZeroStaleFallbacks(t *testing.T) {
 		}
 	}
 	st := s.CHStats()
-	if st.StaleFallbacks != 0 {
-		t.Fatalf("sustained stream hit %d stale fallbacks, want 0: %+v", st.StaleFallbacks, st)
-	}
 	if st.Rebuilds != 1 {
 		t.Fatalf("sustained stream forced %d structural builds, want the initial 1", st.Rebuilds)
 	}
@@ -201,8 +206,8 @@ func TestSustainedMutationStreamZeroStaleFallbacks(t *testing.T) {
 }
 
 // TestCHNeverDisagreesUnderConcurrentMutation is the -race guarantee of the
-// version gate: query workers hammer algo=ch while a mutator applies and
-// resets congestion. Every CH answer — index-served or fallback — must match
+// snapshot design: query workers hammer algo=ch while a mutator applies and
+// resets congestion. Every CH answer must match
 // a Dijkstra computed through the same Compute path (same lock scope), so a
 // stale hierarchy can never leak a cost from retired edge weights.
 func TestCHNeverDisagreesUnderConcurrentMutation(t *testing.T) {
@@ -280,8 +285,9 @@ func TestCHNeverDisagreesUnderConcurrentMutation(t *testing.T) {
 }
 
 // TestCHVersionedAgreementAfterEachMutation alternates mutation and strict
-// agreement: after every congestion step it waits for the rebuild, then
-// requires the index-served cost to equal Dijkstra's exactly.
+// agreement: after every congestion step the index-served cost must equal
+// Dijkstra's exactly, with no wait — the mutator re-customized before
+// returning.
 func TestCHVersionedAgreementAfterEachMutation(t *testing.T) {
 	s, g := chTestService(t, 8, 5)
 	if err := s.EnableCH(); err != nil {
@@ -294,11 +300,6 @@ func TestCHVersionedAgreementAfterEachMutation(t *testing.T) {
 		if _, err := s.ApplyCongestion(e.Tail, e.Head, 1.5+rng.Float64()); err != nil {
 			t.Fatal(err)
 		}
-		// Fire a CH request to trigger the background rebuild, then wait.
-		if _, err := s.Compute(0, graph.NodeID(n-1), core.Options{Algorithm: core.CH}); err != nil {
-			t.Fatal(err)
-		}
-		waitForFreshCH(t, s, 10*time.Second)
 		for i := 0; i < 10; i++ {
 			from := graph.NodeID(rng.Intn(n))
 			to := graph.NodeID(rng.Intn(n))

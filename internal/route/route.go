@@ -22,6 +22,7 @@ package route
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"math"
 	"sync"
@@ -49,10 +50,10 @@ import (
 // queries proceed with zero coordination — no query ever blocks behind a
 // mutator, however long the mutator's customization pass runs. The
 // traffic mutators (ApplyCongestion, ApplyRegionCongestion,
-// ApplyTrafficBatch, ResetTraffic) and the CH publishers (EnableCH, the
-// background rebuild) serialize on writeMu, clone the current graph,
-// apply their changes to the clone, re-customize the hierarchy's metric
-// for the new costs, and swap the finished Snapshot in. The route cache
+// ApplyTrafficBatch, ResetTraffic) and EnableCH serialize on writeMu;
+// the mutators clone the current graph, apply their changes to the
+// clone, re-customize the hierarchy's metric for the new costs, and swap
+// the finished Snapshot in. The route cache
 // is keyed on (endpoints, options, snapshot cost generation) and has its
 // own per-shard locks; a publish retires every stale entry at once by
 // changing the generation new requests key on.
@@ -60,31 +61,23 @@ type Service struct {
 	base *graph.Graph // pristine costs, for congestion ratios and reset
 
 	// snap is the published read view; see Snapshot. writeMu serializes
-	// everyone who publishes a successor (traffic mutators, EnableCH, the
-	// background CH rebuild). Readers never touch writeMu.
+	// everyone who publishes a successor (traffic mutators, EnableCH), so
+	// publishes are totally ordered. Readers never touch writeMu: every
+	// write that built a snapshot (graph costs, CH metric arrays) happens
+	// before its Store, so a reader that Loads the pointer sees the
+	// snapshot fully built.
 	snap    atomic.Pointer[Snapshot]
 	writeMu sync.Mutex
 
 	cache *routeCache
 
 	// chTopo holds the metric-independent contraction topology
-	// (contraction order, shortcut skeleton, triangle lists) — built once
-	// off-lock, valid until the graph's structure changes, which the
-	// graph model never does after construction. The customized metric
-	// itself lives inside each Snapshot. chMu + chBuilding singleflight
-	// the cold-start background build — the one case that still pays a
-	// full contraction.
-	chMu       sync.Mutex
-	chBuilding bool
-	chTopo     atomic.Pointer[ch.Topology]
-
-	// chStaleSince is the UnixNano timestamp at which the current
-	// stale-serving window opened (first fallback after a CH request
-	// found no index); 0 while the published snapshot carries an index.
-	// chLastStaleNanos holds the duration of the most recently closed
-	// window.
-	chStaleSince     atomic.Int64
-	chLastStaleNanos atomic.Int64
+	// (contraction order, shortcut skeleton, triangle lists), nil until
+	// EnableCH builds it. The graph's structure never changes after
+	// construction, so one build serves every later customization; the
+	// customized metric itself lives inside each Snapshot. Only EnableCH
+	// writes chTopo and only customizeFor reads it, both under writeMu.
+	chTopo *ch.Topology
 
 	// Telemetry. The registry is the single source of truth for every
 	// service counter: CacheStats and the legacy /stats payload read the
@@ -102,16 +95,9 @@ type Service struct {
 	chCustomizeSeconds *telemetry.Histogram
 	chSettled          *telemetry.Counter
 	chQueries          *telemetry.Counter
-	chStaleFallbacks   *telemetry.Counter
 	chRebuilds         *telemetry.Counter
 	chCustomizations   *telemetry.Counter
 	trafficBatches     *telemetry.Counter
-
-	// tracer, when set, gives background work (the singleflight CH
-	// rebuild) its own traces; request-path spans ride the caller's
-	// context and need no tracer here. A nil pointer is a disabled
-	// tracer — every tracing call below is nil-safe.
-	tracer atomic.Pointer[tracing.Tracer]
 }
 
 // NewService snapshots g (deep copies) so traffic updates never touch the
@@ -148,10 +134,8 @@ func NewServiceWithRegistry(g *graph.Graph, reg *telemetry.Registry) *Service {
 			"Nodes settled across all CH queries (both directions)."),
 		chQueries: reg.Counter("atis_ch_queries_total",
 			"Queries served by the contraction hierarchy."),
-		chStaleFallbacks: reg.Counter("atis_ch_stale_fallbacks_total",
-			"CH requests served by Dijkstra because the index was absent or stale."),
 		chRebuilds: reg.Counter("atis_ch_rebuilds_total",
-			"Structural topology builds completed (cold start or structural change)."),
+			"Structural topology builds completed (the first EnableCH)."),
 		chCustomizeSeconds: reg.Histogram("atis_ch_customize_seconds",
 			"Wall time of metric customization passes over the CH topology.", nil),
 		chCustomizations: reg.Counter("atis_ch_customizations_total",
@@ -185,28 +169,11 @@ func NewServiceWithRegistry(g *graph.Graph, reg *telemetry.Registry) *Service {
 			}
 			return 0
 		})
-	reg.GaugeFunc("atis_ch_stale_window_seconds",
-		"Seconds the current stale-serving window has been open (0 while the hierarchy serves).",
-		func() float64 {
-			if since := s.chStaleSince.Load(); since != 0 {
-				return time.Since(time.Unix(0, since)).Seconds()
-			}
-			return 0
-		})
-	reg.GaugeFunc("atis_ch_last_stale_window_seconds",
-		"Duration of the most recently closed stale-serving window.",
-		func() float64 { return time.Duration(s.chLastStaleNanos.Load()).Seconds() })
 	return s
 }
 
 // Registry returns the registry holding the service's metrics.
 func (s *Service) Registry() *telemetry.Registry { return s.reg }
-
-// SetTracer attaches a tracer so the service's background work (the
-// singleflight CH rebuild) produces traces of its own. Request-path
-// spans need no tracer here — they attach to the span already in the
-// caller's context.
-func (s *Service) SetTracer(t *tracing.Tracer) { s.tracer.Store(t) }
 
 // CostGeneration returns the published snapshot's cost generation. It
 // starts at zero and increases by one on every traffic mutation; two equal
@@ -275,11 +242,7 @@ func (s *Service) computeSnap(ctx context.Context, snap *Snapshot, from, to grap
 	}
 	// Stored under the snapshot's generation: if a mutation published
 	// meanwhile, the entry sits under the old generation and will never be
-	// served. Stored under the algorithm that actually served it: a CH
-	// request answered by the Dijkstra fallback is cached as a Dijkstra
-	// route, so once the warmed hierarchy publishes, the next CH request
-	// reaches the index instead of replaying the fallback.
-	key.algo = rt.Algorithm
+	// served.
 	s.cache.put(key, rt)
 	return rt, nil
 }
@@ -295,33 +258,30 @@ func (s *Service) cacheLookup(ctx context.Context, key cacheKey) (core.Route, bo
 	return rt, ok
 }
 
+// ErrCHDisabled answers an algo=ch request on a service whose hierarchy
+// was never built: call EnableCH first. No other algorithm stands in
+// for it.
+var ErrCHDisabled = errors.New("route: contraction hierarchy not enabled (EnableCH was never called)")
+
 // routeSnap computes one route against snap, dispatching CH requests to
 // the snapshot's index. The index, when present, was customized for the
 // snapshot's exact costs when the snapshot was built — no freshness check
-// is needed or possible to fail. A snapshot without an index (cold start)
-// falls back to Dijkstra — the result is labeled with the algorithm that
-// actually ran — and triggers the background build.
+// is needed or possible to fail. A snapshot without an index answers
+// ErrCHDisabled.
 func (s *Service) routeSnap(ctx context.Context, snap *Snapshot, from, to graph.NodeID, opts core.Options) (core.Route, error) {
 	if opts.Algorithm != core.CH {
 		return snap.planner.RouteCtx(ctx, from, to, opts)
 	}
-	if ix := snap.ch; ix != nil {
-		return s.chQuery(ctx, ix, from, to)
+	if snap.ch == nil {
+		return core.Route{}, ErrCHDisabled
 	}
-	s.chStaleFallbacks.Inc()
-	s.chStaleSince.CompareAndSwap(0, time.Now().UnixNano())
-	s.scheduleCHRebuild()
-	// A trace of a fallback-served request must say so: the traveller
-	// asked for CH and got a Dijkstra answer with Dijkstra's latency.
-	tracing.FromContext(ctx).SetBool("ch.staleFallback", true)
-	fb := opts
-	fb.Algorithm = core.Dijkstra
-	return snap.planner.RouteCtx(ctx, from, to, fb)
+	return s.chQuery(ctx, snap.ch, from, to)
 }
 
 // chQuery serves one request from a snapshot's hierarchy index, wrapping
 // the query in a "kernel" span (the CH counterpart of the planner's)
-// under which the index nests its search and unpack phases.
+// under which the index nests its search and unpack phases. It is the
+// one place a ch.Result becomes a core.Route.
 func (s *Service) chQuery(ctx context.Context, ix *ch.Index, from, to graph.NodeID) (core.Route, error) {
 	ctx, sp := tracing.Start(ctx, "kernel")
 	defer sp.End()
@@ -368,99 +328,15 @@ func (s *Service) ComputeDegraded(from, to graph.NodeID, opts core.Options) (cor
 	if rt, ok := s.cache.get(key); ok {
 		return rt, true
 	}
-	ix := snap.ch
-	if ix == nil {
+	if snap.ch == nil {
 		return core.Route{}, false
 	}
-	start := time.Now()
-	res, err := ix.Query(from, to)
-	if err != nil {
-		return core.Route{}, false
-	}
-	s.chQuerySeconds.Observe(time.Since(start).Seconds())
-	s.chQueries.Inc()
-	s.chSettled.Add(uint64(res.Settled))
-	return core.Route{
-		Found:     res.Found,
-		Path:      res.Path,
-		Cost:      res.Cost,
-		Algorithm: core.CH,
-		Trace: search.Trace{
-			Iterations:  res.Settled,
-			Expansions:  res.Settled,
-			Relaxations: res.Relaxed,
-		},
-	}, true
-}
-
-// scheduleCHRebuild starts a background hierarchy build unless one is
-// already running (singleflight). Safe to call from query paths: the
-// builder goroutine does all heavy work against immutable snapshots and
-// only takes writeMu for the final publish.
-func (s *Service) scheduleCHRebuild() {
-	s.chMu.Lock()
-	if s.chBuilding {
-		s.chMu.Unlock()
-		return
-	}
-	s.chBuilding = true
-	s.chMu.Unlock()
-	go s.rebuildCH()
-}
-
-// rebuildCH readies a hierarchy for the published snapshot's graph — the
-// structural contraction runs entirely off-lock against the immutable
-// snapshot, so queries and traffic mutations proceed unhindered — then
-// publishes a successor snapshot carrying the customized index. If a
-// mutation published meanwhile, the final customization under writeMu
-// re-prices for whatever graph is current then; the index in a published
-// snapshot always matches that snapshot's costs by construction.
-func (s *Service) rebuildCH() {
-	defer func() {
-		s.chMu.Lock()
-		s.chBuilding = false
-		s.chMu.Unlock()
-	}()
-	// Background rebuilds get their own trace (always captured when the
-	// tracer is enabled): a rebuild is rare, structural, and exactly what
-	// an operator staring at a stale-fallback spike wants to see timed.
-	tracer := s.tracer.Load()
-	ctx, tr := tracer.StartBackground("ch.rebuild")
-	defer tracer.Finish(tr)
-	if _, err := s.ensureTopology(ctx, s.snap.Load().graph); err != nil {
-		return // only possible on an empty graph, which has nothing to serve
-	}
-	s.writeMu.Lock()
-	defer s.writeMu.Unlock()
-	cur := s.snap.Load()
-	if cur.ch != nil {
-		return // a mutator's synchronous customization published first
-	}
-	ix := s.customizeFor(ctx, cur.graph)
-	if ix == nil {
-		return
-	}
-	s.installLocked(newSnapshot(cur.graph, ix, cur.gen, cur.seq+1))
-}
-
-// ensureTopology returns a topology matching g's structure, building one
-// — the expensive, cold-start-only structural contraction — if none is
-// cached. Callers must not hold writeMu: the build is seconds of work at
-// scale, and g is immutable, so no lock is needed to read it.
-func (s *Service) ensureTopology(ctx context.Context, g *graph.Graph) (*ch.Topology, error) {
-	if topo := s.chTopo.Load(); topo != nil && topo.Matches(g) {
-		return topo, nil
-	}
-	t, err := s.buildTopology(ctx, g)
-	if err != nil {
-		return nil, err
-	}
-	s.chTopo.Store(t)
-	return t, nil
+	rt, err := s.chQuery(context.Background(), snap.ch, from, to)
+	return rt, err == nil
 }
 
 // buildTopology runs the structural contraction — the expensive,
-// cold-start-only phase — as a "ch.topology" span.
+// once-per-service phase — as a "ch.topology" span.
 func (s *Service) buildTopology(ctx context.Context, g *graph.Graph) (*ch.Topology, error) {
 	_, sp := tracing.Start(ctx, "ch.topology")
 	defer sp.End()
@@ -476,7 +352,7 @@ func (s *Service) buildTopology(ctx context.Context, g *graph.Graph) (*ch.Topolo
 
 // customizeTopo re-prices topo's shortcuts for g's current costs — the
 // millisecond "ch.customize" phase that runs inside every traffic
-// mutator and at the tail of every rebuild.
+// mutator and every EnableCH.
 func (s *Service) customizeTopo(ctx context.Context, topo *ch.Topology, g *graph.Graph) (*ch.Index, error) {
 	_, sp := tracing.Start(ctx, "ch.customize")
 	defer sp.End()
@@ -491,60 +367,49 @@ func (s *Service) customizeTopo(ctx context.Context, topo *ch.Topology, g *graph
 	return ix, nil
 }
 
-// EnableCH readies the contraction hierarchy synchronously so the first
-// algo=ch query is served by the index instead of falling back while a
-// background build warms up. Servers call it once at startup; it is not
-// required — the first CH query triggers a build on its own. After the
-// topology exists, every traffic mutation re-customizes as part of its
-// publish, so calling EnableCH again is cheap (one customization pass)
-// and only useful to force-publish a fresh snapshot outside the mutator
-// paths.
+// EnableCH readies the contraction hierarchy synchronously and publishes
+// a snapshot carrying it; until it is called, algo=ch requests answer
+// ErrCHDisabled. Servers call it once at startup. The first call pays the
+// structural contraction; every later traffic mutation re-customizes as
+// part of its publish, so calling EnableCH again costs one customization
+// pass and only force-publishes a fresh snapshot outside the mutator
+// paths. The build runs under writeMu, so a concurrent mutator waits for
+// it and then customizes over the new topology.
 func (s *Service) EnableCH() error {
 	ctx := context.Background()
-	if _, err := s.ensureTopology(ctx, s.snap.Load().graph); err != nil {
-		return fmt.Errorf("route: building contraction hierarchy: %w", err)
-	}
 	s.writeMu.Lock()
 	defer s.writeMu.Unlock()
-	// Customize for whatever graph is current *now*: a mutation may have
-	// published between the off-lock build and taking writeMu. Structure
-	// never changes, so the topology still matches.
 	cur := s.snap.Load()
-	ix, err := s.customizeTopo(ctx, s.chTopo.Load(), cur.graph)
+	if s.chTopo == nil {
+		t, err := s.buildTopology(ctx, cur.graph)
+		if err != nil {
+			return fmt.Errorf("route: building contraction hierarchy: %w", err)
+		}
+		s.chTopo = t
+	}
+	ix, err := s.customizeTopo(ctx, s.chTopo, cur.graph)
 	if err != nil {
 		return fmt.Errorf("route: customizing contraction hierarchy: %w", err)
 	}
-	s.installLocked(newSnapshot(cur.graph, ix, cur.gen, cur.seq+1))
+	s.snap.Store(newSnapshot(cur.graph, ix, cur.gen, cur.seq+1))
 	return nil
 }
 
 // CHStats describes the contraction hierarchy's serving state.
 type CHStats struct {
-	// Ready reports whether the published snapshot carries an index.
+	// Ready reports whether the published snapshot carries an index — true
+	// exactly when EnableCH has succeeded.
 	Ready bool `json:"ready"`
-	// Fresh reports whether the index matches the snapshot's cost
-	// version. Under snapshot publication this is Ready by construction —
-	// an index is customized for its snapshot's exact costs before the
-	// swap — and the field remains for API compatibility.
-	Fresh bool `json:"fresh"`
 	// Shortcuts is the shortcut-arc count of the current index.
 	Shortcuts int `json:"shortcuts"`
-	// Queries counts requests served by the hierarchy itself.
+	// Queries counts requests served by the hierarchy.
 	Queries uint64 `json:"queries"`
-	// StaleFallbacks counts CH requests served by Dijkstra instead.
-	StaleFallbacks uint64 `json:"staleFallbacks"`
-	// Rebuilds counts completed structural topology builds (cold start or
-	// structural change) — not metric refreshes.
+	// Rebuilds counts completed structural topology builds — one, after
+	// the first EnableCH — not metric refreshes.
 	Rebuilds uint64 `json:"rebuilds"`
 	// Customizations counts completed metric customizations: the
 	// millisecond passes that keep the index fresh across cost mutations.
 	Customizations uint64 `json:"customizations"`
-	// StaleWindowSeconds is how long the current stale-serving window has
-	// been open; 0 while CH requests are served by the index.
-	StaleWindowSeconds float64 `json:"staleWindowSeconds"`
-	// LastStaleWindowSeconds is the duration of the most recently closed
-	// stale-serving window (the cold-start build, in a healthy service).
-	LastStaleWindowSeconds float64 `json:"lastStaleWindowSeconds"`
 }
 
 // CHStats reports the hierarchy's serving state, read from the published
@@ -552,22 +417,14 @@ type CHStats struct {
 // so a stats scrape can never block behind a writer.
 func (s *Service) CHStats() CHStats {
 	st := CHStats{
-		Queries:                s.chQueries.Value(),
-		StaleFallbacks:         s.chStaleFallbacks.Value(),
-		Rebuilds:               s.chRebuilds.Value(),
-		Customizations:         s.chCustomizations.Value(),
-		LastStaleWindowSeconds: time.Duration(s.chLastStaleNanos.Load()).Seconds(),
+		Queries:        s.chQueries.Value(),
+		Rebuilds:       s.chRebuilds.Value(),
+		Customizations: s.chCustomizations.Value(),
 	}
-	if since := s.chStaleSince.Load(); since != 0 {
-		st.StaleWindowSeconds = time.Since(time.Unix(0, since)).Seconds()
+	if ix := s.snap.Load().ch; ix != nil {
+		st.Ready = true
+		st.Shortcuts = ix.Shortcuts()
 	}
-	ix := s.snap.Load().ch
-	if ix == nil {
-		return st
-	}
-	st.Ready = true
-	st.Fresh = true // snapshot invariant: the index matches its graph's costs
-	st.Shortcuts = ix.Shortcuts()
 	return st
 }
 

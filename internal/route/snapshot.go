@@ -17,19 +17,18 @@ import (
 // once and then never coordinates with mutators at all: no lock, no
 // version re-check, no torn state. Mutators never touch a published
 // Snapshot; they build the next one off to the side and swap the
-// pointer (see Service.installLocked).
+// pointer (see Service.snap).
 //
-// Invariant: ch, when non-nil, was customized for graph's exact costs —
-// ch.CostVersion() == graph.CostVersion() — because both are frozen
-// into the same publish. The CH read path therefore needs no freshness
-// check; a nil ch (cold start, hierarchy never warmed) is the only
-// fallback case.
+// Invariant: ch, when non-nil, was customized for graph's exact costs,
+// because both are frozen into the same publish. The CH read path
+// therefore needs no freshness check. ch is nil exactly when EnableCH
+// has not run, and a CH request then answers ErrCHDisabled.
 //
 //atis:immutable
 type Snapshot struct {
 	graph   *graph.Graph
 	planner *core.Planner
-	ch      *ch.Index // nil until the hierarchy is warmed
+	ch      *ch.Index // nil until EnableCH
 
 	// gen is the cost generation: it increases by one with every traffic
 	// mutation and keys the route cache, so entries priced under retired
@@ -50,7 +49,7 @@ type Snapshot struct {
 func newSnapshot(g *graph.Graph, ix *ch.Index, gen, seq uint64) *Snapshot {
 	return &Snapshot{
 		graph:       g,
-		planner:     core.MustNew(g),
+		planner:     core.New(g),
 		ch:          ix,
 		gen:         gen,
 		seq:         seq,
@@ -72,7 +71,7 @@ func (sn *Snapshot) Graph() *graph.Graph { return sn.graph }
 func (sn *Snapshot) Reverse() *graph.Graph { return sn.graph.ReverseView() }
 
 // CH returns the contraction-hierarchy index customized for this
-// snapshot's costs, or nil while the hierarchy is cold.
+// snapshot's costs, or nil when EnableCH has not run.
 //
 //atis:hotpath
 func (sn *Snapshot) CH() *ch.Index { return sn.ch }
@@ -107,22 +106,6 @@ func (sn *Snapshot) PublishedAt() time.Time { return sn.publishedAt }
 //atis:hotpath
 func (s *Service) Snapshot() *Snapshot { return s.snap.Load() }
 
-// installLocked publishes next as the current snapshot. Callers hold
-// writeMu, so publishes are totally ordered; readers observe the swap
-// through the atomic pointer's release/acquire pairing — every write
-// that built the snapshot (graph costs, CH metric arrays) happens
-// before the Store, so a reader that Loads the new pointer sees the
-// snapshot fully built. A publish carrying an index closes any open
-// stale-serving window.
-func (s *Service) installLocked(next *Snapshot) {
-	s.snap.Store(next)
-	if next.ch != nil {
-		if since := s.chStaleSince.Swap(0); since != 0 {
-			s.chLastStaleNanos.Store(time.Now().UnixNano() - since)
-		}
-	}
-}
-
 // publishMutationLocked is the common tail of every traffic mutator,
 // with writeMu held and next holding the just-mutated clone: count the
 // event, re-customize the hierarchy's metric for the new costs (with a
@@ -133,22 +116,19 @@ func (s *Service) installLocked(next *Snapshot) {
 func (s *Service) publishMutationLocked(ctx context.Context, cur *Snapshot, next *graph.Graph) {
 	s.trafficUpdates.Inc()
 	ix := s.customizeFor(ctx, next)
-	s.installLocked(newSnapshot(next, ix, cur.gen+1, cur.seq+1))
+	s.snap.Store(newSnapshot(next, ix, cur.gen+1, cur.seq+1))
 }
 
 // customizeFor re-derives the hierarchy's metric for g's costs, or
-// returns nil when the hierarchy was never warmed (no topology yet —
-// the structural build never runs under writeMu). A nil return means
-// the published snapshot serves CH requests by Dijkstra fallback until
-// the background build completes.
+// returns nil when EnableCH has not built a topology — the published
+// snapshot then answers CH requests with ErrCHDisabled.
 func (s *Service) customizeFor(ctx context.Context, g *graph.Graph) *ch.Index {
-	topo := s.chTopo.Load()
-	if topo == nil || !topo.Matches(g) {
+	if s.chTopo == nil {
 		return nil
 	}
-	ix, err := s.customizeTopo(ctx, topo, g)
+	ix, err := s.customizeTopo(ctx, s.chTopo, g)
 	if err != nil {
-		return nil // unreachable while Matches holds; queries fall back
+		return nil // unreachable: g shares the topology's structure
 	}
 	return ix
 }

@@ -29,34 +29,35 @@ type kernel struct {
 }
 
 // chIndexes caches one contraction hierarchy per graph for the CH pseudo-
-// kernel below, rebuilt whenever the graph's cost version has moved — the
-// same staleness rule the route service applies, exercised here every time
-// a metamorphic test mutates costs between runs. sync.Map because the
+// kernel below, stamped with the graph's cost version at build time and
+// rebuilt whenever that version has moved — exercised every time a
+// metamorphic test mutates costs between runs. sync.Map because the
 // differential harness also runs under -race with concurrent subtests.
-var chIndexes sync.Map // *graph.Graph → *ch.Index
+var chIndexes sync.Map // *graph.Graph → chEntry
+
+// chEntry is one cached hierarchy and the graph cost version it was
+// built at.
+type chEntry struct {
+	ix      *ch.Index
+	version uint64
+}
 
 // runCH adapts the contraction-hierarchy engine to the kernel signature,
 // (re)preprocessing on demand. Its settled/relaxed counters map onto the
 // trace's expansion counters like every other kernel's.
 func runCH(g *graph.Graph, s, d graph.NodeID) (Result, error) {
 	want := g.CostVersion()
-	ix, ok := func() (*ch.Index, bool) {
-		v, loaded := chIndexes.Load(g)
-		if !loaded {
-			return nil, false
-		}
-		ix := v.(*ch.Index)
-		return ix, ix.CostVersion() == want
-	}()
-	if !ok {
-		var err error
-		ix, err = ch.Build(g, ch.Options{})
+	v, ok := chIndexes.Load(g)
+	e, _ := v.(chEntry)
+	if !ok || e.version != want {
+		ix, err := ch.Build(g, ch.Options{})
 		if err != nil {
 			return Result{}, err
 		}
-		chIndexes.Store(g, ix)
+		e = chEntry{ix: ix, version: want}
+		chIndexes.Store(g, e)
 	}
-	res, err := ix.Query(s, d)
+	res, err := e.ix.Query(s, d)
 	if err != nil {
 		return Result{}, err
 	}

@@ -39,7 +39,7 @@ type SpanNode struct {
 
 // snapshot deep-copies the span tree under the trace mutex, so the
 // debug endpoints can marshal it while request goroutines still append
-// children (batch items finishing after the root, background rebuilds).
+// children (batch items finishing after the root).
 func (tr *Trace) snapshot() Snapshot {
 	tr.mu.Lock()
 	defer tr.mu.Unlock()

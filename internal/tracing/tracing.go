@@ -2,7 +2,7 @@
 // metrics of internal/telemetry cannot provide: lightweight in-process
 // span trees carried through context.Context, so a single slow request
 // can say *where* it spent its time — admission queue, cache miss, CH
-// upward search, Dijkstra stale-fallback, or shortcut unpacking — rather
+// upward search, search kernel, or shortcut unpacking — rather
 // than only moving a histogram bucket.
 //
 // The design has three rules:
@@ -203,18 +203,6 @@ func (t *Tracer) StartRequest(ctx context.Context, name, traceparent string) (co
 	}
 	tr.root = &Span{tr: tr, name: name, start: time.Now()}
 	return context.WithValue(ctx, spanKey{}, tr.root), tr
-}
-
-// StartBackground begins a trace for work not tied to a request — the
-// singleflight CH rebuild. Background traces are always head-sampled:
-// they are rare, operator-initiated-or-structural events worth keeping.
-func (t *Tracer) StartBackground(name string) (context.Context, *Trace) {
-	if !t.Enabled() {
-		return context.Background(), nil
-	}
-	tr := &Trace{id: newHexID(16), rootSpanID: newHexID(8), sampled: true}
-	tr.root = &Span{tr: tr, name: name, start: time.Now()}
-	return context.WithValue(context.Background(), spanKey{}, tr.root), tr
 }
 
 // Finish ends the trace's root span (if still open) and applies the

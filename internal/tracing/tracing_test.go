@@ -249,25 +249,3 @@ func TestDisabledZeroAlloc(t *testing.T) {
 		t.Fatalf("nil tracer StartRequest/Finish allocated %.1f per op, want 0", allocs)
 	}
 }
-
-func TestBackgroundTrace(t *testing.T) {
-	tr := New(Config{SampleRate: 0, SlowThreshold: time.Hour})
-	ctx, trace := tr.StartBackground("ch.rebuild")
-	if trace == nil {
-		t.Fatal("enabled tracer must trace background work")
-	}
-	_, sp := Start(ctx, "ch.topology")
-	sp.End()
-	if !tr.Finish(trace) {
-		t.Fatal("background trace must always be captured")
-	}
-	if _, ok := tr.Get(trace.ID()); !ok {
-		t.Fatal("background trace not retrievable")
-	}
-
-	var nilTr *Tracer
-	ctx2, trace2 := nilTr.StartBackground("ch.rebuild")
-	if trace2 != nil || ctx2 == nil {
-		t.Fatal("nil tracer StartBackground must no-op")
-	}
-}
