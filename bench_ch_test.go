@@ -14,6 +14,7 @@
 package repro_test
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"sync/atomic"
@@ -130,7 +131,7 @@ func BenchmarkCHQuery(b *testing.B) {
 			settled, relaxed := 0, 0
 			for i := 0; i < b.N; i++ {
 				p := pairs[i%len(pairs)]
-				res, err := ix.Query(p.s, p.d)
+				res, err := ix.QueryCtx(context.Background(), p.s, p.d)
 				if err != nil || !res.Found {
 					b.Fatalf("ch query %d→%d: %v found=%v", p.s, p.d, err, res.Found)
 				}
@@ -159,7 +160,7 @@ func BenchmarkCHQuery(b *testing.B) {
 		b.Run(fmt.Sprintf("k=%d/ch", k), func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				res, err := ix.Query(s, d)
+				res, err := ix.QueryCtx(context.Background(), s, d)
 				if err != nil || !res.Found {
 					b.Fatalf("ch query: %v found=%v", err, res.Found)
 				}
@@ -193,7 +194,7 @@ func BenchmarkCHQuery(b *testing.B) {
 }
 
 // BenchmarkCHRebuildAfterMutation measures the service-level cost of a
-// traffic mutation under algo=ch. Since the CCH split, ApplyCongestion
+// traffic mutation under algo=ch. Since the CCH split, a traffic batch
 // re-customizes the metric synchronously against the cached topology and
 // the follow-up EnableCH finds a fresh index — so this now measures the
 // steady-state mutate-and-refresh cycle (milliseconds), not a structural
@@ -209,7 +210,11 @@ func BenchmarkCHRebuildAfterMutation(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := svc.ApplyCongestion(0, 1, 1.0+float64(i%3)); err != nil {
+		f := 1.0 + float64(i%3)
+		if _, err := svc.ApplyTrafficBatchCtx(context.Background(), []graph.EdgeCostChange{
+			{Tail: 0, Head: 1, Cost: f, Scale: true},
+			{Tail: 1, Head: 0, Cost: f, Scale: true},
+		}); err != nil {
 			b.Fatal(err)
 		}
 		if err := svc.EnableCH(); err != nil {
@@ -260,7 +265,7 @@ func BenchmarkCHCustomize(b *testing.B) {
 }
 
 // BenchmarkCHTrafficStream measures the sustained-update cycle end to end
-// at the service layer: one ApplyTrafficBatch (16 edges — cost-version
+// at the service layer: one ApplyTrafficBatchCtx (16 edges — cost-version
 // bump, cache invalidation, synchronous metric customization) plus one
 // cache-bypassing CH route per iteration, the shape of a live feed with
 // interleaved queries. The benchmark fails if any query fell back to
@@ -286,11 +291,11 @@ func BenchmarkCHTrafficStream(b *testing.B) {
 				Cost: e.Cost * (0.5 + 3*rng.Float64()),
 			}
 		}
-		if _, err := svc.ApplyTrafficBatch(changes); err != nil {
+		if _, err := svc.ApplyTrafficBatchCtx(context.Background(), changes); err != nil {
 			b.Fatal(err)
 		}
 		p := pairs[benchPairCursor.Add(1)%uint64(len(pairs))]
-		rt, err := svc.Compute(p.s, p.d, core.Options{Algorithm: core.CH})
+		rt, err := svc.ComputeCtx(context.Background(), p.s, p.d, core.Options{Algorithm: core.CH})
 		if err != nil || !rt.Found {
 			b.Fatalf("ch route: %v found=%v", err, rt.Found)
 		}
@@ -324,7 +329,7 @@ func BenchmarkCHServiceQuery(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				p := pairs[benchPairCursor.Add(1)%uint64(len(pairs))]
-				rt, err := svc.Compute(p.s, p.d, core.Options{Algorithm: algo})
+				rt, err := svc.ComputeCtx(context.Background(), p.s, p.d, core.Options{Algorithm: algo})
 				if err != nil || !rt.Found {
 					b.Fatalf("%v: %v found=%v", algo, err, rt.Found)
 				}

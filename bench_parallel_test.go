@@ -10,6 +10,7 @@
 package repro_test
 
 import (
+	"context"
 	"fmt"
 	"runtime"
 	"testing"
@@ -96,7 +97,7 @@ func BenchmarkRouteServiceParallel(b *testing.B) {
 		b.ReportAllocs()
 		b.RunParallel(func(pb *testing.PB) {
 			for pb.Next() {
-				if _, err := svc.Compute(a, bNode, core.Options{}); err != nil {
+				if _, err := svc.ComputeCtx(context.Background(), a, bNode, core.Options{}); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -114,7 +115,7 @@ func BenchmarkRouteServiceParallel(b *testing.B) {
 				from := graph.NodeID((i / int64(n)) % int64(n))
 				to := graph.NodeID(i % int64(n))
 				i++
-				if _, err := svc.Compute(from, to, core.Options{Algorithm: core.Dijkstra}); err != nil {
+				if _, err := svc.ComputeCtx(context.Background(), from, to, core.Options{Algorithm: core.Dijkstra}); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -133,7 +134,7 @@ func BenchmarkBatchCompute(b *testing.B) {
 	}
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		for _, res := range svc.ComputeBatch(pairs, core.Options{Algorithm: core.Dijkstra}) {
+		for _, res := range svc.ComputeBatchCtx(context.Background(), pairs, core.Options{Algorithm: core.Dijkstra}) {
 			if res.Err != nil {
 				b.Fatal(res.Err)
 			}

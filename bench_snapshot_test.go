@@ -80,7 +80,7 @@ func measureReaders(b *testing.B, pairs []route.Pair, query func(from, to graph.
 // BenchmarkSnapshotReadUnderMutation measures the real Service's
 // lock-free read path: an atomic snapshot load and a CH query against
 // that snapshot's index, idle and then under a sustained
-// ApplyTrafficBatch stream republishing the world as fast as
+// ApplyTrafficBatchCtx stream republishing the world as fast as
 // customization allows.
 func BenchmarkSnapshotReadUnderMutation(b *testing.B) {
 	g := gridgen.MustGenerate(gridgen.Config{K: snapBenchK, Model: gridgen.Variance, Seed: benchSeed})
@@ -123,7 +123,7 @@ func BenchmarkSnapshotReadUnderMutation(b *testing.B) {
 				default:
 				}
 				snapBenchBatch(rng, base, changes)
-				if _, err := svc.ApplyTrafficBatch(changes); err != nil {
+				if _, err := svc.ApplyTrafficBatchCtx(context.Background(), changes); err != nil {
 					b.Error(err)
 					return
 				}

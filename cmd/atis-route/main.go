@@ -8,6 +8,7 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"os"
@@ -95,7 +96,7 @@ func main() {
 		tw := tabwriter.NewWriter(os.Stdout, 2, 4, 2, ' ', 0)
 		fmt.Fprintln(tw, "algorithm\tfound\tcost\titerations\trelaxations\tmax frontier")
 		for _, a := range core.Algorithms() {
-			r, err := svc.Compute(s, d, core.Options{Algorithm: a, Weight: *weight})
+			r, err := svc.ComputeCtx(context.Background(), s, d, core.Options{Algorithm: a, Weight: *weight})
 			if err != nil {
 				fatal(err)
 			}
@@ -117,7 +118,7 @@ func main() {
 			fatal(err)
 		}
 	}
-	r, err := svc.Compute(s, d, core.Options{Algorithm: algo, Weight: *weight})
+	r, err := svc.ComputeCtx(context.Background(), s, d, core.Options{Algorithm: algo, Weight: *weight})
 	if err != nil {
 		fatal(err)
 	}

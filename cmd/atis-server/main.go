@@ -21,7 +21,7 @@
 //
 // -traffic-stream drives the server with a synthetic traffic feed:
 // batches of random edge-cost updates applied through the same
-// ApplyTrafficBatch path as POST /v1/traffic/batch, each triggering a
+// ApplyTrafficBatchCtx path as POST /v1/traffic/batch, each triggering a
 // synchronous CH metric customization when -ch is on. It exists to
 // demonstrate (and load-test) millisecond metric updates without a
 // structural rebuild.
@@ -182,8 +182,6 @@ func main() {
 	defer stop()
 
 	if *trafficStream > 0 {
-		// The streamer only mutates; handing it the Mutator view keeps the
-		// read/write split visible at the call site.
 		go streamTraffic(ctx, logger, svc, svc.Graph().Edges(), *trafficStream, *trafficBatch, *seed)
 		logger.Info("traffic stream enabled",
 			"batches_per_sec", *trafficStream, "batch_size", *trafficBatch)
@@ -216,14 +214,14 @@ func main() {
 // streamTraffic simulates a live traffic feed: rate batches per second,
 // each setting size random edges to an absolute cost drawn around the
 // free-flow baseline (0.5×–3.5× base, so costs never drift or collapse to
-// zero over a long run). Every batch is one Mutator.ApplyTrafficBatch —
-// one snapshot publication: cost-version bump, route-cache invalidation,
+// zero over a long run). Every batch is one ApplyTrafficBatchCtx call —
+// one snapshot publication: cost-generation bump, route-cache invalidation,
 // and a synchronous CH metric customization — which is exactly the load
 // the customization path is built for; watch atis_ch_customize_seconds
 // and atis_snapshot_generation under it.
 //
 // base is the free-flow edge set, captured before any mutation.
-func streamTraffic(ctx context.Context, logger *slog.Logger, m route.Mutator, base []graph.Edge, rate float64, size int, seed int64) {
+func streamTraffic(ctx context.Context, logger *slog.Logger, svc *route.Service, base []graph.Edge, rate float64, size int, seed int64) {
 	if len(base) == 0 || size <= 0 {
 		return
 	}
@@ -247,7 +245,7 @@ func streamTraffic(ctx context.Context, logger *slog.Logger, m route.Mutator, ba
 				Cost: e.Cost * (0.5 + 3*rng.Float64()),
 			}
 		}
-		if _, err := m.ApplyTrafficBatch(changes); err != nil {
+		if _, err := svc.ApplyTrafficBatchCtx(ctx, changes); err != nil {
 			logger.Error("traffic stream batch failed", "err", err)
 			return
 		}

@@ -7,6 +7,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -37,7 +38,7 @@ func main() {
 		ev.Hops, ev.CurrentCost, ev.Distance)
 
 	// Rush hour: downtown congests to 3× travel time.
-	affected, err := svc.ApplyRegionCongestion(graph.Point{X: 16, Y: 16}, 5, 3)
+	affected, err := svc.ApplyRegionCongestionCtx(context.Background(), graph.Point{X: 16, Y: 16}, 5, 3)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -76,7 +77,7 @@ func main() {
 	fmt.Print(route.FormatDirections(ins))
 
 	// Evening: congestion clears.
-	svc.ResetTraffic()
+	svc.ResetTrafficCtx(context.Background())
 	evening, err := svc.ComputeByName("D", "C", core.Options{})
 	if err != nil {
 		log.Fatal(err)

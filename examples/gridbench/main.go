@@ -6,6 +6,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"os"
@@ -32,7 +33,7 @@ func main() {
 					if algo == core.CH {
 						continue // not one of the paper's kernels; served by route.Service
 					}
-					r, err := planner.Route(s, d, core.Options{Algorithm: algo})
+					r, err := planner.RouteCtx(context.Background(), s, d, core.Options{Algorithm: algo})
 					if err != nil {
 						log.Fatal(err)
 					}

@@ -5,6 +5,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -29,7 +30,7 @@ func main() {
 	// graph's diameter, the regime where the paper shows estimator-based
 	// search shines.
 	from, to := gridgen.Pair(10, gridgen.Horizontal, 0)
-	route, err := planner.Route(from, to, core.Options{})
+	route, err := planner.RouteCtx(context.Background(), from, to, core.Options{})
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -44,7 +45,7 @@ func main() {
 
 	// Dijkstra finds the same route but explores more of the graph — the
 	// paper's core observation about estimator functions.
-	dij, err := planner.Route(from, to, core.Options{Algorithm: core.Dijkstra})
+	dij, err := planner.RouteCtx(context.Background(), from, to, core.Options{Algorithm: core.Dijkstra})
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -88,7 +88,7 @@ func TestALTBeatsGeometryOnNonGeometricCosts(t *testing.T) {
 	// every edge ×10, then make the bottom row and right column fast.
 	g := gridgen.MustGenerate(gridgen.Config{K: 12, Model: gridgen.Skewed, SkewCost: 0.5})
 	for _, e := range g.Edges() {
-		if _, err := g.SetArcCost(e.Tail, e.Head, e.Cost*10); err != nil {
+		if _, err := g.ApplyBatch([]graph.EdgeCostChange{{Tail: e.Tail, Head: e.Head, Cost: e.Cost * 10}}); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -100,7 +100,7 @@ func TestLineGraphShortcutsUnpack(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := ix.Query(0, graph.NodeID(len(costs)))
+	res, err := ix.QueryCtx(context.Background(), 0, graph.NodeID(len(costs)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -138,7 +138,7 @@ func TestDiamondNeedsNoShortcut(t *testing.T) {
 	if ix.Shortcuts() != 0 {
 		t.Fatalf("diamond needed %d shortcuts, want 0 (degree-ordered contraction needs none)", ix.Shortcuts())
 	}
-	res, err := ix.Query(0, 3)
+	res, err := ix.QueryCtx(context.Background(), 0, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -181,7 +181,7 @@ func TestAgreesWithDijkstraOnRandomGrids(t *testing.T) {
 		for i := 0; i < pairs; i++ {
 			s := graph.NodeID(rng.Intn(n))
 			d := graph.NodeID(rng.Intn(n))
-			res, err := ix.Query(s, d)
+			res, err := ix.QueryCtx(context.Background(), s, d)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -209,7 +209,7 @@ func TestSameSourceAndDestination(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := ix.Query(5, 5)
+	res, err := ix.QueryCtx(context.Background(), 5, 5)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -231,17 +231,17 @@ func TestUnreachableAndOutOfRange(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := ix.Query(0, 3)
+	res, err := ix.QueryCtx(context.Background(), 0, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if res.Found {
 		t.Fatalf("0→3 across components reported found, cost %v", res.Cost)
 	}
-	if _, err := ix.Query(0, 99); err == nil {
+	if _, err := ix.QueryCtx(context.Background(), 0, 99); err == nil {
 		t.Fatal("out-of-range destination did not error")
 	}
-	if _, err := ix.Query(-1, 0); err == nil {
+	if _, err := ix.QueryCtx(context.Background(), -1, 0); err == nil {
 		t.Fatal("negative source did not error")
 	}
 }
@@ -254,14 +254,14 @@ func TestBuildAfterMutationAgreesWithDijkstra(t *testing.T) {
 		t.Fatal(err)
 	}
 	e := g.Edges()[0]
-	if _, err := g.SetArcCost(e.Tail, e.Head, e.Cost*2); err != nil {
+	if _, err := g.ApplyBatch([]graph.EdgeCostChange{{Tail: e.Tail, Head: e.Head, Cost: e.Cost * 2}}); err != nil {
 		t.Fatal(err)
 	}
 	ix, err := Build(g, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := ix.Query(0, graph.NodeID(g.NumNodes()-1))
+	res, err := ix.QueryCtx(context.Background(), 0, graph.NodeID(g.NumNodes()-1))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -290,7 +290,7 @@ func TestConcurrentQueries(t *testing.T) {
 			for i := 0; i < 50; i++ {
 				s := graph.NodeID(rng.Intn(n))
 				d := graph.NodeID(rng.Intn(n))
-				res, err := ix.Query(s, d)
+				res, err := ix.QueryCtx(context.Background(), s, d)
 				if err != nil {
 					t.Errorf("query(%d,%d): %v", s, d, err)
 					return
@@ -320,12 +320,12 @@ func TestSteadyStateAllocs(t *testing.T) {
 	s, d := graph.NodeID(0), graph.NodeID(g.NumNodes()-1)
 	// Warm the workspace pool and the packed-path scratch.
 	for i := 0; i < 4; i++ {
-		if _, err := ix.Query(s, d); err != nil {
+		if _, err := ix.QueryCtx(context.Background(), s, d); err != nil {
 			t.Fatal(err)
 		}
 	}
 	allocs := testing.AllocsPerRun(100, func() {
-		res, err := ix.Query(s, d)
+		res, err := ix.QueryCtx(context.Background(), s, d)
 		if err != nil || !res.Found {
 			t.Fatalf("query failed: found=%v err=%v", res.Found, err)
 		}
@@ -348,7 +348,7 @@ func TestQuerySettlesFarFewerNodesThanDijkstra(t *testing.T) {
 	// Corner to corner: Dijkstra settles nearly the whole grid; CH climbs
 	// two shallow cones.
 	s, d := graph.NodeID(0), graph.NodeID(g.NumNodes()-1)
-	res, err := ix.Query(s, d)
+	res, err := ix.QueryCtx(context.Background(), s, d)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -405,7 +405,7 @@ func TestQueryCtxCancelMidWalk(t *testing.T) {
 		}
 	}
 	releaseWorkspace(ws)
-	got, err := ix.Query(d, s)
+	got, err := ix.QueryCtx(context.Background(), d, s)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,6 +1,7 @@
 package ch
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"math/rand"
@@ -58,11 +59,11 @@ func TestCustomizedMatchesRebuildAndDijkstra(t *testing.T) {
 		for i := 0; i < pairs; i++ {
 			s := graph.NodeID(rng.Intn(n))
 			d := graph.NodeID(rng.Intn(n))
-			cres, err := customized.Query(s, d)
+			cres, err := customized.QueryCtx(context.Background(), s, d)
 			if err != nil {
 				t.Fatal(err)
 			}
-			rres, err := rebuilt.Query(s, d)
+			rres, err := rebuilt.QueryCtx(context.Background(), s, d)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -112,7 +113,7 @@ func TestRecustomizationSwitchesUnpackPath(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := ix.Query(4, 5)
+	res, err := ix.QueryCtx(context.Background(), 4, 5)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -132,7 +133,7 @@ func TestRecustomizationSwitchesUnpackPath(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res2, err := ix2.Query(4, 5)
+	res2, err := ix2.QueryCtx(context.Background(), 4, 5)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -150,7 +151,7 @@ func TestRecustomizationSwitchesUnpackPath(t *testing.T) {
 		t.Fatalf("post-congestion path %v does not reroute via node 2", res2.Path.Nodes)
 	}
 	// The old index still answers for its own version (immutability).
-	resOld, err := ix.Query(4, 5)
+	resOld, err := ix.QueryCtx(context.Background(), 4, 5)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -206,7 +207,7 @@ func TestConcurrentQueriesDuringCustomization(t *testing.T) {
 			for i := 0; i < 30; i++ {
 				s := graph.NodeID(rng.Intn(n))
 				d := graph.NodeID(rng.Intn(n))
-				if _, err := ix.Query(s, d); err != nil {
+				if _, err := ix.QueryCtx(context.Background(), s, d); err != nil {
 					t.Errorf("query(%d,%d): %v", s, d, err)
 					return
 				}

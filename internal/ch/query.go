@@ -30,7 +30,7 @@ type Result struct {
 	Relaxed int
 }
 
-// Query computes the exact shortest path from s to d with the
+// QueryCtx computes the exact shortest path from s to d with the
 // elimination-tree query of customizable contraction hierarchies, then
 // unpacks shortcuts so the returned path walks only original arcs and
 // validates like every other kernel's. It is safe for concurrent use;
@@ -43,18 +43,15 @@ type Result struct {
 // final once every lower chain node has been scanned, and the shortest
 // path peaks at a common ancestor, where the two labels sum to a
 // candidate cost.
-func (ix *Index) Query(s, d graph.NodeID) (Result, error) {
-	return ix.QueryCtx(context.Background(), s, d)
-}
-
-// QueryCtx is Query under a request lifecycle: the chain walk polls
-// ctx.Err() every ctxCheckInterval steps and stops with the raw
-// context error (context.Canceled or context.DeadlineExceeded) plus the
-// work counters accumulated so far. This package deliberately returns
-// context errors untranslated — it cannot import internal/search for
-// the typed lifecycle errors without an import cycle through the
-// differential test harness — and the planner (internal/core) maps them
-// with search.FromContextErr so every layer above sees one vocabulary.
+//
+// The chain walk polls ctx.Err() every ctxCheckInterval steps and stops
+// with the raw context error (context.Canceled or
+// context.DeadlineExceeded) plus the work counters accumulated so far.
+// This package deliberately returns context errors untranslated — it
+// cannot import internal/search for the typed lifecycle errors without
+// an import cycle through the differential test harness — and the route
+// service maps them with search.FromContextErr so every layer above sees
+// one vocabulary.
 //
 // Under an active trace the two phases of a query show up as separate
 // spans — "ch.search" (the chain walk) and "ch.unpack" (shortcut

@@ -5,7 +5,9 @@
 //
 //	g := mpls.MustGenerate(mpls.Config{})
 //	p := core.New(g)
-//	route, err := p.RouteByName("A", "B", core.Options{})
+//	a, _ := g.Lookup("A")
+//	b, _ := g.Lookup("B")
+//	route, err := p.RouteCtx(ctx, a, b, core.Options{})
 //
 // A Planner holds nothing but its graph, so it is immutable from the
 // caller's point of view — the property the route package's snapshot
@@ -142,16 +144,12 @@ func New(g *graph.Graph) *Planner { return &Planner{g: g} }
 // Graph returns the planner's graph.
 func (p *Planner) Graph() *graph.Graph { return p.g }
 
-// Route computes a route from from to to under opts.
-func (p *Planner) Route(from, to graph.NodeID, opts Options) (Route, error) {
-	return p.RouteCtx(context.Background(), from, to, opts)
-}
-
-// RouteCtx is Route under a request lifecycle: every kernel polls ctx
-// from its main loop (see search.CheckInterval) and the call returns a
-// typed lifecycle error — search.ErrCanceled, search.ErrDeadline, or
-// search.ErrBudget — with partial trace data discarded, as soon as the
-// context dies or the expansion budget (search.WithBudget) runs out.
+// RouteCtx computes a route from from to to under opts. Every kernel
+// polls ctx from its main loop (see search.CheckInterval) and the call
+// returns a typed lifecycle error — search.ErrCanceled,
+// search.ErrDeadline, or search.ErrBudget — with partial trace data
+// discarded, as soon as the context dies or the expansion budget
+// (search.WithBudget) runs out.
 //
 // Under an active trace the computation shows up as a "kernel" span
 // carrying the algorithm and its work counters.
@@ -215,17 +213,4 @@ func (p *Planner) routeDispatch(ctx context.Context, from, to graph.NodeID, opts
 		Algorithm: opts.Algorithm,
 		Trace:     res.Trace,
 	}, nil
-}
-
-// RouteByName computes a route between named landmarks.
-func (p *Planner) RouteByName(from, to string, opts Options) (Route, error) {
-	s, ok := p.g.Lookup(from)
-	if !ok {
-		return Route{}, fmt.Errorf("core: unknown landmark %q", from)
-	}
-	d, ok := p.g.Lookup(to)
-	if !ok {
-		return Route{}, fmt.Errorf("core: unknown landmark %q", to)
-	}
-	return p.Route(s, d, opts)
 }

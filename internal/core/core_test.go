@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"math"
 	"strings"
 	"testing"
@@ -39,7 +40,7 @@ func TestAllAlgorithmsAgreeOnOptimalCost(t *testing.T) {
 		if a == CH {
 			continue // needs a prebuilt hierarchy; see TestCHOnBarePlannerRejected
 		}
-		r, err := p.Route(s, d, Options{Algorithm: a})
+		r, err := p.RouteCtx(context.Background(), s, d, Options{Algorithm: a})
 		if err != nil {
 			t.Fatalf("%v: %v", a, err)
 		}
@@ -64,11 +65,11 @@ func TestWeightedRouteBounded(t *testing.T) {
 	g := gridgen.MustGenerate(gridgen.Config{K: k, Model: gridgen.Variance, Seed: 2})
 	p := New(g)
 	s, d := gridgen.Pair(k, gridgen.Diagonal, 0)
-	opt, err := p.Route(s, d, Options{Algorithm: Dijkstra})
+	opt, err := p.RouteCtx(context.Background(), s, d, Options{Algorithm: Dijkstra})
 	if err != nil {
 		t.Fatal(err)
 	}
-	w, err := p.Route(s, d, Options{Algorithm: AStarManhattan, Weight: 2})
+	w, err := p.RouteCtx(context.Background(), s, d, Options{Algorithm: AStarManhattan, Weight: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -80,27 +81,15 @@ func TestWeightedRouteBounded(t *testing.T) {
 	}
 }
 
-func TestRouteByName(t *testing.T) {
-	g := gridgen.MustGenerate(gridgen.Config{K: 5})
-	p := New(g)
-	// Grids have no names; expect errors.
-	if _, err := p.RouteByName("A", "B", Options{}); err == nil {
-		t.Error("unknown landmark accepted")
-	}
-	if p.Graph() != g {
-		t.Error("Graph() does not return the wrapped graph")
-	}
-}
-
 func TestFrontierOptionPassedThrough(t *testing.T) {
 	g := gridgen.MustGenerate(gridgen.Config{K: 8, Model: gridgen.Variance, Seed: 1})
 	p := New(g)
 	s, d := gridgen.Pair(8, gridgen.Diagonal, 0)
-	heap, err := p.Route(s, d, Options{Algorithm: Dijkstra, Frontier: search.FrontierHeap})
+	heap, err := p.RouteCtx(context.Background(), s, d, Options{Algorithm: Dijkstra, Frontier: search.FrontierHeap})
 	if err != nil {
 		t.Fatal(err)
 	}
-	scan, err := p.Route(s, d, Options{Algorithm: Dijkstra, Frontier: search.FrontierScan})
+	scan, err := p.RouteCtx(context.Background(), s, d, Options{Algorithm: Dijkstra, Frontier: search.FrontierScan})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -115,7 +104,7 @@ func TestFrontierOptionPassedThrough(t *testing.T) {
 // query path.
 func TestCHOnBarePlannerRejected(t *testing.T) {
 	g := gridgen.MustGenerate(gridgen.Config{K: 6})
-	r, err := New(g).Route(0, 35, Options{Algorithm: CH})
+	r, err := New(g).RouteCtx(context.Background(), 0, 35, Options{Algorithm: CH})
 	if err == nil || !strings.Contains(err.Error(), "route.Service") {
 		t.Fatalf("CH on a bare Planner: err %v, want one naming route.Service", err)
 	}
@@ -127,7 +116,7 @@ func TestCHOnBarePlannerRejected(t *testing.T) {
 func TestUnknownAlgorithmRejected(t *testing.T) {
 	g := gridgen.MustGenerate(gridgen.Config{K: 4})
 	p := New(g)
-	if _, err := p.Route(0, 5, Options{Algorithm: Algorithm(42)}); err == nil {
+	if _, err := p.RouteCtx(context.Background(), 0, 5, Options{Algorithm: Algorithm(42)}); err == nil {
 		t.Error("unknown algorithm accepted")
 	}
 }
@@ -135,7 +124,7 @@ func TestUnknownAlgorithmRejected(t *testing.T) {
 func TestDefaultIsAStarEuclidean(t *testing.T) {
 	g := gridgen.MustGenerate(gridgen.Config{K: 6})
 	p := New(g)
-	r, err := p.Route(0, 35, Options{})
+	r, err := p.RouteCtx(context.Background(), 0, 35, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -144,5 +133,8 @@ func TestDefaultIsAStarEuclidean(t *testing.T) {
 	}
 	if !r.Found || r.Path.Len() == 0 {
 		t.Error("default route not found")
+	}
+	if p.Graph() != g {
+		t.Error("Graph() does not return the wrapped graph")
 	}
 }

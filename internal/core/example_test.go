@@ -1,6 +1,7 @@
 package core_test
 
 import (
+	"context"
 	"fmt"
 
 	"repro/internal/core"
@@ -14,7 +15,7 @@ func ExamplePlanner() {
 	planner := core.New(g)
 	from, to := gridgen.Pair(5, gridgen.Diagonal, 0)
 
-	route, err := planner.Route(from, to, core.Options{})
+	route, err := planner.RouteCtx(context.Background(), from, to, core.Options{})
 	if err != nil {
 		fmt.Println("error:", err)
 		return
@@ -31,7 +32,7 @@ func ExamplePlanner_algorithms() {
 	from, to := gridgen.Pair(10, gridgen.Horizontal, 0)
 
 	for _, algo := range []core.Algorithm{core.AStarManhattan, core.Dijkstra, core.Iterative} {
-		r, err := planner.Route(from, to, core.Options{Algorithm: algo})
+		r, err := planner.RouteCtx(context.Background(), from, to, core.Options{Algorithm: algo})
 		if err != nil {
 			fmt.Println("error:", err)
 			return

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"io"
 
@@ -126,11 +127,11 @@ func runTable8(w io.Writer, cfg RunConfig) error {
 		s, _ := g.Lookup(pp.From)
 		d, _ := g.Lookup(pp.To)
 		planner := core.New(g)
-		opt, err := planner.Route(s, d, core.Options{Algorithm: core.Dijkstra})
+		opt, err := planner.RouteCtx(context.Background(), s, d, core.Options{Algorithm: core.Dijkstra})
 		if err != nil {
 			return err
 		}
-		man, err := planner.Route(s, d, core.Options{Algorithm: core.AStarManhattan})
+		man, err := planner.RouteCtx(context.Background(), s, d, core.Options{Algorithm: core.AStarManhattan})
 		if err != nil {
 			return err
 		}

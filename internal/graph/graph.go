@@ -60,8 +60,7 @@ func (p Point) ManhattanDistance(q Point) float64 {
 
 // Graph is a directed graph in compressed sparse row (CSR) form. The
 // structure (node and edge sets) is immutable once built; edge costs may be
-// updated through SetArcCost and UpdateEdgeCost to model dynamic travel
-// times.
+// updated through ApplyBatch to model dynamic travel times.
 type Graph struct {
 	// offsets has length NumNodes()+1; the outgoing arcs of node u occupy
 	// heads[offsets[u]:offsets[u+1]] and costs[offsets[u]:offsets[u+1]].
@@ -160,30 +159,6 @@ func (g *Graph) ArcCost(u, v NodeID) (float64, bool) {
 	return best, true
 }
 
-// SetArcCost sets the cost of every parallel directed edge (u, v) to c and
-// reports whether at least one such edge exists. Costs must be non-negative;
-// the search algorithms' optimality lemmas (paper Lemmas 1–3) require it.
-func (g *Graph) SetArcCost(u, v NodeID, c float64) (bool, error) {
-	if c < 0 || math.IsNaN(c) {
-		return false, fmt.Errorf("graph: cost %v for edge (%d,%d) must be non-negative", c, u, v)
-	}
-	if !g.valid(u) || !g.valid(v) {
-		return false, fmt.Errorf("graph: edge (%d,%d) references unknown node", u, v)
-	}
-	found := false
-	lo, hi := g.offsets[u], g.offsets[u+1]
-	for i := lo; i < hi; i++ {
-		if g.heads[i] == v {
-			g.costs[i] = c
-			found = true
-		}
-	}
-	if found {
-		g.costVersion.Add(1)
-	}
-	return found, nil
-}
-
 // CostVersion returns the number of cost mutations applied to the graph
 // since construction. Two reads returning the same version bracket a window
 // in which every edge cost was stable.
@@ -192,7 +167,7 @@ func (g *Graph) CostVersion() uint64 { return g.costVersion.Load() }
 // EdgeCostChange is one entry of an ApplyBatch traffic update: the directed
 // edge (Tail, Head) either has its cost set to Cost (Scale false) or
 // multiplied by Cost (Scale true). Either way the change covers every
-// parallel edge of the pair, matching SetArcCost and ScaleArcCost.
+// parallel edge of the pair.
 type EdgeCostChange struct {
 	Tail  NodeID
 	Head  NodeID
@@ -214,8 +189,9 @@ type EdgeCostChange struct {
 // must be positive: a factor of 0 would erase the base cost in a way no
 // later factor can undo, short of a reset. For the same reason a product
 // of positive factors that underflows a positive cost to 0 is refused,
-// whether it builds up within the batch or across batches. Like all cost
-// mutators, ApplyBatch must be serialised against readers by the caller.
+// whether it builds up within the batch or across batches. ApplyBatch is
+// the graph's only cost mutator; it must be serialised against readers by
+// the caller.
 func (g *Graph) ApplyBatch(changes []EdgeCostChange) (int, error) {
 	scales := false
 	for _, ch := range changes {
@@ -289,17 +265,6 @@ func (g *Graph) checkCompounded(changes []EdgeCostChange) error {
 		}
 	}
 	return nil
-}
-
-// ScaleArcCost multiplies the cost of every parallel directed edge (u, v) by
-// factor and reports whether such an edge exists. This is the primitive
-// behind traffic-congestion updates. It is a one-entry ApplyBatch, and
-// refuses what that refuses: a factor that is not finite and positive, or
-// a product that is not finite or that underflows a positive cost to 0.
-// A refused factor changes no edge.
-func (g *Graph) ScaleArcCost(u, v NodeID, factor float64) (bool, error) {
-	n, err := g.ApplyBatch([]EdgeCostChange{{Tail: u, Head: v, Cost: factor, Scale: true}})
-	return n > 0, err
 }
 
 // scaledCostOK reports whether scaling a cost from cur to next keeps it

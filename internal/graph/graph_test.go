@@ -149,55 +149,15 @@ func TestArcCostParallelEdgesPicksCheapest(t *testing.T) {
 	}
 }
 
-func TestSetArcCost(t *testing.T) {
-	g := line(t, 3)
-	ok, err := g.SetArcCost(0, 1, 7)
-	if err != nil || !ok {
-		t.Fatalf("SetArcCost = %v, %v", ok, err)
-	}
-	if c, _ := g.ArcCost(0, 1); c != 7 {
-		t.Errorf("cost after set = %v, want 7", c)
-	}
-	// The reverse directed edge is independent.
-	if c, _ := g.ArcCost(1, 0); c != 1 {
-		t.Errorf("reverse cost = %v, want 1 (must be untouched)", c)
-	}
-	if ok, err := g.SetArcCost(0, 2, 1); err != nil || ok {
-		t.Errorf("SetArcCost on missing edge = %v, %v; want false, nil", ok, err)
-	}
-	if _, err := g.SetArcCost(0, 1, -3); err == nil {
-		t.Error("SetArcCost accepted negative cost")
-	}
-	if _, err := g.SetArcCost(99, 1, 3); err == nil {
-		t.Error("SetArcCost accepted unknown node")
-	}
-}
-
-func TestScaleArcCost(t *testing.T) {
-	g := line(t, 3)
-	if ok, err := g.ScaleArcCost(1, 2, 2.5); err != nil || !ok {
-		t.Fatalf("ScaleArcCost = %v, %v", ok, err)
-	}
-	if c, _ := g.ArcCost(1, 2); c != 2.5 {
-		t.Errorf("scaled cost = %v, want 2.5", c)
-	}
-	if _, err := g.ScaleArcCost(1, 2, -1); err == nil {
-		t.Error("ScaleArcCost accepted negative factor")
-	}
-}
-
 // TestScaleFactorMustBePositive: a factor of 0 would erase an edge's cost
-// for good under compounding, so ApplyBatch and ScaleArcCost refuse it
-// (and NaN) while a Set entry may still make an edge free.
+// for good under compounding, so ApplyBatch refuses it (and NaN and
+// negative factors) while a Set entry may still make an edge free.
 func TestScaleFactorMustBePositive(t *testing.T) {
 	g := line(t, 3)
 	v0 := g.CostVersion()
-	for _, f := range []float64{0, math.Copysign(0, -1), math.NaN()} {
+	for _, f := range []float64{0, math.Copysign(0, -1), math.NaN(), -1} {
 		if _, err := g.ApplyBatch([]EdgeCostChange{{Tail: 0, Head: 1, Cost: f, Scale: true}}); err == nil {
 			t.Errorf("ApplyBatch accepted scale factor %v", f)
-		}
-		if _, err := g.ScaleArcCost(0, 1, f); err == nil {
-			t.Errorf("ScaleArcCost accepted factor %v", f)
 		}
 	}
 	if c, _ := g.ArcCost(0, 1); c != 1 || g.CostVersion() != v0 {
@@ -249,8 +209,10 @@ func TestApplyBatchValidatesBeforeApplying(t *testing.T) {
 	if g.CostVersion() != v0 {
 		t.Errorf("version bumped by a rejected batch")
 	}
-	if _, err := g.ApplyBatch([]EdgeCostChange{{Tail: 0, Head: 99, Cost: 1}}); err == nil {
-		t.Fatal("ApplyBatch accepted an unknown node")
+	for _, ch := range []EdgeCostChange{{Tail: 0, Head: 99, Cost: 1}, {Tail: 99, Head: 1, Cost: 3}} {
+		if _, err := g.ApplyBatch([]EdgeCostChange{ch}); err == nil {
+			t.Fatalf("ApplyBatch accepted unknown node in %+v", ch)
+		}
 	}
 	// Entries that match no edge are not an error, just not counted; a
 	// batch applying nothing leaves the version alone.
@@ -315,7 +277,7 @@ func TestApplyBatchRejectsNonFiniteResults(t *testing.T) {
 // TestScaleRefusesUnderflowToZero: factors 1e-200 and 1e-200 are each
 // positive, but their product underflows a cost-1 edge to 0, as
 // irreversible as factor 0. ApplyBatch refuses the product within one
-// batch and across two, ScaleArcCost across two calls, and a refusal
+// batch and across two, and a refusal
 // changes nothing. An edge that is already free may still be scaled.
 func TestScaleRefusesUnderflowToZero(t *testing.T) {
 	tiny := EdgeCostChange{Tail: 0, Head: 1, Cost: 1e-200, Scale: true}
@@ -349,24 +311,13 @@ func TestScaleRefusesUnderflowToZero(t *testing.T) {
 			t.Errorf("the refused batch's valid entry landed: cost %v, want 1", c)
 		}
 	})
-	t.Run("ScaleArcCost", func(t *testing.T) {
-		g := line(t, 3)
-		if _, err := g.ScaleArcCost(0, 1, 1e-200); err != nil {
-			t.Fatal(err)
-		}
-		v1 := g.CostVersion()
-		if _, err := g.ScaleArcCost(0, 1, 1e-200); err == nil {
-			t.Fatal("ScaleArcCost accepted a factor that underflows cost 1e-200 to 0")
-		}
-		check(t, g, v1)
-	})
 	t.Run("free edge", func(t *testing.T) {
 		g := line(t, 3)
 		if _, err := g.ApplyBatch([]EdgeCostChange{{Tail: 0, Head: 1, Cost: 0}, tiny}); err != nil {
 			t.Errorf("ApplyBatch refused to scale a free edge: %v", err)
 		}
-		if _, err := g.ScaleArcCost(0, 1, 1e-200); err != nil {
-			t.Errorf("ScaleArcCost refused to scale a free edge: %v", err)
+		if _, err := g.ApplyBatch([]EdgeCostChange{tiny}); err != nil {
+			t.Errorf("ApplyBatch refused to scale a free edge on its own: %v", err)
 		}
 	})
 }
@@ -454,7 +405,7 @@ func TestBounds(t *testing.T) {
 func TestCloneIsDeep(t *testing.T) {
 	g := line(t, 4)
 	c := g.Clone()
-	if _, err := c.SetArcCost(0, 1, 42); err != nil {
+	if _, err := c.ApplyBatch([]EdgeCostChange{{Tail: 0, Head: 1, Cost: 42}}); err != nil {
 		t.Fatal(err)
 	}
 	if cost, _ := g.ArcCost(0, 1); cost != 1 {

@@ -31,7 +31,7 @@ func TestReverseViewCachesUntilCostChange(t *testing.T) {
 		t.Fatalf("reverse edge (1,0) cost = %v, %v; want 1, true", c, ok)
 	}
 
-	if _, err := g.SetArcCost(0, 1, 5); err != nil {
+	if _, err := g.ApplyBatch([]EdgeCostChange{{Tail: 0, Head: 1, Cost: 5}}); err != nil {
 		t.Fatal(err)
 	}
 	r3 := g.ReverseView()
@@ -49,16 +49,16 @@ func TestReverseViewCachesUntilCostChange(t *testing.T) {
 func TestCostVersionBumpsOnMutation(t *testing.T) {
 	g := buildTriangle(t)
 	v0 := g.CostVersion()
-	if _, err := g.ScaleArcCost(0, 1, 2); err != nil {
+	if _, err := g.ApplyBatch([]EdgeCostChange{{Tail: 0, Head: 1, Cost: 2, Scale: true}}); err != nil {
 		t.Fatal(err)
 	}
 	if g.CostVersion() != v0+1 {
-		t.Fatalf("ScaleArcCost did not bump the cost version: %d → %d", v0, g.CostVersion())
+		t.Fatalf("a scale entry did not bump the cost version: %d → %d", v0, g.CostVersion())
 	}
 	// A miss (no such edge) must not bump.
 	v1 := g.CostVersion()
-	if found, err := g.SetArcCost(0, 2, 9); err != nil || found {
-		t.Fatalf("SetArcCost(0,2) = %v, %v; want false, nil", found, err)
+	if n, err := g.ApplyBatch([]EdgeCostChange{{Tail: 0, Head: 2, Cost: 9}}); err != nil || n != 0 {
+		t.Fatalf("set (0,2) = %d, %v; want 0, nil", n, err)
 	}
 	if g.CostVersion() != v1 {
 		t.Fatal("cost version bumped on a no-op mutation")
@@ -73,7 +73,7 @@ func TestCloneDoesNotShareReverseCache(t *testing.T) {
 		t.Fatal("clone shares the original's cached reverse")
 	}
 	// Mutating the clone must not disturb the original's cache.
-	if _, err := c.SetArcCost(0, 1, 7); err != nil {
+	if _, err := c.ApplyBatch([]EdgeCostChange{{Tail: 0, Head: 1, Cost: 7}}); err != nil {
 		t.Fatal(err)
 	}
 	if g.ReverseView() != r {

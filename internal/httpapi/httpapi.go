@@ -555,8 +555,9 @@ func (s *Server) handleTraffic(w http.ResponseWriter, r *http.Request) {
 }
 
 // maxTrafficChanges bounds one /traffic/batch request; a feed pushing more
-// per tick should split it — each request is one CostVersion bump and one
-// customization pass either way.
+// per tick should split it — each request is one snapshot publish (one
+// cost-generation bump, one route-cache invalidation, one customization
+// pass) either way.
 const maxTrafficChanges = 4096
 
 // maxBodyBytes bounds every JSON request body. The count caps above

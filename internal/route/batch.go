@@ -23,23 +23,19 @@ type BatchResult struct {
 	Err   error
 }
 
-// ComputeBatch computes a route for every pair under opts, fanning the
+// ComputeBatchCtx computes a route for every pair under opts, fanning the
 // pairs across a GOMAXPROCS-bounded worker pool. Results are positionally
-// aligned with pairs. Each worker query goes through Compute, so the batch
-// both profits from and feeds the route cache — a fleet of vehicles asking
-// for overlapping commutes is the paper's "millions of users" workload in
-// miniature. Workers claim pairs from a shared atomic counter, so skewed
-// per-pair costs stay balanced.
-func (s *Service) ComputeBatch(pairs []Pair, opts core.Options) []BatchResult {
-	return s.ComputeBatchCtx(context.Background(), pairs, opts)
-}
-
-// ComputeBatchCtx is ComputeBatch under a request lifecycle. Workers
-// check ctx before claiming each pair, so a dead context stops the
-// fan-out at pair granularity; the pair in flight when the context dies
-// is cut short by its own kernel's ctx poll. Unprocessed pairs carry the
-// context's lifecycle error so callers can tell "not computed" from "no
-// route". Results remain positionally aligned with pairs.
+// aligned with pairs. Each worker query goes through the same cached path
+// as ComputeCtx, so the batch both profits from and feeds the route cache —
+// a fleet of vehicles asking for overlapping commutes is the paper's
+// "millions of users" workload in miniature. Workers claim pairs from a
+// shared atomic counter, so skewed per-pair costs stay balanced.
+//
+// Workers check ctx before claiming each pair, so a dead context stops
+// the fan-out at pair granularity; the pair in flight when the context
+// dies is cut short by its own kernel's ctx poll. Unprocessed pairs carry
+// the context's lifecycle error so callers can tell "not computed" from
+// "no route".
 //
 // The snapshot is loaded once for the whole batch: every pair is priced
 // under the same costs, so a fleet query straddling a traffic mutation

@@ -61,7 +61,7 @@ type cacheShard struct {
 	cap   int
 }
 
-// routeCache is the sharded LRU behind Service.Compute.
+// routeCache is the sharded LRU behind Service.ComputeCtx.
 type routeCache struct {
 	shards [cacheShardCount]cacheShard
 	// evictions, when set, counts LRU evictions for the telemetry layer.

@@ -1,6 +1,7 @@
 package route
 
 import (
+	"context"
 	"testing"
 
 	"repro/internal/core"
@@ -9,7 +10,7 @@ import (
 
 func TestCacheHitOnRepeatedQuery(t *testing.T) {
 	s := gridService(t, 8)
-	r1, err := s.Compute(0, 63, core.Options{})
+	r1, err := s.ComputeCtx(context.Background(), 0, 63, core.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -17,7 +18,7 @@ func TestCacheHitOnRepeatedQuery(t *testing.T) {
 	if hits0 != 0 || misses0 != 1 {
 		t.Fatalf("after first query: hits=%d misses=%d, want 0/1", hits0, misses0)
 	}
-	r2, err := s.Compute(0, 63, core.Options{})
+	r2, err := s.ComputeCtx(context.Background(), 0, 63, core.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -33,7 +34,7 @@ func TestCacheHitOnRepeatedQuery(t *testing.T) {
 	}
 	// A cache hit must hand back a private copy, never the resident slice.
 	r2.Path.Nodes[0] = 99
-	r3, _ := s.Compute(0, 63, core.Options{})
+	r3, _ := s.ComputeCtx(context.Background(), 0, 63, core.Options{})
 	if r3.Path.Nodes[0] == 99 {
 		t.Fatal("caller mutation leaked into the cache")
 	}
@@ -41,13 +42,13 @@ func TestCacheHitOnRepeatedQuery(t *testing.T) {
 
 func TestCacheKeyedByOptions(t *testing.T) {
 	s := gridService(t, 8)
-	if _, err := s.Compute(0, 63, core.Options{Algorithm: core.Dijkstra}); err != nil {
+	if _, err := s.ComputeCtx(context.Background(), 0, 63, core.Options{Algorithm: core.Dijkstra}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := s.Compute(0, 63, core.Options{Algorithm: core.AStarEuclidean}); err != nil {
+	if _, err := s.ComputeCtx(context.Background(), 0, 63, core.Options{Algorithm: core.AStarEuclidean}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := s.Compute(0, 63, core.Options{Algorithm: core.AStarEuclidean, Weight: 2}); err != nil {
+	if _, err := s.ComputeCtx(context.Background(), 0, 63, core.Options{Algorithm: core.AStarEuclidean, Weight: 2}); err != nil {
 		t.Fatal(err)
 	}
 	hits, misses, _ := s.CacheStats()
@@ -64,23 +65,23 @@ func TestCacheGenerationInvalidation(t *testing.T) {
 	if g := s.CostGeneration(); g != 0 {
 		t.Fatalf("initial generation = %d, want 0", g)
 	}
-	base, err := s.Compute(0, 63, core.Options{})
+	base, err := s.ComputeCtx(context.Background(), 0, 63, core.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	s.Compute(0, 63, core.Options{}) // warm the cache
+	s.ComputeCtx(context.Background(), 0, 63, core.Options{}) // warm the cache
 
 	// Double every edge: generation bumps, best path cost exactly doubles.
 	min, max := s.Graph().Bounds()
 	center := graph.Point{X: (min.X + max.X) / 2, Y: (min.Y + max.Y) / 2}
-	n, err := s.ApplyRegionCongestion(center, 1e9, 2)
+	n, err := s.ApplyRegionCongestionCtx(context.Background(), center, 1e9, 2)
 	if err != nil || n == 0 {
-		t.Fatalf("ApplyRegionCongestion: n=%d err=%v", n, err)
+		t.Fatalf("ApplyRegionCongestionCtx: n=%d err=%v", n, err)
 	}
 	if g := s.CostGeneration(); g != 1 {
 		t.Fatalf("generation after mutation = %d, want 1", g)
 	}
-	congested, err := s.Compute(0, 63, core.Options{})
+	congested, err := s.ComputeCtx(context.Background(), 0, 63, core.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -88,11 +89,11 @@ func TestCacheGenerationInvalidation(t *testing.T) {
 		t.Fatalf("post-mutation cost = %v, want %v (stale cache entry served?)", congested.Cost, 2*base.Cost)
 	}
 
-	s.ResetTraffic()
+	s.ResetTrafficCtx(context.Background())
 	if g := s.CostGeneration(); g != 2 {
 		t.Fatalf("generation after reset = %d, want 2", g)
 	}
-	restored, err := s.Compute(0, 63, core.Options{})
+	restored, err := s.ComputeCtx(context.Background(), 0, 63, core.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -105,7 +106,7 @@ func TestCacheNoBumpWhenNothingChanged(t *testing.T) {
 	s := gridService(t, 4)
 	g0 := s.CostGeneration()
 	// Congestion on a region holding no edges changes nothing.
-	if n, err := s.ApplyRegionCongestion(graph.Point{X: -100, Y: -100}, 0.1, 3); err != nil || n != 0 {
+	if n, err := s.ApplyRegionCongestionCtx(context.Background(), graph.Point{X: -100, Y: -100}, 0.1, 3); err != nil || n != 0 {
 		t.Fatalf("n=%d err=%v", n, err)
 	}
 	if g := s.CostGeneration(); g != g0 {
@@ -136,7 +137,7 @@ func TestComputeBatch(t *testing.T) {
 		{From: 0, To: 63},  // duplicate: served from cache
 		{From: 0, To: 999}, // out of range: per-pair error
 	}
-	results := s.ComputeBatch(pairs, core.Options{})
+	results := s.ComputeBatchCtx(context.Background(), pairs, core.Options{})
 	if len(results) != len(pairs) {
 		t.Fatalf("got %d results, want %d", len(results), len(pairs))
 	}
@@ -156,7 +157,7 @@ func TestComputeBatch(t *testing.T) {
 
 func TestComputeBatchEmpty(t *testing.T) {
 	s := gridService(t, 4)
-	if got := s.ComputeBatch(nil, core.Options{}); len(got) != 0 {
+	if got := s.ComputeBatchCtx(context.Background(), nil, core.Options{}); len(got) != 0 {
 		t.Fatalf("empty batch returned %d results", len(got))
 	}
 }

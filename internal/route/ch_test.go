@@ -1,6 +1,7 @@
 package route
 
 import (
+	"context"
 	"errors"
 	"math"
 	"math/rand"
@@ -33,14 +34,14 @@ func TestCHServedFromIndexAfterEnable(t *testing.T) {
 		t.Fatalf("after EnableCH: %+v", st)
 	}
 	from, to := graph.NodeID(0), graph.NodeID(g.NumNodes()-1)
-	rt, err := s.Compute(from, to, core.Options{Algorithm: core.CH})
+	rt, err := s.ComputeCtx(context.Background(), from, to, core.Options{Algorithm: core.CH})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if rt.Algorithm != core.CH {
 		t.Fatalf("served by %v, want ch", rt.Algorithm)
 	}
-	dij, err := s.Compute(from, to, core.Options{Algorithm: core.Dijkstra})
+	dij, err := s.ComputeCtx(context.Background(), from, to, core.Options{Algorithm: core.Dijkstra})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -62,15 +63,15 @@ func TestCHDisabledReturnsErrCHDisabled(t *testing.T) {
 	opts := core.Options{Algorithm: core.CH}
 	seq := s.Snapshot().Generation()
 
-	if _, err := s.Compute(from, to, opts); !errors.Is(err, ErrCHDisabled) {
-		t.Fatalf("Compute: err %v, want ErrCHDisabled", err)
+	if _, err := s.ComputeCtx(context.Background(), from, to, opts); !errors.Is(err, ErrCHDisabled) {
+		t.Fatalf("ComputeCtx: err %v, want ErrCHDisabled", err)
 	}
-	if _, err := s.ComputeVia([]graph.NodeID{from, 5, to}, opts); !errors.Is(err, ErrCHDisabled) {
-		t.Fatalf("ComputeVia: err %v, want ErrCHDisabled", err)
+	if _, err := s.ComputeViaCtx(context.Background(), []graph.NodeID{from, 5, to}, opts); !errors.Is(err, ErrCHDisabled) {
+		t.Fatalf("ComputeViaCtx: err %v, want ErrCHDisabled", err)
 	}
-	for i, res := range s.ComputeBatch([]Pair{{from, to}, {to, from}, {3, 7}}, opts) {
+	for i, res := range s.ComputeBatchCtx(context.Background(), []Pair{{from, to}, {to, from}, {3, 7}}, opts) {
 		if !errors.Is(res.Err, ErrCHDisabled) {
-			t.Fatalf("ComputeBatch pair %d: err %v, want ErrCHDisabled", i, res.Err)
+			t.Fatalf("ComputeBatchCtx pair %d: err %v, want ErrCHDisabled", i, res.Err)
 		}
 	}
 	if _, ok := s.ComputeDegraded(from, to, opts); ok {
@@ -100,7 +101,7 @@ func TestEnableCHTwiceReusesTopology(t *testing.T) {
 			t.Fatalf("after EnableCH #%d: %+v, want ready, 1 rebuild, %d customizations", i, st, i)
 		}
 	}
-	if _, err := s.ApplyCongestion(0, 1, 2); err != nil {
+	if _, err := congest(s, 0, 1, 2); err != nil {
 		t.Fatal(err)
 	}
 	if st := s.CHStats(); st.Rebuilds != 1 || st.Customizations != 3 {
@@ -118,7 +119,7 @@ func TestCHMutationRecustomizesSynchronously(t *testing.T) {
 		t.Fatal(err)
 	}
 	before := s.CHStats()
-	if _, err := s.ApplyCongestion(0, 1, 5); err != nil {
+	if _, err := congest(s, 0, 1, 5); err != nil {
 		t.Fatal(err)
 	}
 	st := s.CHStats()
@@ -134,14 +135,14 @@ func TestCHMutationRecustomizesSynchronously(t *testing.T) {
 			before.Rebuilds, st.Rebuilds)
 	}
 	from, to := graph.NodeID(0), graph.NodeID(g.NumNodes()-1)
-	rt, err := s.Compute(from, to, core.Options{Algorithm: core.CH})
+	rt, err := s.ComputeCtx(context.Background(), from, to, core.Options{Algorithm: core.CH})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if rt.Algorithm != core.CH {
 		t.Fatalf("post-mutation request served by %v, want the re-customized index", rt.Algorithm)
 	}
-	dij, err := s.Compute(from, to, core.Options{Algorithm: core.Dijkstra})
+	dij, err := s.ComputeCtx(context.Background(), from, to, core.Options{Algorithm: core.Dijkstra})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -174,20 +175,20 @@ func TestSustainedMutationStreamZeroStaleFallbacks(t *testing.T) {
 				Tail: e.Tail, Head: e.Head, Cost: e.Cost * (0.5 + 2.5*rng.Float64()),
 			})
 		}
-		if _, err := s.ApplyTrafficBatch(batch); err != nil {
+		if _, err := s.ApplyTrafficBatchCtx(context.Background(), batch); err != nil {
 			t.Fatal(err)
 		}
 		for i := 0; i < 3; i++ {
 			from := graph.NodeID(rng.Intn(n))
 			to := graph.NodeID(rng.Intn(n))
-			rt, err := s.ComputeVia([]graph.NodeID{from, to}, core.Options{Algorithm: core.CH})
+			rt, err := s.ComputeViaCtx(context.Background(), []graph.NodeID{from, to}, core.Options{Algorithm: core.CH})
 			if err != nil {
 				t.Fatal(err)
 			}
 			if rt.Algorithm != core.CH {
 				t.Fatalf("round %d: stream query served by %v", round, rt.Algorithm)
 			}
-			dij, err := s.ComputeVia([]graph.NodeID{from, to}, core.Options{Algorithm: core.Dijkstra})
+			dij, err := s.ComputeViaCtx(context.Background(), []graph.NodeID{from, to}, core.Options{Algorithm: core.Dijkstra})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -208,7 +209,7 @@ func TestSustainedMutationStreamZeroStaleFallbacks(t *testing.T) {
 // TestCHNeverDisagreesUnderConcurrentMutation is the -race guarantee of the
 // snapshot design: query workers hammer algo=ch while a mutator applies and
 // resets congestion. Every CH answer must match
-// a Dijkstra computed through the same Compute path (same lock scope), so a
+// a Dijkstra computed through the same ComputeCtx path (same lock scope), so a
 // stale hierarchy can never leak a cost from retired edge weights.
 func TestCHNeverDisagreesUnderConcurrentMutation(t *testing.T) {
 	s, g := chTestService(t, 9, 4)
@@ -230,11 +231,11 @@ func TestCHNeverDisagreesUnderConcurrentMutation(t *testing.T) {
 			default:
 			}
 			if i%4 == 3 {
-				s.ResetTraffic()
+				s.ResetTrafficCtx(context.Background())
 			} else {
 				e := g.Edges()[rng.Intn(g.NumEdges())]
-				if _, err := s.ApplyCongestion(e.Tail, e.Head, 1+rng.Float64()); err != nil {
-					t.Errorf("ApplyCongestion: %v", err)
+				if _, err := congest(s, e.Tail, e.Head, 1+rng.Float64()); err != nil {
+					t.Errorf("congestion batch: %v", err)
 					return
 				}
 			}
@@ -251,19 +252,19 @@ func TestCHNeverDisagreesUnderConcurrentMutation(t *testing.T) {
 				from := graph.NodeID(rng.Intn(n))
 				to := graph.NodeID(rng.Intn(n))
 				genBefore := s.CostGeneration()
-				chRt, err := s.ComputeVia([]graph.NodeID{from, to}, core.Options{Algorithm: core.CH})
+				chRt, err := s.ComputeViaCtx(context.Background(), []graph.NodeID{from, to}, core.Options{Algorithm: core.CH})
 				if err != nil {
 					t.Errorf("ch %d→%d: %v", from, to, err)
 					return
 				}
-				dij, err := s.ComputeVia([]graph.NodeID{from, to}, core.Options{Algorithm: core.Dijkstra})
+				dij, err := s.ComputeViaCtx(context.Background(), []graph.NodeID{from, to}, core.Options{Algorithm: core.Dijkstra})
 				if err != nil {
 					t.Errorf("dijkstra %d→%d: %v", from, to, err)
 					return
 				}
 				// The two computations may straddle a mutation; the costs
 				// are only comparable when the generation held still across
-				// both. (ComputeVia bypasses the route cache, so neither
+				// both. (ComputeViaCtx bypasses the route cache, so neither
 				// answer can come from a previous generation's entry.)
 				if s.CostGeneration() == genBefore && math.Abs(chRt.Cost-dij.Cost) > 1e-9*(1+dij.Cost) {
 					t.Errorf("%d→%d: ch cost %v, dijkstra %v", from, to, chRt.Cost, dij.Cost)
@@ -297,20 +298,20 @@ func TestCHVersionedAgreementAfterEachMutation(t *testing.T) {
 	n := g.NumNodes()
 	for round := 0; round < 5; round++ {
 		e := g.Edges()[rng.Intn(g.NumEdges())]
-		if _, err := s.ApplyCongestion(e.Tail, e.Head, 1.5+rng.Float64()); err != nil {
+		if _, err := congest(s, e.Tail, e.Head, 1.5+rng.Float64()); err != nil {
 			t.Fatal(err)
 		}
 		for i := 0; i < 10; i++ {
 			from := graph.NodeID(rng.Intn(n))
 			to := graph.NodeID(rng.Intn(n))
-			chRt, err := s.Compute(from, to, core.Options{Algorithm: core.CH})
+			chRt, err := s.ComputeCtx(context.Background(), from, to, core.Options{Algorithm: core.CH})
 			if err != nil {
 				t.Fatal(err)
 			}
 			if chRt.Algorithm != core.CH {
 				t.Fatalf("round %d: fresh index not serving (%v)", round, chRt.Algorithm)
 			}
-			dij, err := s.Compute(from, to, core.Options{Algorithm: core.Dijkstra})
+			dij, err := s.ComputeCtx(context.Background(), from, to, core.Options{Algorithm: core.Dijkstra})
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -1,6 +1,7 @@
 package route
 
 import (
+	"context"
 	"sync"
 	"testing"
 
@@ -30,7 +31,7 @@ func TestConcurrentQueriesAndTraffic(t *testing.T) {
 	}
 	baseCost := map[pair]float64{}
 	for _, p := range pairs {
-		r, err := s.Compute(p.from, p.to, core.Options{Algorithm: core.Dijkstra})
+		r, err := s.ComputeCtx(context.Background(), p.from, p.to, core.Options{Algorithm: core.Dijkstra})
 		if err != nil || !r.Found {
 			t.Fatalf("baseline %v: %v found=%v", p, err, r.Found)
 		}
@@ -63,11 +64,11 @@ func TestConcurrentQueriesAndTraffic(t *testing.T) {
 		defer wg.Done()
 		defer close(stop)
 		for i := 0; i < writerRounds; i++ {
-			if _, err := s.ApplyRegionCongestion(center, 1e9, 2); err != nil {
+			if _, err := s.ApplyRegionCongestionCtx(context.Background(), center, 1e9, 2); err != nil {
 				report("writer: " + err.Error())
 				return
 			}
-			s.ResetTraffic()
+			s.ResetTrafficCtx(context.Background())
 		}
 	}()
 
@@ -77,7 +78,7 @@ func TestConcurrentQueriesAndTraffic(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < queriesEach; i++ {
 				p := pairs[(seed+i)%len(pairs)]
-				rt, err := s.Compute(p.from, p.to, core.Options{Algorithm: core.Dijkstra})
+				rt, err := s.ComputeCtx(context.Background(), p.from, p.to, core.Options{Algorithm: core.Dijkstra})
 				if err != nil {
 					report("reader: " + err.Error())
 					return
@@ -101,18 +102,18 @@ func TestConcurrentQueriesAndTraffic(t *testing.T) {
 	default:
 	}
 
-	// After the writer's final ResetTraffic the network is at free flow:
+	// After the writer's final ResetTrafficCtx the network is at free flow:
 	// every pair must price at exactly base cost, never a stale doubled one.
 	<-stop
 	for _, p := range pairs {
-		rt, err := s.Compute(p.from, p.to, core.Options{Algorithm: core.Dijkstra})
+		rt, err := s.ComputeCtx(context.Background(), p.from, p.to, core.Options{Algorithm: core.Dijkstra})
 		if err != nil || rt.Cost != baseCost[p] {
 			t.Fatalf("final state %v: cost=%v err=%v, want %v", p, rt.Cost, err, baseCost[p])
 		}
 	}
 }
 
-// TestConcurrentBatchAndTraffic exercises ComputeBatch's worker pool while
+// TestConcurrentBatchAndTraffic exercises ComputeBatchCtx's worker pool while
 // traffic mutates underneath it.
 func TestConcurrentBatchAndTraffic(t *testing.T) {
 	const k = 8
@@ -130,15 +131,15 @@ func TestConcurrentBatchAndTraffic(t *testing.T) {
 	go func() {
 		defer wg.Done()
 		for i := 0; i < 20; i++ {
-			if _, err := s.ApplyRegionCongestion(center, 1e9, 1.5); err != nil {
+			if _, err := s.ApplyRegionCongestionCtx(context.Background(), center, 1e9, 1.5); err != nil {
 				t.Error(err)
 				return
 			}
-			s.ResetTraffic()
+			s.ResetTrafficCtx(context.Background())
 		}
 	}()
 	for i := 0; i < 10; i++ {
-		for _, res := range s.ComputeBatch(pairs, core.Options{}) {
+		for _, res := range s.ComputeBatchCtx(context.Background(), pairs, core.Options{}) {
 			if res.Err != nil {
 				t.Fatal(res.Err)
 			}

@@ -10,17 +10,17 @@ import (
 
 // queryPathFuncs are the Service methods of the read path. The golden
 // check below parses this package's sources and fails if any of them —
-// or the Service struct itself — regresses to lock-based serving.
+// or the Service struct itself — regresses to lock-based serving, and if
+// an entry names no method, so a deleted or renamed method cannot leave
+// the check silently skipping it.
 var queryPathFuncs = map[string]bool{
 	"Snapshot": true, "CostGeneration": true, "CacheStats": true,
-	"Graph": true, "Compute": true, "ComputeCtx": true, "computeSnap": true,
+	"Graph": true, "ComputeCtx": true, "computeSnap": true,
 	"cacheLookup": true, "routeSnap": true, "chQuery": true,
 	"ComputeDegraded": true, "CHStats": true, "ComputeByName": true,
-	"ComputeVia": true, "ComputeViaCtx": true, "ComputeBatch": true,
-	"ComputeBatchCtx": true, "Evaluate": true, "Display": true,
-	"Alternates": true, "AlternatesCtx": true, "Nearest": true,
-	"Reachable": true, "ReachableCtx": true, "DisplayReachable": true,
-	"Directions": true,
+	"ComputeViaCtx": true, "ComputeBatchCtx": true, "Evaluate": true,
+	"Display": true, "AlternatesCtx": true, "Nearest": true,
+	"ReachableCtx": true, "DisplayReachable": true, "Directions": true,
 }
 
 // TestQueryPathAcquiresNoServiceLock is the ISSUE's lockscope/golden
@@ -38,6 +38,7 @@ func TestQueryPathAcquiresNoServiceLock(t *testing.T) {
 		t.Fatal("package route not parsed")
 	}
 
+	seen := make(map[string]bool)
 	for fname, f := range pkg.Files {
 		if strings.HasSuffix(fname, "_test.go") {
 			continue
@@ -71,6 +72,7 @@ func TestQueryPathAcquiresNoServiceLock(t *testing.T) {
 			if !ok || fd.Recv == nil || fd.Body == nil || !queryPathFuncs[fd.Name.Name] {
 				continue
 			}
+			seen[fd.Name.Name] = true
 			ast.Inspect(fd.Body, func(n ast.Node) bool {
 				sel, ok := n.(*ast.SelectorExpr)
 				if !ok {
@@ -89,6 +91,11 @@ func TestQueryPathAcquiresNoServiceLock(t *testing.T) {
 				}
 				return true
 			})
+		}
+	}
+	for name := range queryPathFuncs {
+		if !seen[name] {
+			t.Errorf("queryPathFuncs entry %s does not match any method in this package; stale entry?", name)
 		}
 	}
 }

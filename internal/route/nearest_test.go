@@ -1,6 +1,7 @@
 package route
 
 import (
+	"context"
 	"testing"
 
 	"repro/internal/core"
@@ -69,7 +70,7 @@ func TestSnapAndRoute(t *testing.T) {
 	if !ok {
 		t.Fatal("snap failed")
 	}
-	r, err := s.Compute(from, to, core.Options{})
+	r, err := s.ComputeCtx(context.Background(), from, to, core.Options{})
 	if err != nil || !r.Found {
 		t.Fatalf("route: %v found=%v", err, r.Found)
 	}

@@ -1,6 +1,7 @@
 package route
 
 import (
+	"context"
 	"math"
 	"strings"
 	"testing"
@@ -64,15 +65,15 @@ func TestWithinValidation(t *testing.T) {
 func TestWithinRespectsCongestion(t *testing.T) {
 	s := gridService(t, 6)
 	origin := gridgen.NodeAt(6, 0, 0)
-	before, err := s.Reachable(origin, 3)
+	before, err := s.ReachableCtx(context.Background(), origin, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
 	// Congest everything 3×: the same budget reaches far less.
-	if _, err := s.ApplyRegionCongestion(graph.Point{X: 2.5, Y: 2.5}, 100, 3); err != nil {
+	if _, err := s.ApplyRegionCongestionCtx(context.Background(), graph.Point{X: 2.5, Y: 2.5}, 100, 3); err != nil {
 		t.Fatal(err)
 	}
-	after, err := s.Reachable(origin, 3)
+	after, err := s.ReachableCtx(context.Background(), origin, 3)
 	if err != nil {
 		t.Fatal(err)
 	}

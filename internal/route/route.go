@@ -14,10 +14,10 @@
 // immutable Snapshot off to the side and publish it atomically, and
 // recomputation picks up the new costs through the next snapshot load.
 //
-// The package's concurrency surface splits into two interfaces: Querier
-// (the read path — lock-free, served entirely from one Snapshot load)
-// and Mutator (the write path — serialized, clone-apply-publish).
-// Service implements both and is safe for concurrent use.
+// Service is safe for concurrent use. Its read methods are lock-free and
+// serve entirely from one Snapshot load; its traffic methods serialize
+// and clone, apply, then publish. Every method that does work on behalf
+// of a request takes that request's context.
 package route
 
 import (
@@ -44,16 +44,17 @@ import (
 //
 // Concurrency discipline: there is no readers–writer lock. The service
 // publishes its entire read state as one *Snapshot behind an atomic
-// pointer; every query path (Compute, Evaluate, Display, Alternates,
-// Nearest, Reachable, Directions, batch, …) loads the pointer once and
+// pointer; every query path (ComputeCtx, Evaluate, Display, AlternatesCtx,
+// Nearest, ReachableCtx, Directions, batch, …) loads the pointer once and
 // runs to completion against that frozen view, so arbitrarily many
 // queries proceed with zero coordination — no query ever blocks behind a
 // mutator, however long the mutator's customization pass runs. The
-// traffic mutators (ApplyCongestion, ApplyRegionCongestion,
-// ApplyTrafficBatch, ResetTraffic) and EnableCH serialize on writeMu;
-// the mutators clone the current graph, apply their changes to the
-// clone, re-customize the hierarchy's metric for the new costs, and swap
-// the finished Snapshot in. The route cache
+// traffic mutators (ApplyRegionCongestionCtx, ApplyTrafficBatchCtx,
+// ResetTrafficCtx) and EnableCH serialize on writeMu; the mutators share
+// one write path (mutateLocked) that clones the current graph, applies
+// their changes to the clone as one graph.ApplyBatch, re-customizes the
+// hierarchy's metric for the new costs, and swaps the finished Snapshot
+// in. The route cache
 // is keyed on (endpoints, options, snapshot cost generation) and has its
 // own per-shard locks; a publish retires every stale entry at once by
 // changing the generation new requests key on.
@@ -120,11 +121,11 @@ func NewServiceWithRegistry(g *graph.Graph, reg *telemetry.Registry) *Service {
 			"Route computations by cache outcome.", telemetry.L("result", "miss")),
 		computeSeconds: make(map[core.Algorithm]*telemetry.Histogram),
 		batchRequests: reg.Counter("atis_route_batch_requests_total",
-			"ComputeBatch invocations."),
+			"ComputeBatchCtx invocations."),
 		batchPairs: reg.Counter("atis_route_batch_pairs_total",
-			"Origin-destination pairs fanned out by ComputeBatch."),
+			"Origin-destination pairs fanned out by ComputeBatchCtx."),
 		trafficUpdates: reg.Counter("atis_traffic_updates_total",
-			"Traffic mutations applied (congestion, region congestion, reset)."),
+			"Traffic mutations applied (batch, region congestion, reset)."),
 
 		chQuerySeconds: reg.Histogram("atis_ch_query_seconds",
 			"Wall time of queries served by the contraction hierarchy.", nil),
@@ -141,7 +142,7 @@ func NewServiceWithRegistry(g *graph.Graph, reg *telemetry.Registry) *Service {
 		chCustomizations: reg.Counter("atis_ch_customizations_total",
 			"Metric customizations completed (cost-only updates, no re-contraction)."),
 		trafficBatches: reg.Counter("atis_traffic_batches_total",
-			"Batched traffic updates applied through ApplyTrafficBatch."),
+			"Batched traffic updates applied through ApplyTrafficBatchCtx."),
 	}
 	// The first snapshot is published before the service escapes the
 	// constructor, so Snapshot() never returns nil and the gauges below
@@ -198,22 +199,18 @@ func (s *Service) Graph() *graph.Graph {
 	return s.snap.Load().graph
 }
 
-// Compute runs route computation between nodes, consulting the
+// ComputeCtx runs route computation between nodes, consulting the
 // generation-keyed cache first: repeated queries for the same endpoints and
 // options under unchanged traffic are served from memory without touching
 // the search engine. A traffic mutation bumps the cost generation, which
 // implicitly invalidates every cached route at once.
-func (s *Service) Compute(from, to graph.NodeID, opts core.Options) (core.Route, error) {
-	return s.ComputeCtx(context.Background(), from, to, opts)
-}
-
-// ComputeCtx is Compute under a request lifecycle: the underlying kernel
-// polls ctx from its main loop and the call returns a typed lifecycle
-// error (search.ErrCanceled, search.ErrDeadline, search.ErrBudget) as
-// soon as the context dies or the expansion budget (search.WithBudget)
-// runs out. Cache hits are served regardless of the context's state —
-// the answer is already in hand. Lifecycle-aborted computations are
-// never cached.
+//
+// The underlying kernel polls ctx from its main loop and the call returns
+// a typed lifecycle error (search.ErrCanceled, search.ErrDeadline,
+// search.ErrBudget) as soon as the context dies or the expansion budget
+// (search.WithBudget) runs out. Cache hits are served regardless of the
+// context's state — the answer is already in hand. Lifecycle-aborted
+// computations are never cached.
 func (s *Service) ComputeCtx(ctx context.Context, from, to graph.NodeID, opts core.Options) (core.Route, error) {
 	return s.computeSnap(ctx, s.snap.Load(), from, to, opts)
 }
@@ -430,7 +427,7 @@ func (s *Service) CHStats() CHStats {
 
 // ComputeByName runs route computation between named landmarks. Name
 // resolution uses the immutable graph structure, so the call shares
-// Compute's cache.
+// ComputeCtx's cache.
 func (s *Service) ComputeByName(from, to string, opts core.Options) (core.Route, error) {
 	snap := s.snap.Load()
 	f, ok := snap.graph.Lookup(from)
@@ -444,23 +441,19 @@ func (s *Service) ComputeByName(from, to string, opts core.Options) (core.Route,
 	return s.computeSnap(context.Background(), snap, f, t, opts)
 }
 
-// ComputeVia plans a route that visits every stop in order — the errand run
-// (home → school → work) an ATIS serves routinely. The result is the
-// concatenation of the per-leg routes: its cost is the sum of the leg costs
-// and its trace accumulates the legs' work. Found is false when any leg is
-// unreachable.
-func (s *Service) ComputeVia(stops []graph.NodeID, opts core.Options) (core.Route, error) {
-	return s.ComputeViaCtx(context.Background(), stops, opts)
-}
-
-// ComputeViaCtx is ComputeVia under a request lifecycle: each leg's
-// kernel polls ctx, so a multi-stop plan stops between (or within) legs
-// with a typed lifecycle error as soon as the context dies. All legs are
-// computed against one snapshot, so a traffic mutation mid-plan cannot
-// price different legs under different costs.
+// ComputeViaCtx plans a route that visits every stop in order — the
+// errand run (home → school → work) an ATIS serves routinely. The result
+// is the concatenation of the per-leg routes: its cost is the sum of the
+// leg costs and its trace accumulates the legs' work. Found is false when
+// any leg is unreachable.
+//
+// Each leg's kernel polls ctx, so a multi-stop plan stops between (or
+// within) legs with a typed lifecycle error as soon as the context dies.
+// All legs are computed against one snapshot, so a traffic mutation
+// mid-plan cannot price different legs under different costs.
 func (s *Service) ComputeViaCtx(ctx context.Context, stops []graph.NodeID, opts core.Options) (core.Route, error) {
 	if len(stops) < 2 {
-		return core.Route{}, fmt.Errorf("route: ComputeVia needs at least 2 stops, got %d", len(stops))
+		return core.Route{}, fmt.Errorf("route: a via route needs at least 2 stops, got %d", len(stops))
 	}
 	snap := s.snap.Load()
 	combined := core.Route{
@@ -569,17 +562,12 @@ func (s *Service) Display(path graph.Path, width, height int) string {
 	return asciichart.Map(pts, asciichart.Options{Width: width, Height: height})
 }
 
-// Alternates returns up to k loopless routes from from to to in increasing
-// cost order under live costs (Yen's algorithm) — the "offer the traveller
-// a choice" feature.
-func (s *Service) Alternates(from, to graph.NodeID, k int) ([]core.Route, error) {
-	return s.AlternatesCtx(context.Background(), from, to, k)
-}
-
-// AlternatesCtx is Alternates under a request lifecycle: Yen's algorithm
-// runs a family of restricted Dijkstras, every one of which polls ctx.
-// The whole family runs against one snapshot, so all k alternatives are
-// priced under the same costs.
+// AlternatesCtx returns up to k loopless routes from from to to in
+// increasing cost order under live costs (Yen's algorithm) — the "offer
+// the traveller a choice" feature. Yen's algorithm runs a family of
+// restricted Dijkstras, every one of which polls ctx. The whole family
+// runs against one snapshot, so all k alternatives are priced under the
+// same costs.
 func (s *Service) AlternatesCtx(ctx context.Context, from, to graph.NodeID, k int) ([]core.Route, error) {
 	g := s.snap.Load().graph
 	results, err := search.KShortestCtx(ctx, g, from, to, k)
@@ -619,16 +607,11 @@ func (s *Service) Nearest(x, y float64) (graph.NodeID, bool) {
 	return best, best != graph.Invalid
 }
 
-// Reachable returns every node within the given travel budget of from,
+// ReachableCtx returns every node within the given travel budget of from,
 // under live costs, with the cost of reaching each — the isochrone query
-// ("what can I reach in 15 minutes?").
-func (s *Service) Reachable(from graph.NodeID, budget float64) (map[graph.NodeID]float64, error) {
-	return s.ReachableCtx(context.Background(), from, budget)
-}
-
-// ReachableCtx is Reachable under a request lifecycle: the bounded
-// Dijkstra polls ctx and aborts with a typed lifecycle error rather than
-// returning a truncated (and therefore wrong) isochrone.
+// ("what can I reach in 15 minutes?"). The bounded Dijkstra polls ctx and
+// aborts with a typed lifecycle error rather than returning a truncated
+// (and therefore wrong) isochrone.
 func (s *Service) ReachableCtx(ctx context.Context, from graph.NodeID, budget float64) (map[graph.NodeID]float64, error) {
 	return search.WithinCtx(ctx, s.snap.Load().graph, from, budget)
 }
@@ -660,44 +643,12 @@ func (s *Service) DisplayReachable(from graph.NodeID, budget float64, width, hei
 	return asciichart.Map(pts, asciichart.Options{Width: width, Height: height}), nil
 }
 
-// ApplyCongestion scales the live cost of the directed segment (from, to)
-// and its reverse (if present) by factor > 0; factor 2 doubles travel time.
-// It reports whether any edge changed.
-func (s *Service) ApplyCongestion(from, to graph.NodeID, factor float64) (bool, error) {
-	return s.ApplyCongestionCtx(context.Background(), from, to, factor)
-}
-
-// ApplyCongestionCtx is ApplyCongestion carrying the caller's context,
-// so the CH customization inside the publish shows up as a span of the
-// mutating request's trace.
-func (s *Service) ApplyCongestionCtx(ctx context.Context, from, to graph.NodeID, factor float64) (bool, error) {
-	s.writeMu.Lock()
-	defer s.writeMu.Unlock()
-	cur := s.snap.Load()
-	next := cur.graph.Clone()
-	n, err := next.ApplyBatch([]graph.EdgeCostChange{
-		{Tail: from, Head: to, Cost: factor, Scale: true},
-		{Tail: to, Head: from, Cost: factor, Scale: true},
-	})
-	if err != nil {
-		return false, err
-	}
-	if n > 0 {
-		s.publishMutationLocked(ctx, cur, next)
-	}
-	return n > 0, nil
-}
-
-// ApplyRegionCongestion scales every edge with both endpoints within radius
-// of center — a congested downtown at rush hour. It returns the number of
-// directed edges affected. The whole region lands as one publish: one
-// cost-generation bump, one cache invalidation, one customization pass.
-func (s *Service) ApplyRegionCongestion(center graph.Point, radius, factor float64) (int, error) {
-	return s.ApplyRegionCongestionCtx(context.Background(), center, radius, factor)
-}
-
-// ApplyRegionCongestionCtx is ApplyRegionCongestion carrying the
-// caller's context for span attribution.
+// ApplyRegionCongestionCtx scales every edge with both endpoints within
+// radius of center — a congested downtown at rush hour. It returns the
+// number of directed edges affected. The whole region lands as one
+// publish: one cost-generation bump, one cache invalidation, one
+// customization pass. ctx carries the caller's trace, so the
+// customization shows up as a span of the mutating request.
 func (s *Service) ApplyRegionCongestionCtx(ctx context.Context, center graph.Point, radius, factor float64) (int, error) {
 	if !(factor > 0) {
 		return 0, fmt.Errorf("route: congestion factor %v must be positive", factor)
@@ -718,70 +669,40 @@ func (s *Service) ApplyRegionCongestionCtx(ctx context.Context, center graph.Poi
 			changes = append(changes, graph.EdgeCostChange{Tail: e.Tail, Head: e.Head, Cost: e.Cost * factor})
 		}
 	}
-	if len(changes) == 0 {
-		return 0, nil
-	}
-	next := cur.graph.Clone()
-	affected, err := next.ApplyBatch(changes)
-	if err != nil {
-		return 0, err
-	}
-	if affected > 0 {
-		s.publishMutationLocked(ctx, cur, next)
-	}
-	return affected, nil
+	return s.mutateLocked(ctx, cur, changes, false)
 }
 
-// ApplyTrafficBatch applies a burst of edge-cost changes as one traffic
-// event — the entry point for traffic-feed streams. However many edges the
+// ApplyTrafficBatchCtx applies a burst of edge-cost changes as one
+// traffic event — the entry point for traffic-feed streams and the one
+// way a caller changes individual edge costs. However many edges the
 // batch touches, the service pays one publish: one cost-generation bump,
 // one route-cache invalidation, and one customization pass; applying the
-// same changes through per-edge mutators would pay all three per edge.
-func (s *Service) ApplyTrafficBatch(changes []graph.EdgeCostChange) (int, error) {
-	return s.ApplyTrafficBatchCtx(context.Background(), changes)
-}
-
-// ApplyTrafficBatchCtx is ApplyTrafficBatch carrying the caller's
-// context, so a traced POST /v1/traffic/batch shows the customization
-// pass it paid for.
+// same changes one edge at a time would pay all three per edge. ctx
+// carries the caller's trace, so a traced POST /v1/traffic/batch shows
+// the customization pass it paid for.
 func (s *Service) ApplyTrafficBatchCtx(ctx context.Context, changes []graph.EdgeCostChange) (int, error) {
 	s.writeMu.Lock()
 	defer s.writeMu.Unlock()
-	cur := s.snap.Load()
-	next := cur.graph.Clone()
-	affected, err := next.ApplyBatch(changes)
-	if err != nil {
-		return 0, err
-	}
+	affected, err := s.mutateLocked(ctx, s.snap.Load(), changes, false)
 	if affected > 0 {
 		s.trafficBatches.Inc()
-		s.publishMutationLocked(ctx, cur, next)
 	}
-	return affected, nil
+	return affected, err
 }
 
-// ResetTraffic restores every edge to its free-flow cost.
-func (s *Service) ResetTraffic() {
-	s.ResetTrafficCtx(context.Background())
-}
-
-// ResetTrafficCtx is ResetTraffic carrying the caller's context for span
-// attribution. It always publishes, even when costs were already
-// pristine — a reset is an explicit traffic event and bumps the
-// generation like any other.
+// ResetTrafficCtx restores every edge to its free-flow cost. It always
+// publishes, even when costs were already pristine — a reset is an
+// explicit traffic event and bumps the generation like any other.
 func (s *Service) ResetTrafficCtx(ctx context.Context) {
 	s.writeMu.Lock()
 	defer s.writeMu.Unlock()
-	cur := s.snap.Load()
-	next := cur.graph.Clone()
 	edges := s.base.Edges()
 	changes := make([]graph.EdgeCostChange, len(edges))
 	for i, e := range edges {
 		changes[i] = graph.EdgeCostChange{Tail: e.Tail, Head: e.Head, Cost: e.Cost}
 	}
 	// base and the snapshot share structure; the batch cannot fail here.
-	if _, err := next.ApplyBatch(changes); err != nil {
+	if _, err := s.mutateLocked(ctx, s.snap.Load(), changes, true); err != nil {
 		panic(fmt.Sprintf("route: snapshot structure diverged: %v", err))
 	}
-	s.publishMutationLocked(ctx, cur, next)
 }

@@ -1,6 +1,7 @@
 package route
 
 import (
+	"context"
 	"math"
 	"strings"
 	"sync"
@@ -17,11 +18,20 @@ func gridService(t *testing.T, k int) *Service {
 	return NewService(gridgen.MustGenerate(gridgen.Config{K: k, Model: gridgen.Uniform}))
 }
 
+// congest scales the segment (u, v) and its reverse by factor as one
+// traffic batch of two Scale entries.
+func congest(s *Service, u, v graph.NodeID, factor float64) (int, error) {
+	return s.ApplyTrafficBatchCtx(context.Background(), []graph.EdgeCostChange{
+		{Tail: u, Head: v, Cost: factor, Scale: true},
+		{Tail: v, Head: u, Cost: factor, Scale: true},
+	})
+}
+
 func TestComputeBasic(t *testing.T) {
 	s := gridService(t, 6)
-	r, err := s.Compute(0, 35, core.Options{})
+	r, err := s.ComputeCtx(context.Background(), 0, 35, core.Options{})
 	if err != nil || !r.Found {
-		t.Fatalf("Compute: %v found=%v", err, r.Found)
+		t.Fatalf("ComputeCtx: %v found=%v", err, r.Found)
 	}
 	if r.Cost != 10 { // corner to corner on a 6×6 unit grid
 		t.Errorf("cost = %v, want 10", r.Cost)
@@ -31,7 +41,7 @@ func TestComputeBasic(t *testing.T) {
 func TestServiceSnapshotsCallerGraph(t *testing.T) {
 	g := gridgen.MustGenerate(gridgen.Config{K: 4})
 	s := NewService(g)
-	if _, err := s.ApplyCongestion(0, 1, 5); err != nil {
+	if _, err := congest(s, 0, 1, 5); err != nil {
 		t.Fatal(err)
 	}
 	if c, _ := g.ArcCost(0, 1); c != 1 {
@@ -41,7 +51,7 @@ func TestServiceSnapshotsCallerGraph(t *testing.T) {
 
 func TestEvaluate(t *testing.T) {
 	s := gridService(t, 5)
-	r, err := s.Compute(0, 4, core.Options{}) // along the bottom row
+	r, err := s.ComputeCtx(context.Background(), 0, 4, core.Options{}) // along the bottom row
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -73,7 +83,7 @@ func TestEvaluateRejectsNonPath(t *testing.T) {
 
 func TestCongestionChangesRoutesAndEvaluation(t *testing.T) {
 	s := gridService(t, 5)
-	before, err := s.Compute(0, 4, core.Options{Algorithm: core.Dijkstra})
+	before, err := s.ComputeCtx(context.Background(), 0, 4, core.Options{Algorithm: core.Dijkstra})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -81,8 +91,8 @@ func TestCongestionChangesRoutesAndEvaluation(t *testing.T) {
 	for col := 0; col < 4; col++ {
 		u := gridgen.NodeAt(5, 0, col)
 		v := gridgen.NodeAt(5, 0, col+1)
-		if ok, err := s.ApplyCongestion(u, v, 10); err != nil || !ok {
-			t.Fatalf("congestion: %v %v", ok, err)
+		if n, err := congest(s, u, v, 10); err != nil || n == 0 {
+			t.Fatalf("congestion: %d %v", n, err)
 		}
 	}
 	// The old route is now expensive…
@@ -94,7 +104,7 @@ func TestCongestionChangesRoutesAndEvaluation(t *testing.T) {
 		t.Errorf("evaluation after congestion = %+v", ev)
 	}
 	// …and recomputation routes around it.
-	after, err := s.Compute(0, 4, core.Options{Algorithm: core.Dijkstra})
+	after, err := s.ComputeCtx(context.Background(), 0, 4, core.Options{Algorithm: core.Dijkstra})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -114,8 +124,8 @@ func TestCongestionChangesRoutesAndEvaluation(t *testing.T) {
 		t.Error("route unchanged despite 10× congestion on it")
 	}
 	// Reset restores free flow.
-	s.ResetTraffic()
-	reset, _ := s.Compute(0, 4, core.Options{Algorithm: core.Dijkstra})
+	s.ResetTrafficCtx(context.Background())
+	reset, _ := s.ComputeCtx(context.Background(), 0, 4, core.Options{Algorithm: core.Dijkstra})
 	if math.Abs(reset.Cost-before.Cost) > 1e-9 {
 		t.Errorf("after reset cost = %v, want %v", reset.Cost, before.Cost)
 	}
@@ -123,14 +133,14 @@ func TestCongestionChangesRoutesAndEvaluation(t *testing.T) {
 
 func TestApplyCongestionMissingEdge(t *testing.T) {
 	s := gridService(t, 4)
-	ok, err := s.ApplyCongestion(0, 15, 2) // opposite corners: no edge
+	n, err := congest(s, 0, 15, 2) // opposite corners: no edge
 	if err != nil {
 		t.Fatal(err)
 	}
-	if ok {
+	if n != 0 {
 		t.Error("congestion applied to a non-edge")
 	}
-	if _, err := s.ApplyCongestion(0, 1, -1); err == nil {
+	if _, err := congest(s, 0, 1, -1); err == nil {
 		t.Error("negative factor accepted")
 	}
 }
@@ -141,11 +151,11 @@ func TestApplyCongestionMissingEdge(t *testing.T) {
 func TestCongestionRejectsZeroFactor(t *testing.T) {
 	s := gridService(t, 4)
 	gen := s.Snapshot().Generation()
-	if _, err := s.ApplyCongestion(0, 1, 0); err == nil {
-		t.Error("ApplyCongestion accepted factor 0")
+	if _, err := congest(s, 0, 1, 0); err == nil {
+		t.Error("a congestion batch accepted factor 0")
 	}
-	if _, err := s.ApplyRegionCongestion(graph.Point{X: 1, Y: 1}, 100, 0); err == nil {
-		t.Error("ApplyRegionCongestion accepted factor 0")
+	if _, err := s.ApplyRegionCongestionCtx(context.Background(), graph.Point{X: 1, Y: 1}, 100, 0); err == nil {
+		t.Error("ApplyRegionCongestionCtx accepted factor 0")
 	}
 	if got := s.Snapshot().Generation(); got != gen {
 		t.Errorf("rejected factors moved the snapshot generation %d → %d", gen, got)
@@ -157,7 +167,7 @@ func TestCongestionRejectsZeroFactor(t *testing.T) {
 
 func TestApplyRegionCongestion(t *testing.T) {
 	s := gridService(t, 7)
-	n, err := s.ApplyRegionCongestion(graph.Point{X: 3, Y: 3}, 1.5, 3)
+	n, err := s.ApplyRegionCongestionCtx(context.Background(), graph.Point{X: 3, Y: 3}, 1.5, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -173,7 +183,7 @@ func TestApplyRegionCongestion(t *testing.T) {
 	if c != 1 {
 		t.Errorf("corner edge cost = %v, want 1", c)
 	}
-	if _, err := s.ApplyRegionCongestion(graph.Point{}, 1, -2); err == nil {
+	if _, err := s.ApplyRegionCongestionCtx(context.Background(), graph.Point{}, 1, -2); err == nil {
 		t.Error("negative factor accepted")
 	}
 }
@@ -218,7 +228,7 @@ func TestConcurrentComputeAndTraffic(t *testing.T) {
 						return
 					}
 				} else {
-					if _, err := s.ApplyRegionCongestion(graph.Point{X: 16, Y: 16}, 4, 1.1); err != nil {
+					if _, err := s.ApplyRegionCongestionCtx(context.Background(), graph.Point{X: 16, Y: 16}, 4, 1.1); err != nil {
 						t.Errorf("congestion: %v", err)
 						return
 					}

@@ -106,17 +106,31 @@ func (sn *Snapshot) PublishedAt() time.Time { return sn.publishedAt }
 //atis:hotpath
 func (s *Service) Snapshot() *Snapshot { return s.snap.Load() }
 
-// publishMutationLocked is the common tail of every traffic mutator,
-// with writeMu held and next holding the just-mutated clone: count the
-// event, re-customize the hierarchy's metric for the new costs (with a
-// topology in hand this is the entire price of keeping CH fresh — one
-// bottom-up triangle pass, no contraction), and swap the new world in.
-// The previous snapshot is untouched throughout; readers that loaded it
-// keep a complete, internally consistent view until they finish.
-func (s *Service) publishMutationLocked(ctx context.Context, cur *Snapshot, next *graph.Graph) {
-	s.trafficUpdates.Inc()
-	ix := s.customizeFor(ctx, next)
-	s.snap.Store(newSnapshot(next, ix, cur.gen+1, cur.seq+1))
+// mutateLocked is the one write path every traffic mutator shares, with
+// writeMu held and cur the published snapshot: apply changes to a clone
+// of cur's graph as one graph.ApplyBatch and, when an entry matched an
+// edge or force is set, publish the clone — count the event,
+// re-customize the hierarchy's metric for the new costs (with a topology
+// in hand this is the entire price of keeping CH fresh — one bottom-up
+// triangle pass, no contraction), and swap the new world in. A rejected
+// batch publishes nothing. The previous snapshot is untouched
+// throughout; readers that loaded it keep a complete, internally
+// consistent view until they finish.
+func (s *Service) mutateLocked(ctx context.Context, cur *Snapshot, changes []graph.EdgeCostChange, force bool) (int, error) {
+	if len(changes) == 0 && !force {
+		return 0, nil
+	}
+	next := cur.graph.Clone()
+	n, err := next.ApplyBatch(changes)
+	if err != nil {
+		return 0, err
+	}
+	if n > 0 || force {
+		s.trafficUpdates.Inc()
+		ix := s.customizeFor(ctx, next)
+		s.snap.Store(newSnapshot(next, ix, cur.gen+1, cur.seq+1))
+	}
+	return n, nil
 }
 
 // customizeFor re-derives the hierarchy's metric for g's costs, or

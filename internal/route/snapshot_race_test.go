@@ -15,7 +15,7 @@ import (
 
 // TestSnapshotsCompleteUnderMutationStream is the mutate-while-querying
 // guarantee of snapshot publication, run under -race: a sustained
-// ApplyTrafficBatch stream publishes new worlds while readers hammer the
+// ApplyTrafficBatchCtx stream publishes new worlds while readers hammer the
 // query paths, and every snapshot a reader loads must be complete — its
 // CH metric customized for exactly its graph's costs, never a torn
 // pairing of new costs with an old metric. On a CH-enabled service
@@ -49,8 +49,8 @@ func TestSnapshotsCompleteUnderMutationStream(t *testing.T) {
 					Tail: e.Tail, Head: e.Head, Cost: e.Cost * (0.5 + 2.5*rng.Float64()),
 				})
 			}
-			if _, err := s.ApplyTrafficBatch(batch); err != nil {
-				t.Errorf("ApplyTrafficBatch: %v", err)
+			if _, err := s.ApplyTrafficBatchCtx(context.Background(), batch); err != nil {
+				t.Errorf("ApplyTrafficBatchCtx: %v", err)
 				return
 			}
 		}
@@ -74,12 +74,12 @@ func TestSnapshotsCompleteUnderMutationStream(t *testing.T) {
 					return
 				}
 				if i%50 == 0 {
-					res, err := ix.Query(0, probeTo)
+					res, err := ix.QueryCtx(context.Background(), 0, probeTo)
 					if err != nil {
 						t.Error(err)
 						return
 					}
-					dij, err := sn.planner.Route(0, probeTo, core.Options{Algorithm: core.Dijkstra})
+					dij, err := sn.planner.RouteCtx(context.Background(), 0, probeTo, core.Options{Algorithm: core.Dijkstra})
 					if err != nil {
 						t.Error(err)
 						return
@@ -146,7 +146,7 @@ func TestSnapshotsCompleteUnderMutationStream(t *testing.T) {
 			for j := range pairs {
 				pairs[j] = Pair{From: graph.NodeID(rng.Intn(n)), To: graph.NodeID(rng.Intn(n))}
 			}
-			for j, res := range s.ComputeBatch(pairs, core.Options{Algorithm: core.CH}) {
+			for j, res := range s.ComputeBatchCtx(context.Background(), pairs, core.Options{Algorithm: core.CH}) {
 				if res.Err != nil {
 					t.Errorf("batch pair %d: %v", j, res.Err)
 					return

@@ -1,11 +1,14 @@
 package route
 
 import (
+	"context"
+	"errors"
 	"strings"
 	"testing"
 
 	"repro/internal/core"
 	"repro/internal/graph"
+	"repro/internal/gridgen"
 	"repro/internal/mpls"
 	"repro/internal/telemetry"
 )
@@ -19,10 +22,10 @@ func TestStatsAndRegistryAgree(t *testing.T) {
 	a, _ := g.Lookup("A")
 	b, _ := g.Lookup("B")
 
-	if _, err := svc.Compute(a, b, core.Options{}); err != nil { // miss
+	if _, err := svc.ComputeCtx(context.Background(), a, b, core.Options{}); err != nil { // miss
 		t.Fatal(err)
 	}
-	if _, err := svc.Compute(a, b, core.Options{}); err != nil { // hit
+	if _, err := svc.ComputeCtx(context.Background(), a, b, core.Options{}); err != nil { // hit
 		t.Fatal(err)
 	}
 	hits, misses, _ := svc.CacheStats()
@@ -59,10 +62,10 @@ func TestStatsAndRegistryAgree(t *testing.T) {
 func TestTrafficUpdateCounterAndGenerationGauge(t *testing.T) {
 	g := mpls.MustGenerate(mpls.Config{Seed: 1})
 	svc := NewService(g)
-	if _, err := svc.ApplyRegionCongestion(graph.Point{X: 16, Y: 16}, 50, 2); err != nil {
+	if _, err := svc.ApplyRegionCongestionCtx(context.Background(), graph.Point{X: 16, Y: 16}, 50, 2); err != nil {
 		t.Fatal(err)
 	}
-	svc.ResetTraffic()
+	svc.ResetTrafficCtx(context.Background())
 	if got := svc.Registry().Counter("atis_traffic_updates_total", "").Value(); got != 2 {
 		t.Fatalf("atis_traffic_updates_total = %d, want 2", got)
 	}
@@ -98,12 +101,69 @@ func TestBatchCounters(t *testing.T) {
 	g := mpls.MustGenerate(mpls.Config{Seed: 1})
 	svc := NewService(g)
 	pairs := []Pair{{From: 0, To: 1}, {From: 1, To: 2}, {From: 2, To: 3}}
-	svc.ComputeBatch(pairs, core.Options{Algorithm: core.Dijkstra})
+	svc.ComputeBatchCtx(context.Background(), pairs, core.Options{Algorithm: core.Dijkstra})
 	reg := svc.Registry()
 	if got := reg.Counter("atis_route_batch_requests_total", "").Value(); got != 1 {
 		t.Fatalf("batch requests = %d, want 1", got)
 	}
 	if got := reg.Counter("atis_route_batch_pairs_total", "").Value(); got != 3 {
 		t.Fatalf("batch pairs = %d, want 3", got)
+	}
+}
+
+// TestMutatorContracts pins what each traffic mutator keeps on top of the
+// shared clone-apply-publish helper: a region scan honours a cancel
+// before anything changes, only a traffic batch counts in
+// atis_traffic_batches_total, a refused or no-match batch publishes
+// nothing, and a reset publishes even when costs are already pristine.
+func TestMutatorContracts(t *testing.T) {
+	svc := NewService(gridgen.MustGenerate(gridgen.Config{K: 4}))
+	batches := svc.Registry().Counter("atis_traffic_batches_total", "")
+	gen := func() uint64 { return svc.Snapshot().CostGeneration() }
+
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	if _, err := svc.ApplyRegionCongestionCtx(ctx, graph.Point{X: 1, Y: 1}, 100, 2); !errors.Is(err, context.Canceled) {
+		t.Fatalf("canceled region scan: err %v, want context.Canceled", err)
+	}
+	if gen() != 0 {
+		t.Fatalf("canceled region scan published: generation %d", gen())
+	}
+
+	svc.ResetTrafficCtx(context.Background())
+	if gen() != 1 {
+		t.Fatalf("reset of pristine costs: generation %d, want 1", gen())
+	}
+	if n, err := svc.ApplyRegionCongestionCtx(context.Background(), graph.Point{X: 1, Y: 1}, 100, 2); err != nil || n == 0 {
+		t.Fatalf("region congestion = %d, %v", n, err)
+	}
+	if batches.Value() != 0 {
+		t.Fatalf("reset and region congestion counted %d traffic batches, want 0", batches.Value())
+	}
+	// The reset publishes on its own say-so, not because its batch
+	// matched edges: an edgeless network still gets a new generation.
+	b := graph.NewBuilder(1, 0)
+	b.AddNode(0, 0)
+	empty := NewService(b.MustBuild())
+	empty.ResetTrafficCtx(context.Background())
+	if g := empty.Snapshot().CostGeneration(); g != 1 {
+		t.Fatalf("reset of an edgeless network: generation %d, want 1", g)
+	}
+
+	for name, changes := range map[string][]graph.EdgeCostChange{
+		"refused":  {{Tail: 0, Head: 1, Cost: 5}, {Tail: 0, Head: 1, Cost: -1}},
+		"no match": {{Tail: 0, Head: 15, Cost: 5}},
+		"empty":    nil,
+	} {
+		n, _ := svc.ApplyTrafficBatchCtx(context.Background(), changes)
+		if n != 0 || gen() != 2 || batches.Value() != 0 {
+			t.Errorf("%s batch: affected %d, generation %d, batches %d; want 0, 2, 0", name, n, gen(), batches.Value())
+		}
+	}
+	if n, err := svc.ApplyTrafficBatchCtx(context.Background(), []graph.EdgeCostChange{{Tail: 0, Head: 1, Cost: 5}}); err != nil || n != 1 {
+		t.Fatalf("traffic batch = %d, %v", n, err)
+	}
+	if gen() != 3 || batches.Value() != 1 {
+		t.Errorf("after one traffic batch: generation %d, batches %d; want 3, 1", gen(), batches.Value())
 	}
 }

@@ -1,6 +1,7 @@
 package route
 
 import (
+	"context"
 	"math"
 	"testing"
 
@@ -16,7 +17,7 @@ func TestComputeVia(t *testing.T) {
 		gridgen.NodeAt(6, 0, 5),
 		gridgen.NodeAt(6, 5, 5),
 	}
-	r, err := s.ComputeVia(stops, core.Options{Algorithm: core.Dijkstra})
+	r, err := s.ComputeViaCtx(context.Background(), stops, core.Options{Algorithm: core.Dijkstra})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -55,7 +56,7 @@ func TestComputeViaRoundTripReturnsToStart(t *testing.T) {
 	s := gridService(t, 5)
 	a := gridgen.NodeAt(5, 0, 0)
 	b := gridgen.NodeAt(5, 4, 4)
-	r, err := s.ComputeVia([]graph.NodeID{a, b, a}, core.Options{})
+	r, err := s.ComputeViaCtx(context.Background(), []graph.NodeID{a, b, a}, core.Options{})
 	if err != nil || !r.Found {
 		t.Fatalf("%v found=%v", err, r.Found)
 	}
@@ -69,13 +70,13 @@ func TestComputeViaRoundTripReturnsToStart(t *testing.T) {
 
 func TestComputeViaValidation(t *testing.T) {
 	s := gridService(t, 4)
-	if _, err := s.ComputeVia([]graph.NodeID{0}, core.Options{}); err == nil {
+	if _, err := s.ComputeViaCtx(context.Background(), []graph.NodeID{0}, core.Options{}); err == nil {
 		t.Error("single stop accepted")
 	}
-	if _, err := s.ComputeVia(nil, core.Options{}); err == nil {
+	if _, err := s.ComputeViaCtx(context.Background(), nil, core.Options{}); err == nil {
 		t.Error("no stops accepted")
 	}
-	if _, err := s.ComputeVia([]graph.NodeID{0, 99}, core.Options{}); err == nil {
+	if _, err := s.ComputeViaCtx(context.Background(), []graph.NodeID{0, 99}, core.Options{}); err == nil {
 		t.Error("out-of-range stop accepted")
 	}
 }
@@ -89,7 +90,7 @@ func TestComputeViaUnreachableLeg(t *testing.T) {
 	b.AddEdge(0, 1, 1)
 	b.AddEdge(2, 3, 1)
 	s := NewService(b.MustBuild())
-	r, err := s.ComputeVia([]graph.NodeID{0, 1, 3}, core.Options{})
+	r, err := s.ComputeViaCtx(context.Background(), []graph.NodeID{0, 1, 3}, core.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,6 +1,7 @@
 package search
 
 import (
+	"context"
 	"math"
 	"math/rand"
 	"sync"
@@ -57,7 +58,7 @@ func runCH(g *graph.Graph, s, d graph.NodeID) (Result, error) {
 		e = chEntry{ix: ix, version: want}
 		chIndexes.Store(g, e)
 	}
-	res, err := e.ix.Query(s, d)
+	res, err := e.ix.QueryCtx(context.Background(), s, d)
 	if err != nil {
 		return Result{}, err
 	}
@@ -194,12 +195,12 @@ func TestKernelsAgreeOnRandomGrids(t *testing.T) {
 	}
 }
 
-// TestCHAgreesAfterRandomMutations interleaves random SetArcCost mutations
-// with full-kernel agreement rounds. Every mutation bumps the graph's cost
-// version, so the CH pseudo-kernel's cached hierarchy goes stale and must
-// rebuild before its next answer — if the staleness check ever consulted
-// the wrong version, the stale hierarchy would answer with costs from a
-// retired round and the agreement assertion would catch it.
+// TestCHAgreesAfterRandomMutations interleaves random one-edge ApplyBatch
+// mutations with full-kernel agreement rounds. Every mutation bumps the
+// graph's cost version, so the CH pseudo-kernel's cached hierarchy goes
+// stale and must rebuild before its next answer — if the staleness check
+// ever consulted the wrong version, the stale hierarchy would answer with
+// costs from a retired round and the agreement assertion would catch it.
 func TestCHAgreesAfterRandomMutations(t *testing.T) {
 	base, err := gridgen.Generate(gridgen.Config{K: 9, Model: gridgen.Variance, Seed: 77})
 	if err != nil {
@@ -226,7 +227,7 @@ func TestCHAgreesAfterRandomMutations(t *testing.T) {
 			e := edges[rng.Intn(len(edges))]
 			cur, _ := g.ArcCost(e.Tail, e.Head)
 			factor := 0.5 + rng.Float64()*1.5
-			if _, err := g.SetArcCost(e.Tail, e.Head, math.Max(0.1, cur*factor)); err != nil {
+			if _, err := g.ApplyBatch([]graph.EdgeCostChange{{Tail: e.Tail, Head: e.Head, Cost: math.Max(0.1, cur*factor)}}); err != nil {
 				t.Fatalf("mutating %d→%d: %v", e.Tail, e.Head, err)
 			}
 		}
@@ -235,8 +236,8 @@ func TestCHAgreesAfterRandomMutations(t *testing.T) {
 
 // TestMetamorphicCostScaling checks the scaling relation: multiplying
 // every edge cost by λ must multiply the optimal cost by exactly λ,
-// for every kernel. The scaled graph is a Clone mutated through
-// SetArcCost, which also exercises the costVersion bump path that
+// for every kernel. The scaled graph is a Clone mutated through one-edge
+// ApplyBatch calls, which also exercises the costVersion bump path that
 // invalidates ReverseView — Bidirectional on the clone would silently
 // reuse a stale reverse adjacency if that bump were ever lost.
 func TestMetamorphicCostScaling(t *testing.T) {
@@ -247,7 +248,7 @@ func TestMetamorphicCostScaling(t *testing.T) {
 	for _, lambda := range []float64{0.25, 3} {
 		scaled := g.Clone()
 		for _, e := range g.Edges() {
-			if _, err := scaled.SetArcCost(e.Tail, e.Head, e.Cost*lambda); err != nil {
+			if _, err := scaled.ApplyBatch([]graph.EdgeCostChange{{Tail: e.Tail, Head: e.Head, Cost: e.Cost * lambda}}); err != nil {
 				t.Fatalf("scaling edge %d→%d: %v", e.Tail, e.Head, err)
 			}
 		}

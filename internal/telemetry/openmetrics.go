@@ -4,7 +4,6 @@ import (
 	"bufio"
 	"io"
 	"net/http"
-	"sort"
 	"strconv"
 	"strings"
 )
@@ -19,75 +18,10 @@ const ContentTypeOpenMetrics = "application/openmetrics-text"
 // `_total` suffix in the TYPE/HELP header while samples keep it,
 // histogram bucket lines carry exemplars linking to captured traces,
 // and the exposition terminates with `# EOF`.
-func (r *Registry) WriteOpenMetrics(w io.Writer) error {
-	// Same snapshot discipline as WriteText: copy family order and series
-	// pointers under the read lock before rendering (see the race note
-	// there).
-	type famSnapshot struct {
-		name, help string
-		kind       metricKind
-		series     []*series
-	}
-	r.mu.RLock()
-	names := make([]string, 0, len(r.families))
-	for name := range r.families {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	fams := make([]famSnapshot, 0, len(names))
-	for _, name := range names {
-		f := r.families[name]
-		labelSets := append([]string(nil), f.order...)
-		sort.Strings(labelSets)
-		ss := make([]*series, len(labelSets))
-		for i, ls := range labelSets {
-			ss[i] = f.series[ls]
-		}
-		fams = append(fams, famSnapshot{name: f.name, help: f.help, kind: f.kind, series: ss})
-	}
-	r.mu.RUnlock()
-
-	bw := bufio.NewWriter(w)
-	for _, f := range fams {
-		// OpenMetrics names the counter family without the _total sample
-		// suffix: `# TYPE x counter` then `x_total 5`.
-		famName := f.name
-		if f.kind == kindCounter {
-			famName = strings.TrimSuffix(famName, "_total")
-		}
-		if f.help != "" {
-			bw.WriteString("# HELP " + famName + " " + f.help + "\n")
-		}
-		bw.WriteString("# TYPE " + famName + " " + f.kind.String() + "\n")
-		for _, s := range f.series {
-			ls := s.labels
-			switch f.kind {
-			case kindCounter:
-				writeSeries(bw, famName+"_total", ls, formatUint(s.counter.Value()))
-			case kindGauge:
-				writeSeries(bw, f.name, ls, strconv.FormatInt(s.gauge.Value(), 10))
-			case kindGaugeFunc:
-				writeSeries(bw, f.name, ls, formatFloat(s.gaugeFn()))
-			case kindHistogram:
-				h := s.histogram
-				cumulative, total := h.snapshot()
-				for i, bound := range h.bounds {
-					writeBucket(bw, f.name, joinLabels(ls, `le="`+formatFloat(bound)+`"`),
-						formatUint(cumulative[i]), h.exemplars[i].Load())
-				}
-				writeBucket(bw, f.name, joinLabels(ls, `le="+Inf"`),
-					formatUint(total), h.exemplars[len(h.bounds)].Load())
-				writeSeries(bw, f.name+"_sum", ls, formatFloat(h.Sum()))
-				writeSeries(bw, f.name+"_count", ls, formatUint(total))
-			}
-		}
-	}
-	bw.WriteString("# EOF\n")
-	return bw.Flush()
-}
+func (r *Registry) WriteOpenMetrics(w io.Writer) error { return r.write(w, true) }
 
 // writeBucket renders one histogram bucket line, appending the
-// OpenMetrics exemplar clause when the bucket has one:
+// OpenMetrics exemplar clause when ex carries one (WriteText passes nil):
 //
 //	name_bucket{le="0.005"} 4 # {trace_id="abc..."} 0.0032 1712000000.0
 func writeBucket(w *bufio.Writer, name, labels, value string, ex *Exemplar) {

@@ -7,13 +7,20 @@ import (
 	"net/http"
 	"sort"
 	"strconv"
+	"strings"
 )
 
 // WriteText renders every registered metric in Prometheus text exposition
 // format (version 0.0.4): one HELP/TYPE header per family, then the series
 // in sorted label order. Output is deterministic for a given registry state,
 // which the golden tests rely on.
-func (r *Registry) WriteText(w io.Writer) error {
+func (r *Registry) WriteText(w io.Writer) error { return r.write(w, false) }
+
+// write is the one exposition walker behind WriteText and
+// WriteOpenMetrics. The two formats differ only where openMetrics is
+// tested: the counter family name drops its _total suffix, bucket lines
+// carry exemplars, and the exposition ends with "# EOF".
+func (r *Registry) write(w io.Writer, openMetrics bool) error {
 	// lookup() appends to f.order and writes f.series under the write lock
 	// whenever a first-time series is created, so both must be copied into a
 	// local snapshot before the read lock is released — rendering from the
@@ -46,15 +53,22 @@ func (r *Registry) WriteText(w io.Writer) error {
 
 	bw := bufio.NewWriter(w)
 	for _, f := range fams {
-		if f.help != "" {
-			bw.WriteString("# HELP " + f.name + " " + f.help + "\n")
+		// OpenMetrics names the counter family without the _total sample
+		// suffix: `# TYPE x counter` then `x_total 5`.
+		famName, counterName := f.name, f.name
+		if openMetrics && f.kind == kindCounter {
+			famName = strings.TrimSuffix(f.name, "_total")
+			counterName = famName + "_total"
 		}
-		bw.WriteString("# TYPE " + f.name + " " + f.kind.String() + "\n")
+		if f.help != "" {
+			bw.WriteString("# HELP " + famName + " " + f.help + "\n")
+		}
+		bw.WriteString("# TYPE " + famName + " " + f.kind.String() + "\n")
 		for _, s := range f.series {
 			ls := s.labels
 			switch f.kind {
 			case kindCounter:
-				writeSeries(bw, f.name, ls, formatUint(s.counter.Value()))
+				writeSeries(bw, counterName, ls, formatUint(s.counter.Value()))
 			case kindGauge:
 				writeSeries(bw, f.name, ls, strconv.FormatInt(s.gauge.Value(), 10))
 			case kindGaugeFunc:
@@ -62,16 +76,26 @@ func (r *Registry) WriteText(w io.Writer) error {
 			case kindHistogram:
 				h := s.histogram
 				cumulative, total := h.snapshot()
-				for i, bound := range h.bounds {
-					writeSeries(bw, f.name+"_bucket", joinLabels(ls, `le="`+formatFloat(bound)+`"`), formatUint(cumulative[i]))
+				for i := 0; i <= len(h.bounds); i++ {
+					le, count := "+Inf", total
+					if i < len(h.bounds) {
+						le, count = formatFloat(h.bounds[i]), cumulative[i]
+					}
+					var ex *Exemplar
+					if openMetrics {
+						ex = h.exemplars[i].Load()
+					}
+					writeBucket(bw, f.name, joinLabels(ls, `le="`+le+`"`), formatUint(count), ex)
 				}
-				writeSeries(bw, f.name+"_bucket", joinLabels(ls, `le="+Inf"`), formatUint(total))
 				writeSeries(bw, f.name+"_sum", ls, formatFloat(h.Sum()))
 				// _count is derived from the same bucket snapshot as +Inf so
 				// the two can never disagree within one exposition.
 				writeSeries(bw, f.name+"_count", ls, formatUint(total))
 			}
 		}
+	}
+	if openMetrics {
+		bw.WriteString("# EOF\n")
 	}
 	return bw.Flush()
 }

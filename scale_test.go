@@ -4,6 +4,7 @@
 package repro_test
 
 import (
+	"context"
 	"math"
 	"math/rand"
 	"testing"
@@ -85,7 +86,7 @@ func TestScaleCH100(t *testing.T) {
 	var chSettled, dijSettled int
 	for i := 0; i < 20; i++ {
 		q0 := time.Now()
-		res, err := ix.Query(s, d)
+		res, err := ix.QueryCtx(context.Background(), s, d)
 		chTime += time.Since(q0)
 		if err != nil {
 			t.Fatal(err)
