@@ -1,10 +1,10 @@
 # Tiered verification for the ATIS reproduction.
 #
 #   make test   — tier 1: build + unit tests (the seed gate)
-#   make lint   — atislint: eight project-specific analyzers enforcing
+#   make lint   — atislint: seven project-specific analyzers enforcing
 #                 the engine's concurrency and hot-path invariants
-#                 (lockscope, costversion, poolpair, recorderguard,
-#                 ctxcheck, spanend, hotpath, immutsnapshot); hotpath and
+#                 (lockscope, poolpair, recorderguard, ctxcheck,
+#                 spanend, hotpath, immutsnapshot); hotpath and
 #                 immutsnapshot are interprocedural over the whole-program
 #                 call graph. `-format json|sarif` for machine output.
 #   make check  — tier 2: vet + lint + full suite under the race
@@ -36,7 +36,7 @@
 #   make bench-trace — span-tracing suite: instrumented kernels with
 #                 tracing disabled vs fully sampled (target: 0 extra
 #                 allocs and < 1% when disabled), see BENCH_PR7.json
-#   make bench-lint — time the eight-analyzer atislint run over the
+#   make bench-lint — time the seven-analyzer atislint run over the
 #                 module (type-check excluded); keeps the interprocedural
 #                 hotpath/immutsnapshot passes honest as the graph grows
 #   make bench-snapshot — reader latency under a sustained mutation

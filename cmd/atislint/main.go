@@ -1,7 +1,7 @@
 // Command atislint runs the project's static-analysis suite: the
 // analyzers that mechanically enforce the engine's concurrency and
-// hot-path invariants — lock scope, cost-version bumps, pool pairing,
-// the telemetry fast-path guard, kernel context polling, span lifecycle,
+// hot-path invariants — lock scope, pool pairing, the telemetry
+// fast-path guard, kernel context polling, span lifecycle,
 // hot-path allocation freedom, and snapshot immutability (see
 // internal/lint and the "Static analysis" section of the README;
 // `atislint -list` prints the current set).

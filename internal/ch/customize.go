@@ -57,7 +57,7 @@ type Metric struct {
 // service serialises mutations behind its write lock).
 func (t *Topology) Customize(g *graph.Graph) (*Metric, error) {
 	if !t.Matches(g) {
-		return nil, fmt.Errorf("ch: graph (%d nodes, %d edges) does not match topology (%d nodes, %d edges); structural rebuild required",
+		return nil, fmt.Errorf("ch: graph (%d nodes, %d edges) does not share the structure of the topology's graph (%d nodes, %d edges); structural rebuild required",
 			g.NumNodes(), g.NumEdges(), t.n, t.m)
 	}
 	A := len(t.heads)

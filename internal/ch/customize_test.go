@@ -180,6 +180,41 @@ func TestCustomizeRejectsStructuralMismatch(t *testing.T) {
 	}
 }
 
+// TestNewIndexRefusesForeignStructure: a topology answers only for the
+// graph it was built from and that graph's clones. A graph with the same
+// node and edge counts but other arcs would have its costs seeded into
+// the wrong skeleton slots, and even a separate build of the same arcs is
+// refused, because Matches compares structure identity, not shape.
+func TestNewIndexRefusesForeignStructure(t *testing.T) {
+	build := func(arcs [][2]graph.NodeID) *graph.Graph {
+		b := graph.NewBuilder(4, len(arcs))
+		for i := 0; i < 4; i++ {
+			b.AddNode(float64(i), 0)
+		}
+		for _, a := range arcs {
+			b.AddEdge(a[0], a[1], 1)
+		}
+		return b.MustBuild()
+	}
+	path := [][2]graph.NodeID{{0, 1}, {1, 2}, {2, 3}}
+	g := build(path)
+	topo, err := BuildTopology(g, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := topo.NewIndex(g.Clone()); err != nil {
+		t.Fatalf("a clone of the topology's graph was refused: %v", err)
+	}
+	for name, h := range map[string]*graph.Graph{
+		"other arcs":     build([][2]graph.NodeID{{0, 2}, {2, 1}, {1, 3}}),
+		"separate build": build(path),
+	} {
+		if _, err := topo.NewIndex(h); err == nil {
+			t.Errorf("%s: NewIndex accepted a graph of another structure with equal counts", name)
+		}
+	}
+}
+
 // TestConcurrentQueriesDuringCustomization exercises the sharing contract
 // under -race: many goroutines query a live index while others customize
 // fresh metrics from the same topology. The topology is read-only for

@@ -32,8 +32,9 @@ import (
 //
 //atis:immutable
 type Topology struct {
-	n int // nodes of the source graph
-	m int // directed edges of the source graph (structural fingerprint)
+	src *graph.Graph // the graph built from; Matches compares structures with it
+	n   int          // nodes of the source graph
+	m   int          // directed edges of the source graph
 
 	rank  []int32        // contraction order; higher = more important
 	order []graph.NodeID // order[r] = the node contracted r-th
@@ -117,14 +118,11 @@ func sliceBytes[T any](s []T) int {
 // important). It panics on out-of-range nodes, mirroring slice indexing.
 func (t *Topology) Rank(u graph.NodeID) int { return int(t.rank[u]) }
 
-// Matches reports whether g has the node and edge counts the topology was
-// built from. Graph structure is immutable in this codebase, so matching
-// counts mean the topology's skeleton is valid for g; callers swapping in
-// a structurally different graph with coincidentally equal counts violate
-// the contract and must rebuild.
-func (t *Topology) Matches(g *graph.Graph) bool {
-	return g.NumNodes() == t.n && g.NumEdges() == t.m
-}
+// Matches reports whether g shares the structure the topology was built
+// from (graph.SameStructure): the graph itself or a Clone of it, whatever
+// its costs. A graph built separately does not match, even one with the
+// same node and edge counts, so its skeleton can never be misapplied.
+func (t *Topology) Matches(g *graph.Graph) bool { return g.SameStructure(t.src) }
 
 // findArc returns the position of the skeleton arc {x, y} in the row of
 // its lower endpoint x. The arc exists for every consecutive pair of a
@@ -344,6 +342,7 @@ func BuildTopology(g *graph.Graph, opts Options) (*Topology, error) {
 // weight slots.
 func (b *tbuilder) freeze(g *graph.Graph, workers int) *Topology {
 	t := &Topology{
+		src:   g,
 		n:     b.n,
 		m:     g.NumEdges(),
 		rank:  b.rank,

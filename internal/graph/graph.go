@@ -8,9 +8,11 @@
 // because the paper's estimator functions (euclidean and manhattan distance)
 // are defined over node positions.
 //
-// Graphs are built with a Builder and are immutable in structure afterwards;
-// edge costs may be updated in place to model real-time travel-time feeds
-// (the ATIS motivation of the paper's introduction).
+// Graphs are built with a Builder. The structure (nodes, coordinates, names
+// and edges) is immutable afterwards and shared by every Clone; edge costs
+// are the one per-graph value, changed through ApplyBatch to model
+// real-time travel-time feeds (the ATIS motivation of the paper's
+// introduction).
 package graph
 
 import (
@@ -59,11 +61,14 @@ func (p Point) ManhattanDistance(q Point) float64 {
 }
 
 // Graph is a directed graph in compressed sparse row (CSR) form. The
-// structure (node and edge sets) is immutable once built; edge costs may be
-// updated through ApplyBatch to model dynamic travel times.
+// structure (node and edge sets, coordinates, names) is immutable once
+// built and shared by every Clone; edge costs are the graph's own and
+// change only through ApplyBatch, to model dynamic travel times.
 type Graph struct {
 	// offsets has length NumNodes()+1; the outgoing arcs of node u occupy
 	// heads[offsets[u]:offsets[u+1]] and costs[offsets[u]:offsets[u+1]].
+	// All fields but costs and rev are the shared structure, never
+	// written after Build.
 	offsets []int32
 	heads   []NodeID
 	costs   []float64
@@ -71,21 +76,9 @@ type Graph struct {
 	names   map[string]NodeID // optional landmark names; may be nil
 	labels  []string          // reverse of names; empty strings where unnamed
 
-	// costVersion counts cost mutations; ReverseView uses it to decide
-	// whether its cached reverse graph still reflects the current costs.
-	costVersion atomic.Uint64
-	rev         atomic.Pointer[reverseSnapshot]
-}
-
-// reverseSnapshot pairs a built reverse graph with the cost version it was
-// built under. Once stored in g.rev it is shared by every concurrent
-// reader, so it is never edited in place — a cost change publishes a whole
-// new snapshot.
-//
-//atis:immutable
-type reverseSnapshot struct {
-	version uint64
-	g       *Graph
+	// rev caches ReverseView's reverse graph for the current costs;
+	// ApplyBatch clears it when it changes a cost.
+	rev atomic.Pointer[Graph]
 }
 
 // NumNodes returns the number of nodes in the graph.
@@ -159,11 +152,6 @@ func (g *Graph) ArcCost(u, v NodeID) (float64, bool) {
 	return best, true
 }
 
-// CostVersion returns the number of cost mutations applied to the graph
-// since construction. Two reads returning the same version bracket a window
-// in which every edge cost was stable.
-func (g *Graph) CostVersion() uint64 { return g.costVersion.Load() }
-
 // EdgeCostChange is one entry of an ApplyBatch traffic update: the directed
 // edge (Tail, Head) either has its cost set to Cost (Scale false) or
 // multiplied by Cost (Scale true). Either way the change covers every
@@ -175,13 +163,12 @@ type EdgeCostChange struct {
 	Scale bool
 }
 
-// ApplyBatch applies a burst of edge-cost changes atomically with respect
-// to version accounting: the whole batch is validated up front (no partial
-// application on a bad entry), every change is applied, and costVersion is
-// bumped exactly once if anything changed — so version-keyed consumers
-// (ReverseView, a ch.Metric, the route cache) invalidate once per batch
-// instead of once per edge. It returns the number of changes that matched
-// at least one edge.
+// ApplyBatch applies a burst of edge-cost changes as one update: the whole
+// batch is validated up front (no partial application on a bad entry),
+// then every change is applied, and the cached ReverseView is dropped if
+// any cost changed. It returns the number of entries that changed at least
+// one cost; an entry that matches no edge, or sets or scales every edge it
+// matches to the cost it already has, is not counted.
 //
 // Entries are applied in order; later entries targeting the same pair win
 // (for Scale entries, compound). Every cost the batch produces must be
@@ -213,25 +200,27 @@ func (g *Graph) ApplyBatch(changes []EdgeCostChange) (int, error) {
 	}
 	applied := 0
 	for _, ch := range changes {
-		found := false
+		changed := false
 		lo, hi := g.offsets[ch.Tail], g.offsets[ch.Tail+1]
 		for i := lo; i < hi; i++ {
 			if g.heads[i] != ch.Head {
 				continue
 			}
+			c := ch.Cost
 			if ch.Scale {
-				g.costs[i] *= ch.Cost
-			} else {
-				g.costs[i] = ch.Cost
+				c *= g.costs[i]
 			}
-			found = true
+			if c != g.costs[i] {
+				g.costs[i] = c
+				changed = true
+			}
 		}
-		if found {
+		if changed {
 			applied++
 		}
 	}
 	if applied > 0 {
-		g.costVersion.Add(1)
+		g.rev.Store(nil)
 	}
 	return applied, nil
 }
@@ -346,30 +335,25 @@ func (g *Graph) Bounds() (min, max Point) {
 	return min, max
 }
 
-// Clone returns a deep copy of the graph. Cost mutations on the copy do not
-// affect the original; the route service uses this to apply traffic updates
-// on a private snapshot.
+// Clone returns a graph that shares g's structure and owns a copy of its
+// costs, so cost changes on the copy do not affect the original. It costs
+// one O(E) copy of the cost slice; the route service applies each traffic
+// update to a clone of the published snapshot.
 func (g *Graph) Clone() *Graph {
-	c := &Graph{
-		offsets: append([]int32(nil), g.offsets...),
-		heads:   append([]NodeID(nil), g.heads...),
+	return &Graph{
+		offsets: g.offsets,
+		heads:   g.heads,
 		costs:   append([]float64(nil), g.costs...),
-		points:  append([]Point(nil), g.points...),
-		labels:  append([]string(nil), g.labels...),
+		points:  g.points,
+		names:   g.names,
+		labels:  g.labels,
 	}
-	if g.names != nil {
-		c.names = make(map[string]NodeID, len(g.names))
-		for k, v := range g.names {
-			c.names[k] = v
-		}
-	}
-	// The clone carries the source's cost version (though not its reverse
-	// cache): version-stamped artifacts such as a ch.Index built from a
-	// clone remain valid for the original at the same version, which is how
-	// the route service rebuilds hierarchies off-lock from a snapshot.
-	c.costVersion.Store(g.costVersion.Load())
-	return c
 }
+
+// SameStructure reports whether g and h share one structure: h is g, or
+// one descends from the other, or both from a third graph, through Clone.
+// Two graphs built separately never share a structure, however alike.
+func (g *Graph) SameStructure(h *Graph) bool { return &g.offsets[0] == &h.offsets[0] }
 
 // Reverse returns a new graph with every edge direction flipped and costs
 // preserved. Shortest paths to a fixed destination in g are shortest paths
@@ -395,22 +379,21 @@ func (g *Graph) Reverse() *Graph {
 	return rg
 }
 
-// ReverseView returns the reverse graph, rebuilding it only when edge costs
-// have changed since the last call — the cost-generation-aware cache that
-// closes the last per-query O(m) allocation in bidirectional search.
+// ReverseView returns the reverse graph, built on first use and cached
+// until ApplyBatch changes a cost — the cache that closes the last
+// per-query O(m) allocation in bidirectional search.
 //
-// Concurrent readers may race to build the first snapshot after a mutation;
+// Concurrent readers may race to build the first reverse after a change;
 // both builds are correct and one simply wins the store. Callers must
 // uphold the package-wide contract that costs are not mutated concurrently
 // with reads (the route service serialises mutations behind its write
 // lock), and must treat the returned graph as read-only.
 func (g *Graph) ReverseView() *Graph {
-	v := g.costVersion.Load()
-	if snap := g.rev.Load(); snap != nil && snap.version == v {
-		return snap.g
+	if rg := g.rev.Load(); rg != nil {
+		return rg
 	}
 	rg := g.Reverse()
-	g.rev.Store(&reverseSnapshot{version: v, g: rg})
+	g.rev.Store(rg)
 	return rg
 }
 

@@ -154,23 +154,22 @@ func TestArcCostParallelEdgesPicksCheapest(t *testing.T) {
 // negative factors) while a Set entry may still make an edge free.
 func TestScaleFactorMustBePositive(t *testing.T) {
 	g := line(t, 3)
-	v0 := g.CostVersion()
+	r0 := g.ReverseView()
 	for _, f := range []float64{0, math.Copysign(0, -1), math.NaN(), -1} {
 		if _, err := g.ApplyBatch([]EdgeCostChange{{Tail: 0, Head: 1, Cost: f, Scale: true}}); err == nil {
 			t.Errorf("ApplyBatch accepted scale factor %v", f)
 		}
 	}
-	if c, _ := g.ArcCost(0, 1); c != 1 || g.CostVersion() != v0 {
-		t.Errorf("after rejected factors: cost %v version %d, want 1 and %d", c, g.CostVersion(), v0)
+	if c, _ := g.ArcCost(0, 1); c != 1 || g.ReverseView() != r0 {
+		t.Errorf("after rejected factors: cost %v, want 1 and the reverse view kept", c)
 	}
 	if _, err := g.ApplyBatch([]EdgeCostChange{{Tail: 0, Head: 1, Cost: 0}}); err != nil {
 		t.Errorf("ApplyBatch refused a zero set cost: %v", err)
 	}
 }
 
-func TestApplyBatchBumpsVersionOnce(t *testing.T) {
+func TestApplyBatchAppliesEveryEntry(t *testing.T) {
 	g := line(t, 4)
-	v0 := g.CostVersion()
 	n, err := g.ApplyBatch([]EdgeCostChange{
 		{Tail: 0, Head: 1, Cost: 7},
 		{Tail: 1, Head: 2, Cost: 2, Scale: true},
@@ -178,9 +177,6 @@ func TestApplyBatchBumpsVersionOnce(t *testing.T) {
 	})
 	if err != nil || n != 3 {
 		t.Fatalf("ApplyBatch = %d, %v; want 3 applied", n, err)
-	}
-	if got := g.CostVersion(); got != v0+1 {
-		t.Errorf("version after 3-edge batch = %d, want %d (one bump per batch)", got, v0+1)
 	}
 	if c, _ := g.ArcCost(0, 1); c != 7 {
 		t.Errorf("set cost = %v, want 7", c)
@@ -195,7 +191,7 @@ func TestApplyBatchBumpsVersionOnce(t *testing.T) {
 
 func TestApplyBatchValidatesBeforeApplying(t *testing.T) {
 	g := line(t, 3)
-	v0 := g.CostVersion()
+	r0 := g.ReverseView()
 	// The second entry is invalid: nothing from the batch may land.
 	if _, err := g.ApplyBatch([]EdgeCostChange{
 		{Tail: 0, Head: 1, Cost: 9},
@@ -206,8 +202,8 @@ func TestApplyBatchValidatesBeforeApplying(t *testing.T) {
 	if c, _ := g.ArcCost(0, 1); c != 1 {
 		t.Errorf("cost after rejected batch = %v, want untouched 1", c)
 	}
-	if g.CostVersion() != v0 {
-		t.Errorf("version bumped by a rejected batch")
+	if g.ReverseView() != r0 {
+		t.Errorf("a rejected batch dropped the reverse view")
 	}
 	for _, ch := range []EdgeCostChange{{Tail: 0, Head: 99, Cost: 1}, {Tail: 99, Head: 1, Cost: 3}} {
 		if _, err := g.ApplyBatch([]EdgeCostChange{ch}); err == nil {
@@ -215,13 +211,36 @@ func TestApplyBatchValidatesBeforeApplying(t *testing.T) {
 		}
 	}
 	// Entries that match no edge are not an error, just not counted; a
-	// batch applying nothing leaves the version alone.
+	// batch applying nothing keeps the reverse view.
 	n, err := g.ApplyBatch([]EdgeCostChange{{Tail: 0, Head: 2, Cost: 1}})
 	if err != nil || n != 0 {
 		t.Fatalf("no-match batch = %d, %v; want 0, nil", n, err)
 	}
-	if g.CostVersion() != v0 {
-		t.Errorf("no-op batch bumped the version")
+	if g.ReverseView() != r0 {
+		t.Errorf("a no-match batch dropped the reverse view")
+	}
+}
+
+// TestApplyBatchCountsOnlyChangedCosts: an entry counts only if it changes
+// a cost. Re-setting an edge to its cost, or scaling it by 1, changes
+// nothing, so a batch of such entries reports 0 and keeps the reverse
+// view; in a mixed batch only the changing entry counts.
+func TestApplyBatchCountsOnlyChangedCosts(t *testing.T) {
+	g := line(t, 3)
+	r0 := g.ReverseView()
+	n, err := g.ApplyBatch([]EdgeCostChange{{Tail: 0, Head: 1, Cost: 1}, {Tail: 1, Head: 2, Cost: 1, Scale: true}})
+	if err != nil || n != 0 {
+		t.Fatalf("no-op batch = %d, %v; want 0, nil", n, err)
+	}
+	if g.ReverseView() != r0 {
+		t.Error("a batch that changed no cost dropped the reverse view")
+	}
+	n, err = g.ApplyBatch([]EdgeCostChange{{Tail: 0, Head: 1, Cost: 1}, {Tail: 1, Head: 2, Cost: 3}})
+	if err != nil || n != 1 {
+		t.Fatalf("mixed batch = %d, %v; want 1, nil", n, err)
+	}
+	if g.ReverseView() == r0 {
+		t.Error("a batch that changed a cost kept the stale reverse view")
 	}
 }
 
@@ -236,7 +255,7 @@ func TestApplyBatchRejectsNonFiniteResults(t *testing.T) {
 	if _, err := g.ApplyBatch([]EdgeCostChange{{Tail: 0, Head: 1, Cost: 5}}); err != nil {
 		t.Fatal(err)
 	}
-	v0 := g.CostVersion()
+	r0 := g.ReverseView()
 	for name, batch := range map[string][]EdgeCostChange{
 		"compounded overflow then zero": {
 			{Tail: 1, Head: 2, Cost: 4},
@@ -258,8 +277,8 @@ func TestApplyBatchRejectsNonFiniteResults(t *testing.T) {
 		if c, _ := g.ArcCost(1, 2); c != 1 {
 			t.Errorf("%s: cost of the batch's valid entry = %v, want untouched 1", name, c)
 		}
-		if g.CostVersion() != v0 {
-			t.Errorf("%s: version bumped by a rejected batch", name)
+		if g.ReverseView() != r0 {
+			t.Errorf("%s: a rejected batch dropped the reverse view", name)
 		}
 	}
 	// Large factors whose product stays finite still compound.
@@ -281,20 +300,14 @@ func TestApplyBatchRejectsNonFiniteResults(t *testing.T) {
 // changes nothing. An edge that is already free may still be scaled.
 func TestScaleRefusesUnderflowToZero(t *testing.T) {
 	tiny := EdgeCostChange{Tail: 0, Head: 1, Cost: 1e-200, Scale: true}
-	check := func(t *testing.T, g *Graph, v0 uint64) {
-		t.Helper()
-		if c, _ := g.ArcCost(0, 1); c != 1e-200 || g.CostVersion() != v0 {
-			t.Errorf("after the refusal: cost %v version %d, want 1e-200 and %d", c, g.CostVersion(), v0)
-		}
-	}
 	t.Run("one batch", func(t *testing.T) {
 		g := line(t, 3)
-		v0 := g.CostVersion()
+		r0 := g.ReverseView()
 		if _, err := g.ApplyBatch([]EdgeCostChange{tiny, tiny}); err == nil {
 			t.Fatal("ApplyBatch accepted a batch that underflows cost 1 to 0")
 		}
-		if c, _ := g.ArcCost(0, 1); c != 1 || g.CostVersion() != v0 {
-			t.Errorf("after the refusal: cost %v version %d, want 1 and %d", c, g.CostVersion(), v0)
+		if c, _ := g.ArcCost(0, 1); c != 1 || g.ReverseView() != r0 {
+			t.Errorf("after the refusal: cost %v, want 1 and the reverse view kept", c)
 		}
 	})
 	t.Run("two batches", func(t *testing.T) {
@@ -302,11 +315,13 @@ func TestScaleRefusesUnderflowToZero(t *testing.T) {
 		if _, err := g.ApplyBatch([]EdgeCostChange{tiny}); err != nil {
 			t.Fatal(err)
 		}
-		v1 := g.CostVersion()
+		r1 := g.ReverseView()
 		if _, err := g.ApplyBatch([]EdgeCostChange{{Tail: 1, Head: 2, Cost: 2, Scale: true}, tiny}); err == nil {
 			t.Fatal("ApplyBatch accepted a factor that underflows cost 1e-200 to 0")
 		}
-		check(t, g, v1)
+		if c, _ := g.ArcCost(0, 1); c != 1e-200 || g.ReverseView() != r1 {
+			t.Errorf("after the refusal: cost %v, want 1e-200 and the reverse view kept", c)
+		}
 		if c, _ := g.ArcCost(1, 2); c != 1 {
 			t.Errorf("the refused batch's valid entry landed: cost %v, want 1", c)
 		}
@@ -402,9 +417,18 @@ func TestBounds(t *testing.T) {
 	}
 }
 
-func TestCloneIsDeep(t *testing.T) {
+// TestCloneSharesStructureNotCosts: a clone shares its source's
+// structure, and only that — a separate build of the same arcs does not —
+// while its costs are its own in both directions.
+func TestCloneSharesStructureNotCosts(t *testing.T) {
 	g := line(t, 4)
 	c := g.Clone()
+	if !g.SameStructure(c) || !c.Clone().SameStructure(g) {
+		t.Error("a clone does not share its source's structure")
+	}
+	if g.SameStructure(line(t, 4)) {
+		t.Error("a separately built graph shares the structure")
+	}
 	if _, err := c.ApplyBatch([]EdgeCostChange{{Tail: 0, Head: 1, Cost: 42}}); err != nil {
 		t.Fatal(err)
 	}

@@ -44,24 +44,20 @@ func TestReverseViewCachesUntilCostChange(t *testing.T) {
 	if r4 := g.ReverseView(); r4 != r3 {
 		t.Fatal("ReverseView rebuilt again without a mutation")
 	}
-}
 
-func TestCostVersionBumpsOnMutation(t *testing.T) {
-	g := buildTriangle(t)
-	v0 := g.CostVersion()
+	// A scale entry changes a cost too; an entry matching no edge does not.
 	if _, err := g.ApplyBatch([]EdgeCostChange{{Tail: 0, Head: 1, Cost: 2, Scale: true}}); err != nil {
 		t.Fatal(err)
 	}
-	if g.CostVersion() != v0+1 {
-		t.Fatalf("a scale entry did not bump the cost version: %d → %d", v0, g.CostVersion())
+	r5 := g.ReverseView()
+	if r5 == r3 {
+		t.Fatal("ReverseView served a stale reverse after a scale entry")
 	}
-	// A miss (no such edge) must not bump.
-	v1 := g.CostVersion()
 	if n, err := g.ApplyBatch([]EdgeCostChange{{Tail: 0, Head: 2, Cost: 9}}); err != nil || n != 0 {
 		t.Fatalf("set (0,2) = %d, %v; want 0, nil", n, err)
 	}
-	if g.CostVersion() != v1 {
-		t.Fatal("cost version bumped on a no-op mutation")
+	if g.ReverseView() != r5 {
+		t.Fatal("ReverseView rebuilt after a batch that matched no edge")
 	}
 }
 

@@ -486,7 +486,7 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 // way.
 func snapshotBody(sn *route.Snapshot) map[string]any {
 	return map[string]any{
-		"version":     sn.CostVersion(),
+		"version":     sn.CostGeneration(), // kept for wire compatibility
 		"generation":  sn.Generation(),
 		"publishedAt": sn.PublishedAt().UTC().Format(time.RFC3339Nano),
 	}
@@ -590,9 +590,11 @@ func (s *Server) decodeBody(w http.ResponseWriter, r *http.Request, v any) bool 
 // {"changes":[{"from":"A","to":"B","cost":3.5},{"from":"7","to":"8","factor":2}]}.
 // Each change names a directed edge by landmark name or node id and sets
 // either an absolute cost or a multiplicative factor (exactly one). The
-// whole batch is validated first and applied atomically — one cost-version
-// bump, one route-cache invalidation, one CH metric customization — so a
-// half-applied feed tick is never observable.
+// whole batch is validated first and applied atomically — one
+// cost-generation bump, one route-cache invalidation, one CH metric
+// customization — so a half-applied feed tick is never observable. The
+// answer's affectedEdges counts the changes that altered at least one
+// edge cost; a batch that alters none publishes nothing.
 func (s *Server) handleTrafficBatch(w http.ResponseWriter, r *http.Request) {
 	var body struct {
 		Changes []struct {

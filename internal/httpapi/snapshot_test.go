@@ -38,6 +38,11 @@ func TestSnapshotHeaderAdvancesOnMutation(t *testing.T) {
 // the CH readiness block.
 func TestSnapshotEndpoint(t *testing.T) {
 	ts := newTestServer(t)
+	// One traffic mutation, so the cost generation the version field
+	// carries is not the zero every counter starts at.
+	if resp := postJSON(t, ts.URL+"/v1/traffic", `{"x":16,"y":16,"radius":5,"factor":2}`, nil); resp.StatusCode != http.StatusOK {
+		t.Fatalf("POST /v1/traffic: %d", resp.StatusCode)
+	}
 
 	var body struct {
 		Version        uint64         `json:"version"`
@@ -52,6 +57,10 @@ func TestSnapshotEndpoint(t *testing.T) {
 	}
 	if body.Generation == 0 {
 		t.Error("snapshot generation is 0; the seed snapshot publishes at 1")
+	}
+	// "version" is the cost generation under its older wire name.
+	if body.CostGeneration != 1 || body.Version != body.CostGeneration {
+		t.Errorf("version %d, costGeneration %d; want both 1", body.Version, body.CostGeneration)
 	}
 	if body.PublishedAt == "" {
 		t.Error("snapshot publishedAt missing")

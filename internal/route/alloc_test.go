@@ -21,7 +21,7 @@ func TestSnapshotReadPathZeroAlloc(t *testing.T) {
 	var sink uint64
 	allocs := testing.AllocsPerRun(200, func() {
 		sn := s.Snapshot()
-		sink += sn.CostGeneration() + sn.Generation() + sn.CostVersion()
+		sink += sn.CostGeneration() + sn.Generation()
 		sink += s.CostGeneration()
 		if sn.Graph() == nil || sn.CH() == nil {
 			t.Fatal("warmed snapshot missing graph or index")

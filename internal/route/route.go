@@ -50,16 +50,17 @@ import (
 // queries proceed with zero coordination — no query ever blocks behind a
 // mutator, however long the mutator's customization pass runs. The
 // traffic mutators (ApplyRegionCongestionCtx, ApplyTrafficBatchCtx,
-// ResetTrafficCtx) and EnableCH serialize on writeMu; the mutators share
-// one write path (mutateLocked) that clones the current graph, applies
-// their changes to the clone as one graph.ApplyBatch, re-customizes the
-// hierarchy's metric for the new costs, and swaps the finished Snapshot
-// in. The route cache
-// is keyed on (endpoints, options, snapshot cost generation) and has its
-// own per-shard locks; a publish retires every stale entry at once by
-// changing the generation new requests key on.
+// ResetTrafficCtx) and EnableCH serialize on writeMu. The batch and region
+// mutators clone the current graph — a copy of its costs, sharing its
+// structure — and apply their changes to the clone as one
+// graph.ApplyBatch (mutateLocked); a reset clones the pristine base
+// instead. Either way one publish (publishLocked) re-customizes the
+// hierarchy's metric for the new costs and swaps the finished Snapshot
+// in. The route cache is keyed on (endpoints, options, snapshot cost
+// generation) and has its own per-shard locks; a publish retires every
+// stale entry at once by changing the generation new requests key on.
 type Service struct {
-	base *graph.Graph // pristine costs, for congestion ratios and reset
+	base *graph.Graph // pristine costs, for congestion ratios, reset and the CH topology
 
 	// snap is the published read view; see Snapshot. writeMu serializes
 	// everyone who publishes a successor (traffic mutators, EnableCH), so
@@ -101,9 +102,10 @@ type Service struct {
 	trafficBatches     *telemetry.Counter
 }
 
-// NewService snapshots g (deep copies) so traffic updates never touch the
-// caller's graph. The service records its metrics into a private registry;
-// use NewServiceWithRegistry to share one.
+// NewService snapshots g (a Clone, sharing its structure and copying its
+// costs) so traffic updates never touch the caller's graph. The service
+// records its metrics into a private registry; use NewServiceWithRegistry
+// to share one.
 func NewService(g *graph.Graph) *Service {
 	return NewServiceWithRegistry(g, telemetry.NewRegistry())
 }
@@ -378,7 +380,10 @@ func (s *Service) EnableCH() error {
 	defer s.writeMu.Unlock()
 	cur := s.snap.Load()
 	if s.chTopo == nil {
-		t, err := s.buildTopology(ctx, cur.graph)
+		// base shares every snapshot's structure and lives as long as the
+		// service, so the topology, which keeps the graph it was built
+		// from, pins no retired snapshot's costs.
+		t, err := s.buildTopology(ctx, s.base)
 		if err != nil {
 			return fmt.Errorf("route: building contraction hierarchy: %w", err)
 		}
@@ -644,11 +649,12 @@ func (s *Service) DisplayReachable(from graph.NodeID, budget float64, width, hei
 }
 
 // ApplyRegionCongestionCtx scales every edge with both endpoints within
-// radius of center — a congested downtown at rush hour. It returns the
-// number of directed edges affected. The whole region lands as one
-// publish: one cost-generation bump, one cache invalidation, one
-// customization pass. ctx carries the caller's trace, so the
-// customization shows up as a span of the mutating request.
+// radius of center by factor — a congested downtown at rush hour. It
+// returns the number of (tail, head) pairs whose cost changed; parallel
+// edges of one pair count once, and each keeps its own scaled cost. The
+// whole region lands as one publish: one cost-generation bump, one cache
+// invalidation, one customization pass. ctx carries the caller's trace,
+// so the customization shows up as a span of the mutating request.
 func (s *Service) ApplyRegionCongestionCtx(ctx context.Context, center graph.Point, radius, factor float64) (int, error) {
 	if !(factor > 0) {
 		return 0, fmt.Errorf("route: congestion factor %v must be positive", factor)
@@ -665,11 +671,25 @@ func (s *Service) ApplyRegionCongestionCtx(ctx context.Context, center graph.Poi
 			return 0, err
 		}
 		if cur.graph.Point(e.Tail).EuclideanDistance(center) <= radius &&
-			cur.graph.Point(e.Head).EuclideanDistance(center) <= radius {
-			changes = append(changes, graph.EdgeCostChange{Tail: e.Tail, Head: e.Head, Cost: e.Cost * factor})
+			cur.graph.Point(e.Head).EuclideanDistance(center) <= radius &&
+			!pairListed(changes, e) {
+			changes = append(changes, graph.EdgeCostChange{Tail: e.Tail, Head: e.Head, Cost: factor, Scale: true})
 		}
 	}
-	return s.mutateLocked(ctx, cur, changes, false)
+	return s.mutateLocked(ctx, cur, changes)
+}
+
+// pairListed reports whether changes already holds an entry for e's
+// (tail, head) pair. A Scale entry covers every parallel edge of its
+// pair, so a second one would scale them twice. Edges() is tail-major, so
+// only the trailing entries with e's tail need checking.
+func pairListed(changes []graph.EdgeCostChange, e graph.Edge) bool {
+	for i := len(changes) - 1; i >= 0 && changes[i].Tail == e.Tail; i-- {
+		if changes[i].Head == e.Head {
+			return true
+		}
+	}
+	return false
 }
 
 // ApplyTrafficBatchCtx applies a burst of edge-cost changes as one
@@ -683,26 +703,19 @@ func (s *Service) ApplyRegionCongestionCtx(ctx context.Context, center graph.Poi
 func (s *Service) ApplyTrafficBatchCtx(ctx context.Context, changes []graph.EdgeCostChange) (int, error) {
 	s.writeMu.Lock()
 	defer s.writeMu.Unlock()
-	affected, err := s.mutateLocked(ctx, s.snap.Load(), changes, false)
+	affected, err := s.mutateLocked(ctx, s.snap.Load(), changes)
 	if affected > 0 {
 		s.trafficBatches.Inc()
 	}
 	return affected, err
 }
 
-// ResetTrafficCtx restores every edge to its free-flow cost. It always
-// publishes, even when costs were already pristine — a reset is an
-// explicit traffic event and bumps the generation like any other.
+// ResetTrafficCtx restores every edge to its free-flow cost by
+// publishing a clone of the pristine base graph. It always publishes,
+// even when costs were already pristine — a reset is an explicit traffic
+// event and bumps the generation like any other.
 func (s *Service) ResetTrafficCtx(ctx context.Context) {
 	s.writeMu.Lock()
 	defer s.writeMu.Unlock()
-	edges := s.base.Edges()
-	changes := make([]graph.EdgeCostChange, len(edges))
-	for i, e := range edges {
-		changes[i] = graph.EdgeCostChange{Tail: e.Tail, Head: e.Head, Cost: e.Cost}
-	}
-	// base and the snapshot share structure; the batch cannot fail here.
-	if _, err := s.mutateLocked(ctx, s.snap.Load(), changes, true); err != nil {
-		panic(fmt.Sprintf("route: snapshot structure diverged: %v", err))
-	}
+	s.publishLocked(ctx, s.snap.Load(), s.base.Clone())
 }

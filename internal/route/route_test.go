@@ -188,6 +188,54 @@ func TestApplyRegionCongestion(t *testing.T) {
 	}
 }
 
+// parallelService serves a two-node network with parallel edges 0→1 of
+// costs 1 and 5 and one edge 1→0 of cost 2.
+func parallelService(t *testing.T) *Service {
+	t.Helper()
+	b := graph.NewBuilder(2, 3)
+	b.AddNode(0, 0)
+	b.AddNode(1, 0)
+	b.AddEdge(0, 1, 1)
+	b.AddEdge(0, 1, 5)
+	b.AddEdge(1, 0, 2)
+	return NewService(b.MustBuild())
+}
+
+// wantCosts checks the published costs of node 0's out-arcs and of 1→0.
+func wantCosts(t *testing.T, s *Service, par0, par1, back float64) {
+	t.Helper()
+	arcs := s.Graph().Arcs(0)
+	back1, _ := s.Graph().ArcCost(1, 0)
+	if len(arcs) != 2 || arcs[0].Cost != par0 || arcs[1].Cost != par1 || back1 != back {
+		t.Errorf("costs 0→1 %v and 1→0 %v, want parallel %v and %v, back %v", arcs, back1, par0, par1, back)
+	}
+}
+
+// TestResetKeepsParallelEdgesDistinct: a reset restores each parallel
+// edge to its own free-flow cost, not every edge of the pair to one.
+func TestResetKeepsParallelEdgesDistinct(t *testing.T) {
+	s := parallelService(t)
+	s.ResetTrafficCtx(context.Background())
+	wantCosts(t, s, 1, 5, 2)
+	if _, err := s.ApplyTrafficBatchCtx(context.Background(), []graph.EdgeCostChange{{Tail: 0, Head: 1, Cost: 3, Scale: true}}); err != nil {
+		t.Fatal(err)
+	}
+	s.ResetTrafficCtx(context.Background())
+	wantCosts(t, s, 1, 5, 2)
+}
+
+// TestRegionCongestionKeepsParallelEdgesDistinct: region congestion
+// scales each parallel edge once, from its own cost, and counts the pair
+// once.
+func TestRegionCongestionKeepsParallelEdgesDistinct(t *testing.T) {
+	s := parallelService(t)
+	n, err := s.ApplyRegionCongestionCtx(context.Background(), graph.Point{}, 10, 2)
+	if err != nil || n != 2 {
+		t.Fatalf("region congestion = %d, %v; want 2 pairs, nil", n, err)
+	}
+	wantCosts(t, s, 2, 10, 4)
+}
+
 func TestDisplayShowsRouteAndLandmarks(t *testing.T) {
 	s := NewService(mpls.MustGenerate(mpls.Config{}))
 	r, err := s.ComputeByName("G", "D", core.Options{})

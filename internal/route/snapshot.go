@@ -88,12 +88,6 @@ func (sn *Snapshot) CostGeneration() uint64 { return sn.gen }
 //atis:hotpath
 func (sn *Snapshot) Generation() uint64 { return sn.seq }
 
-// CostVersion is the underlying graph's cost-mutation counter, the
-// version CH metrics and reverse views are keyed on.
-//
-//atis:hotpath
-func (sn *Snapshot) CostVersion() uint64 { return sn.graph.CostVersion() }
-
 // PublishedAt is when the snapshot was swapped in.
 func (sn *Snapshot) PublishedAt() time.Time { return sn.publishedAt }
 
@@ -106,18 +100,15 @@ func (sn *Snapshot) PublishedAt() time.Time { return sn.publishedAt }
 //atis:hotpath
 func (s *Service) Snapshot() *Snapshot { return s.snap.Load() }
 
-// mutateLocked is the one write path every traffic mutator shares, with
-// writeMu held and cur the published snapshot: apply changes to a clone
-// of cur's graph as one graph.ApplyBatch and, when an entry matched an
-// edge or force is set, publish the clone — count the event,
-// re-customize the hierarchy's metric for the new costs (with a topology
-// in hand this is the entire price of keeping CH fresh — one bottom-up
-// triangle pass, no contraction), and swap the new world in. A rejected
-// batch publishes nothing. The previous snapshot is untouched
+// mutateLocked is the write path the batch and region mutators share,
+// with writeMu held and cur the published snapshot: apply changes to a
+// clone of cur's graph as one graph.ApplyBatch and, when an entry changed
+// a cost, publish the clone. A rejected batch, or one that changes no
+// cost, publishes nothing. The previous snapshot is untouched
 // throughout; readers that loaded it keep a complete, internally
 // consistent view until they finish.
-func (s *Service) mutateLocked(ctx context.Context, cur *Snapshot, changes []graph.EdgeCostChange, force bool) (int, error) {
-	if len(changes) == 0 && !force {
+func (s *Service) mutateLocked(ctx context.Context, cur *Snapshot, changes []graph.EdgeCostChange) (int, error) {
+	if len(changes) == 0 {
 		return 0, nil
 	}
 	next := cur.graph.Clone()
@@ -125,12 +116,20 @@ func (s *Service) mutateLocked(ctx context.Context, cur *Snapshot, changes []gra
 	if err != nil {
 		return 0, err
 	}
-	if n > 0 || force {
-		s.trafficUpdates.Inc()
-		ix := s.customizeFor(ctx, next)
-		s.snap.Store(newSnapshot(next, ix, cur.gen+1, cur.seq+1))
+	if n > 0 {
+		s.publishLocked(ctx, cur, next)
 	}
 	return n, nil
+}
+
+// publishLocked swaps in next, a graph no other goroutine holds, as the
+// successor of cur, with writeMu held: count the traffic event,
+// re-customize the hierarchy's metric for next's costs (with a topology
+// in hand this is the entire price of keeping CH fresh — one bottom-up
+// triangle pass, no contraction), and bump the cost generation.
+func (s *Service) publishLocked(ctx context.Context, cur *Snapshot, next *graph.Graph) {
+	s.trafficUpdates.Inc()
+	s.snap.Store(newSnapshot(next, s.customizeFor(ctx, next), cur.gen+1, cur.seq+1))
 }
 
 // customizeFor re-derives the hierarchy's metric for g's costs, or

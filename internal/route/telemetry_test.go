@@ -167,3 +167,36 @@ func TestMutatorContracts(t *testing.T) {
 		t.Errorf("after one traffic batch: generation %d, batches %d; want 3, 1", gen(), batches.Value())
 	}
 }
+
+// TestNoOpBatchPublishesNothing: a batch that re-sets an edge to its
+// current cost changes no cost, so it publishes no snapshot, keeps the
+// cached routes and pays no customization pass.
+func TestNoOpBatchPublishesNothing(t *testing.T) {
+	svc := gridService(t, 4)
+	if err := svc.EnableCH(); err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	customizations := svc.Registry().Counter("atis_ch_customizations_total", "")
+	if _, err := svc.ComputeCtx(ctx, 0, 15, core.Options{}); err != nil {
+		t.Fatal(err)
+	}
+	seq, c0 := svc.Snapshot().Generation(), customizations.Value()
+	cost, _ := svc.Graph().ArcCost(0, 1)
+	if n, err := svc.ApplyTrafficBatchCtx(ctx, []graph.EdgeCostChange{{Tail: 0, Head: 1, Cost: cost}}); err != nil || n != 0 {
+		t.Fatalf("no-op batch = %d, %v; want 0, nil", n, err)
+	}
+	if got := svc.Snapshot().Generation(); got != seq {
+		t.Errorf("no-op batch published: generation %d → %d", seq, got)
+	}
+	if got := customizations.Value(); got != c0 {
+		t.Errorf("no-op batch customized: %d → %d passes", c0, got)
+	}
+	hits0, _, _ := svc.CacheStats()
+	if _, err := svc.ComputeCtx(ctx, 0, 15, core.Options{}); err != nil {
+		t.Fatal(err)
+	}
+	if hits, _, _ := svc.CacheStats(); hits != hits0+1 {
+		t.Errorf("the cached route did not survive the no-op batch: hits %d → %d", hits0, hits)
+	}
+}

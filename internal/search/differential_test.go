@@ -4,6 +4,7 @@ import (
 	"context"
 	"math"
 	"math/rand"
+	"slices"
 	"sync"
 	"testing"
 
@@ -30,32 +31,32 @@ type kernel struct {
 }
 
 // chIndexes caches one contraction hierarchy per graph for the CH pseudo-
-// kernel below, stamped with the graph's cost version at build time and
-// rebuilt whenever that version has moved — exercised every time a
-// metamorphic test mutates costs between runs. sync.Map because the
-// differential harness also runs under -race with concurrent subtests.
+// kernel below, with the edge costs it was built at, and rebuilds it
+// whenever the graph's costs differ — exercised every time a metamorphic
+// test mutates costs between runs. sync.Map because the differential
+// harness also runs under -race with concurrent subtests.
 var chIndexes sync.Map // *graph.Graph → chEntry
 
-// chEntry is one cached hierarchy and the graph cost version it was
-// built at.
+// chEntry is one cached hierarchy and the graph's edges, costs included,
+// when it was built.
 type chEntry struct {
-	ix      *ch.Index
-	version uint64
+	ix    *ch.Index
+	edges []graph.Edge
 }
 
 // runCH adapts the contraction-hierarchy engine to the kernel signature,
 // (re)preprocessing on demand. Its settled/relaxed counters map onto the
 // trace's expansion counters like every other kernel's.
 func runCH(g *graph.Graph, s, d graph.NodeID) (Result, error) {
-	want := g.CostVersion()
+	edges := g.Edges()
 	v, ok := chIndexes.Load(g)
 	e, _ := v.(chEntry)
-	if !ok || e.version != want {
+	if !ok || !slices.Equal(e.edges, edges) {
 		ix, err := ch.Build(g, ch.Options{})
 		if err != nil {
 			return Result{}, err
 		}
-		e = chEntry{ix: ix, version: want}
+		e = chEntry{ix: ix, edges: edges}
 		chIndexes.Store(g, e)
 	}
 	res, err := e.ix.QueryCtx(context.Background(), s, d)
@@ -196,10 +197,10 @@ func TestKernelsAgreeOnRandomGrids(t *testing.T) {
 }
 
 // TestCHAgreesAfterRandomMutations interleaves random one-edge ApplyBatch
-// mutations with full-kernel agreement rounds. Every mutation bumps the
-// graph's cost version, so the CH pseudo-kernel's cached hierarchy goes
-// stale and must rebuild before its next answer — if the staleness check
-// ever consulted the wrong version, the stale hierarchy would answer with
+// mutations with full-kernel agreement rounds. Every mutation changes the
+// graph's costs, so the CH pseudo-kernel's cached hierarchy goes stale and
+// must rebuild before its next answer, and Bidirectional's cached reverse
+// view must be dropped — if either cache were kept, it would answer with
 // costs from a retired round and the agreement assertion would catch it.
 func TestCHAgreesAfterRandomMutations(t *testing.T) {
 	base, err := gridgen.Generate(gridgen.Config{K: 9, Model: gridgen.Variance, Seed: 77})
@@ -236,10 +237,10 @@ func TestCHAgreesAfterRandomMutations(t *testing.T) {
 
 // TestMetamorphicCostScaling checks the scaling relation: multiplying
 // every edge cost by λ must multiply the optimal cost by exactly λ,
-// for every kernel. The scaled graph is a Clone mutated through one-edge
-// ApplyBatch calls, which also exercises the costVersion bump path that
-// invalidates ReverseView — Bidirectional on the clone would silently
-// reuse a stale reverse adjacency if that bump were ever lost.
+// for every kernel. The scaled graph is a Clone of the original, which
+// shares its structure, mutated through one-edge ApplyBatch calls —
+// Bidirectional on the clone would answer with the original's costs if
+// the clone shared its cached reverse view.
 func TestMetamorphicCostScaling(t *testing.T) {
 	g, err := gridgen.Generate(gridgen.Config{K: 9, Model: gridgen.Variance, Seed: 42})
 	if err != nil {
