@@ -87,30 +87,21 @@ func BuildPath(prev []NodeID, source, dest NodeID) Path {
 	if dest < 0 || int(dest) >= len(prev) {
 		return Path{}
 	}
-	if source == dest {
-		return Path{Nodes: []NodeID{source}}
-	}
-	if prev[dest] == Invalid {
-		return Path{}
-	}
-	// Walk backwards bounding the walk by len(prev) to stay safe against a
-	// corrupted predecessor array with cycles.
-	rev := make([]NodeID, 0, 16)
-	for at := dest; at != Invalid; at = prev[at] {
-		rev = append(rev, at)
-		if at == source {
-			break
-		}
-		if len(rev) > len(prev) {
+	// Count the walk first so the path is one exact-size allocation,
+	// bounding it by len(prev) to stay safe against a corrupted
+	// predecessor array with cycles.
+	n := 1
+	for at := dest; at != source; n++ {
+		if n > len(prev) {
 			return Path{} // cycle: not a valid tree
 		}
+		if at = prev[at]; at == Invalid {
+			return Path{} // unreached, or a chain that misses the source
+		}
 	}
-	if rev[len(rev)-1] != source {
-		return Path{}
-	}
-	nodes := make([]NodeID, len(rev))
-	for i, u := range rev {
-		nodes[len(rev)-1-i] = u
+	nodes := make([]NodeID, n)
+	for i, at := n-1, dest; i >= 0; i-- {
+		nodes[i], at = at, prev[at]
 	}
 	return Path{Nodes: nodes}
 }

@@ -198,21 +198,26 @@ func BidirectionalCtx(ctx context.Context, g *graph.Graph, s, d graph.NodeID) (r
 	if meet == graph.Invalid || math.IsInf(best, 1) {
 		return notFound(tr), nil
 	}
-	// Stitch: s → … → meet from the forward tree, then meet → … → d from the
-	// backward tree's successor pointers. Every node on the winning path was
-	// touched this query, so the pooled label arrays are safe to follow.
-	//lint:ignore hotpath result materialisation: the stitched path is the query's one allocation
-	forward := graph.BuildPath(lbF.prev, s, meet)
-	nodes := append([]graph.NodeID(nil), forward.Nodes...)
-	for at := lbB.prev[meet]; at != graph.Invalid; {
-		nodes = append(nodes, at)
-		if at == d {
-			break
-		}
-		at = lbB.prev[at]
+	// Stitch s → … → meet from the forward tree and meet → … → d from the
+	// backward tree's successor pointers into one exact-size slice. Every
+	// node on the winning path was touched this query, so the pooled label
+	// arrays are safe to follow.
+	fwd := 1
+	for at := meet; at != s; at = lbF.prev[at] {
+		fwd++
 	}
-	if len(nodes) == 0 || nodes[len(nodes)-1] != d || nodes[0] != s {
-		return notFound(tr), nil
+	total := fwd
+	for at := meet; at != d; at = lbB.prev[at] {
+		total++
+	}
+	//lint:ignore hotpath result materialisation: the stitched path is the query's one allocation
+	nodes := make([]graph.NodeID, total)
+	for i, at := fwd-1, meet; i >= 0; i-- {
+		nodes[i], at = at, lbF.prev[at]
+	}
+	for i, at := fwd, meet; i < total; i++ {
+		at = lbB.prev[at]
+		nodes[i] = at
 	}
 	return Result{Found: true, Path: graph.Path{Nodes: nodes}, Cost: best, Trace: tr}, nil
 }

@@ -248,4 +248,21 @@ func TestDisabledZeroAlloc(t *testing.T) {
 	if allocs != 0 {
 		t.Fatalf("nil tracer StartRequest/Finish allocated %.1f per op, want 0", allocs)
 	}
+
+	// On a traced request the child span, its context node and the boxed
+	// attributes are the trace's deliberate cost; ending the span is not.
+	tracer := New(Config{SampleRate: 1})
+	rc, trace := tracer.StartRequest(ctx, "req", "")
+	c, sp := Start(rc, "kernel")
+	sp.SetInt("expansions", 42)
+	sp.SetStr("algo", "dijkstra")
+	sp.SetFloat("cost", 12.5)
+	sp.SetBool("found", true)
+	if FromContext(c) != sp || len(sp.attrs) != 4 {
+		t.Fatalf("live span not active or missing attributes: %+v", sp)
+	}
+	if allocs = testing.AllocsPerRun(1000, sp.End); allocs != 0 {
+		t.Fatalf("live span End allocated %.1f per op, want 0", allocs)
+	}
+	tracer.Finish(trace)
 }
