@@ -1,47 +1,51 @@
 # Tiered verification for the ATIS reproduction.
 #
 #   make test   — tier 1: build + unit tests (the seed gate)
-#   make lint   — atislint: seven project-specific analyzers enforcing
-#                 the engine's concurrency and hot-path invariants
-#                 (lockscope, poolpair, recorderguard, ctxcheck,
-#                 spanend, hotpath, immutsnapshot); hotpath and
-#                 immutsnapshot are interprocedural over the whole-program
+#   make lint   — atislint: five project-specific analyzers enforcing
+#                 the engine's concurrency invariants (lockscope,
+#                 poolpair, ctxcheck, spanend, immutsnapshot);
+#                 immutsnapshot is interprocedural over the whole-program
 #                 call graph. `-format json|sarif` for machine output.
+#                 The hot paths' allocation freedom is not linted: run
+#                 `go test -run 'ZeroAlloc|HotpathGateRegistry' ./...`
+#                 without -race (the AllocsPerRun gates skip under it).
 #   make check  — tier 2: vet + lint + full suite under the race
 #                 detector, exercising the concurrent query engine
 #                 (pooled workspaces, route cache, batch fan-out)
 #   make fuzz-short — 30-second bursts of every fuzz target (graphio
 #                 reader, quel parser, pqueue heap invariant)
 #   make bench  — regenerate the concurrent-engine benchmarks behind
-#                 BENCH_PR1.json
+#                 its row of the benchmark history in CHANGES.md
 #   make bench-telemetry — search kernel with telemetry off vs on; the
 #                 delta is the Recorder hook's cost (target < 2%), see
-#                 BENCH_PR2.json
+#                 its row of the benchmark history in CHANGES.md
 #   make bench-ch — contraction-hierarchy suite: preprocessing and
 #                 structural-pass cost (the structural pass at workers=1
 #                 beside the default, with their within-run ratio),
 #                 cached-index query vs
 #                 dijkstra/astar/alt, and the mutate-then-rebuild cycle,
-#                 see BENCH_PR4.json
+#                 see its row of the benchmark history in CHANGES.md
 #   make bench-admission — request-lifecycle suite: ctx-polling overhead
 #                 per kernel (base vs ctx in one run, target < 2%) and
 #                 the admission gate's grant/shed fast paths, see
-#                 BENCH_PR5.json
+#                 its row of the benchmark history in CHANGES.md
 #   make bench-customize — CCH metric-customization suite: re-pricing a
 #                 cached topology (k=30/48/64/100; k=48 is atisbench's
 #                 grid) vs full structural preprocessing at the same k,
 #                 plus the sustained snapshot-publishing traffic-stream
 #                 cycle,
-#                 see BENCH_PR6.json
+#                 see its row of the benchmark history in CHANGES.md
 #   make bench-trace — span-tracing suite: instrumented kernels with
 #                 tracing disabled vs fully sampled (target: 0 extra
-#                 allocs and < 1% when disabled), see BENCH_PR7.json
-#   make bench-lint — time the seven-analyzer atislint run over the
+#                 allocs and < 1% when disabled), see its row of the
+#                 benchmark history in CHANGES.md
+#   make bench-lint — time the five-analyzer atislint run over the
 #                 module (type-check excluded); keeps the interprocedural
-#                 hotpath/immutsnapshot passes honest as the graph grows
+#                 immutsnapshot pass honest as the call graph grows
 #   make bench-snapshot — reader latency under a sustained mutation
 #                 stream on the lock-free snapshot read path (target:
-#                 reader p99 within 10% of idle), see BENCH_PR10.json
+#                 reader p99 within 10% of idle), see its row of the
+#                 benchmark history in CHANGES.md
 #   make loc    — non-test Go lines per package directory and in total,
 #                 excluding testdata/ and the atisbench/ module: the
 #                 code-size number the deletion ledger in CHANGES.md quotes

@@ -1,6 +1,7 @@
-// Request-lifecycle benchmarks behind BENCH_PR5.json: the cost of the
-// amortized context polls threaded through every kernel, and the
-// admission gate's fast paths.
+// Request-lifecycle benchmarks (`make bench-admission`, whose figures
+// the benchmark history in CHANGES.md keeps): the cost of the amortized
+// context polls threaded through every kernel, and the admission gate's
+// fast paths.
 //
 // The ctx-overhead comparison runs base and ctx variants of the same
 // kernel back to back in one invocation. On this container's shared

@@ -3,12 +3,12 @@
 // and A*) and PR 1's goal-directed ALT, across grid sizes. Where every
 // other kernel's work grows with the searched region, a CH query climbs
 // two rank-increasing cones whose size barely moves with k — the exhibit
-// behind BENCH_PR4.json.
+// behind the `make bench-ch` row of the benchmark history in CHANGES.md.
 //
 // The customization benchmarks (CHCustomize, CHTrafficStream) are the
-// exhibit behind BENCH_PR6.json: with the topology/metric split, a cost
-// change re-prices the hierarchy in milliseconds where it used to pay a
-// full re-contraction.
+// exhibit behind that table's `make bench-customize` row: with the
+// topology/metric split, a cost change re-prices the hierarchy in
+// milliseconds where it used to pay a full re-contraction.
 //
 // `make bench-ch` and `make bench-customize` regenerate the numbers.
 package repro_test

@@ -6,7 +6,8 @@
 // storage management dominates single-pair cost, answered with amortisation.
 //
 // `go test -bench 'Parallel|Repeated|Preprocess|Batch' -benchmem .`
-// regenerates the numbers recorded in BENCH_PR1.json.
+// regenerates the numbers recorded in the `make bench` row of the
+// benchmark history in CHANGES.md.
 package repro_test
 
 import (

@@ -4,8 +4,9 @@
 // a sustained mutation stream should leave reader p99 within 10% of the
 // idle run. The RWMutex discipline it replaced — readers share-locked,
 // the writer customizing under the exclusive lock — put reader p99 at
-// 29× idle on the same mix (BENCH_PR10.json); its harness is retired and
-// the figure kept there. `make bench-snapshot` records the snapshot path.
+// 29× idle on the same mix; its harness is retired and the figure kept in
+// the `make bench-snapshot` row of the benchmark history in CHANGES.md.
+// `make bench-snapshot` records the snapshot path.
 package repro_test
 
 import (

@@ -3,9 +3,10 @@
 // the context every tracing.Start returns a nil span, every setter and
 // End is a nil-check, and the kernel runs exactly as before — target
 // under 1% and zero extra allocations versus the pre-tracing baseline
-// (compare BENCH_PR1/PR4). The enabled runs price what a sampled request
+// (compare the `make bench` and `make bench-ch` rows of the benchmark
+// history in CHANGES.md). The enabled runs price what a sampled request
 // actually pays: span allocation, child linking, and capture into the
-// ring. `make bench-trace` records both; see BENCH_PR7.json.
+// ring. `make bench-trace` records both; see its row of the same table.
 package repro_test
 
 import (

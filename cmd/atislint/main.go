@@ -1,10 +1,10 @@
 // Command atislint runs the project's static-analysis suite: the
-// analyzers that mechanically enforce the engine's concurrency and
-// hot-path invariants — lock scope, pool pairing, the telemetry
-// fast-path guard, kernel context polling, span lifecycle,
-// hot-path allocation freedom, and snapshot immutability (see
-// internal/lint and the "Static analysis" section of the README;
-// `atislint -list` prints the current set).
+// analyzers that mechanically enforce the engine's concurrency
+// invariants — lock scope, pool pairing, kernel context polling, span
+// lifecycle, and snapshot immutability (see internal/lint and the
+// "Static analysis" section of the README; `atislint -list` prints the
+// current set). Hot-path allocation freedom is not linted: the
+// AllocsPerRun gates registered for every //atis:hotpath function carry it.
 //
 // Usage:
 //

@@ -224,7 +224,6 @@ func (g *Gate) admitOrPark(weight int64) (admitted bool, w *waiter, err error) {
 	if len(g.queue) >= g.cfg.MaxQueue {
 		return false, nil, ErrShed
 	}
-	//lint:ignore hotpath a waiter is allocated only when the request must park; grant and shed stay allocation-free
 	w = &waiter{weight: weight, ready: make(chan struct{}, 1)}
 	g.queue = append(g.queue, w)
 	return false, w, nil

@@ -61,15 +61,12 @@ type Result struct {
 func (ix *Index) QueryCtx(ctx context.Context, s, d graph.NodeID) (Result, error) {
 	n := ix.topo.n
 	if int(s) < 0 || int(s) >= n {
-		//lint:ignore hotpath cold validation error path: a rejected request never reaches the loop
 		return Result{}, fmt.Errorf("ch: source %d out of range [0,%d)", s, n)
 	}
 	if int(d) < 0 || int(d) >= n {
-		//lint:ignore hotpath cold validation error path: a rejected request never reaches the loop
 		return Result{}, fmt.Errorf("ch: destination %d out of range [0,%d)", d, n)
 	}
 	if s == d {
-		//lint:ignore hotpath trivial same-node answer: one two-word slice on a path that does no search work
 		return Result{Found: true, Path: graph.Path{Nodes: []graph.NodeID{s}}, Cost: 0}, nil
 	}
 	if err := ctx.Err(); err != nil {
@@ -218,7 +215,6 @@ func (ix *Index) unpackPath(ctx context.Context, ws *workspace, meet graph.NodeI
 		scratch = ix.unpackInto(scratch, packed[i], packed[i+1])
 	}
 	ws.nodes = scratch // retain any growth for the next query
-	//lint:ignore hotpath result materialisation: the exact-size path copy is the warm query's one allocation
 	nodes := make([]graph.NodeID, len(scratch))
 	copy(nodes, scratch)
 	sp.SetInt("packed", int64(len(packed)))

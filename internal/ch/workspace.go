@@ -29,7 +29,6 @@ var workspacePool = sync.Pool{New: func() any { return &workspace{} }}
 func acquireWorkspace(n int) *workspace {
 	ws := workspacePool.Get().(*workspace)
 	if len(ws.df) < n {
-		//lint:ignore hotpath label storage reallocates only when the graph grows; steady state reuses it
 		ws.grow(n)
 	}
 	return ws

@@ -11,9 +11,9 @@ import (
 func sampleDiags() []Diagnostic {
 	return []Diagnostic{
 		{
-			Pos:      token.Position{Filename: "internal/search/search.go", Line: 42, Column: 7},
-			Analyzer: "hotpath",
-			Message:  "make allocates in search.helper, on the hot path of //atis:hotpath search.IterativeCtx",
+			Pos:      token.Position{Filename: "internal/storage/disk.go", Line: 42, Column: 7},
+			Analyzer: "lockscope",
+			Message:  "d.pages is guarded by d.mu but accessed without holding it",
 		},
 		{
 			Pos:      token.Position{Filename: "internal/ch/topology.go", Line: 9, Column: 2},
@@ -52,10 +52,10 @@ func TestWriteJSON(t *testing.T) {
 		t.Fatalf("findings = %d, want 2", len(doc.Findings))
 	}
 	f := doc.Findings[0]
-	if f.File != "internal/search/search.go" || f.Line != 42 || f.Column != 7 || f.Analyzer != "hotpath" {
+	if f.File != "internal/storage/disk.go" || f.Line != 42 || f.Column != 7 || f.Analyzer != "lockscope" {
 		t.Errorf("first finding mangled: %+v", f)
 	}
-	if !strings.Contains(f.Message, "make allocates") {
+	if !strings.Contains(f.Message, "guarded by d.mu") {
 		t.Errorf("message lost: %q", f.Message)
 	}
 
@@ -140,11 +140,11 @@ func TestWriteSARIF(t *testing.T) {
 		t.Fatalf("results = %d, want 2", len(run.Results))
 	}
 	res := run.Results[0]
-	if res.RuleID != "hotpath" || res.Level != "error" {
+	if res.RuleID != "lockscope" || res.Level != "error" {
 		t.Errorf("first result mangled: %+v", res)
 	}
 	loc := res.Locations[0].PhysicalLocation
-	if loc.ArtifactLocation.URI != "internal/search/search.go" || loc.ArtifactLocation.URIBaseID != "%SRCROOT%" {
+	if loc.ArtifactLocation.URI != "internal/storage/disk.go" || loc.ArtifactLocation.URIBaseID != "%SRCROOT%" {
 		t.Errorf("artifact location = %+v", loc.ArtifactLocation)
 	}
 	if loc.Region.StartLine != 42 {

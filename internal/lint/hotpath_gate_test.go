@@ -9,10 +9,10 @@ import (
 )
 
 // hotpathGates maps every //atis:hotpath function in the module to the
-// AllocsPerRun == 0 gate test that pins its guarantee at runtime. The
-// static analyzer proves allocation-freedom over the call graph; the gate
-// test proves the annotations match what the toolchain actually emits.
-// Annotating a new function without registering its gate here fails this
+// AllocsPerRun gate test that carries its contract: a warm run allocates
+// nothing beyond the result it returns, on every branch the gate
+// executes. The annotation means exactly "has a registered gate";
+// annotating a new function without registering its gate here fails this
 // test.
 var hotpathGates = map[string]struct {
 	dir  string // package directory relative to this one

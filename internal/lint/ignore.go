@@ -31,15 +31,8 @@ type ignoreDirective struct {
 // ignoreSet indexes directives by file and line.
 type ignoreSet map[string]map[int][]ignoreDirective
 
-// collectIgnores parses every //lint:ignore directive in the unit.
-func collectIgnores(u *Unit) ignoreSet {
-	set := make(ignoreSet)
-	collectIgnoresInto(set, u)
-	return set
-}
-
-// collectIgnoresInto parses the unit's directives into an existing set, so
-// the driver can merge directives across all units of a program.
+// collectIgnoresInto parses the unit's directives into set, so the driver
+// can merge directives across all units of a program.
 func collectIgnoresInto(set ignoreSet, u *Unit) {
 	for _, f := range u.Files {
 		for _, cg := range f.Comments {
@@ -80,20 +73,10 @@ func (d ignoreDirective) names(analyzer string) bool {
 // suppresses reports whether a directive covers the diagnostic: a matching
 // analyzer name (or "all") on the diagnostic's line or the line above.
 func (s ignoreSet) suppresses(d Diagnostic) bool {
-	return s.covers(d.Pos.Filename, d.Pos.Line, d.Analyzer)
-}
-
-// covers reports whether an ignore for the analyzer is in effect at
-// file:line. hotpath also consults this directly: an ignored call-site line
-// prunes propagation through that edge.
-func (s ignoreSet) covers(file string, line int, analyzer string) bool {
-	lines := s[file]
-	if lines == nil {
-		return false
-	}
-	for _, ln := range []int{line, line - 1} {
+	lines := s[d.Pos.Filename]
+	for _, ln := range []int{d.Pos.Line, d.Pos.Line - 1} {
 		for _, dir := range lines[ln] {
-			if dir.names(analyzer) {
+			if dir.names(d.Analyzer) {
 				return true
 			}
 		}

@@ -1,21 +1,23 @@
 // Package lint is the project-specific static-analysis framework behind
 // cmd/atislint. It exists because the engine's correctness rests on a small
-// set of concurrency and hot-path invariants — lock scope, pool Get/Put
-// pairing, the telemetry fast-path guard — that code
+// set of concurrency invariants — lock scope, pool Get/Put pairing, kernel
+// context polling, span lifecycle, snapshot immutability — that code
 // review keeps almost catching (the PR 2 Prometheus exporter iterated
 // mutex-guarded maps after dropping the lock, a fatal race only visible
 // under concurrent scrapes). Invariants of that kind must be enforced by
-// tooling, not vigilance.
+// tooling, not vigilance. An invariant a runtime test already catches gets
+// no analyzer: the hot paths' allocation freedom is carried by the
+// AllocsPerRun gates that hotpath_gate_test.go registers for every
+// //atis:hotpath function.
 //
 // The framework is deliberately small and built only on the standard
 // library (go/parser, go/ast, go/types): the main module stays
 // dependency-free. A UnitAnalyzer inspects one type-checked package (a
 // Unit) and reports Diagnostics; a ProgramAnalyzer inspects the whole
 // module at once through a Program — all units type-checked together plus
-// a static call graph (program.go) — which is how the interprocedural
-// checks (hotpath, immutsnapshot) follow an annotated kernel into its
-// helpers. The loader in loader.go type-checks every package of the
-// module, and ignore.go implements the
+// a static call graph (program.go) — which is how immutsnapshot follows a
+// write into the helpers that reach it. The loader in loader.go
+// type-checks every package of the module, and ignore.go implements the
 // `//lint:ignore <analyzer>[,<analyzer>...] <reason>` escape hatch.
 package lint
 
@@ -82,9 +84,7 @@ type UnitAnalyzer interface {
 type ProgramAnalyzer interface {
 	Analyzer
 	// RunProgram inspects the program and returns its findings. As with
-	// Run, suppression is the driver's job — except for hotpath's
-	// edge-pruning reading of call-site ignores, which is documented on
-	// that analyzer.
+	// Run, suppression is the driver's job.
 	RunProgram(p *Program) []Diagnostic
 }
 
@@ -93,10 +93,8 @@ func Analyzers() []Analyzer {
 	return []Analyzer{
 		NewLockScope(),
 		NewPoolPair(),
-		NewRecorderGuard(),
 		NewCtxCheck(),
 		NewSpanEnd(),
-		NewHotPath(),
 		NewImmutSnapshot(),
 	}
 }

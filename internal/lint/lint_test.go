@@ -84,7 +84,7 @@ func TestAnalyzersFire(t *testing.T) {
 }
 
 // TestRepoClean runs the full suite over this repository: the tree must
-// stay lint-clean (the same gate as `make lint`). Each of the seven
+// stay lint-clean (the same gate as `make lint`). Each of the five
 // analyzers runs as its own subtest so a regression names the invariant
 // it broke, not just "lint failed". Skipped with -short — type-checking
 // the module plus its stdlib imports takes a few seconds.
@@ -104,8 +104,8 @@ func TestRepoClean(t *testing.T) {
 		t.Fatalf("loaded only %d packages; the loader is missing most of the module", len(units))
 	}
 	analyzers := Analyzers()
-	if len(analyzers) != 7 {
-		t.Fatalf("Analyzers() returned %d analyzers, want 7; update this test with the new invariant", len(analyzers))
+	if len(analyzers) != 5 {
+		t.Fatalf("Analyzers() returned %d analyzers, want 5; update this test with the new invariant", len(analyzers))
 	}
 	for _, a := range analyzers {
 		a := a
@@ -157,12 +157,12 @@ func TestIgnoreMultipleAnalyzers(t *testing.T) {
 
 import "sync"
 
+//atis:immutable
 type s struct {
 	mu sync.Mutex
 	m  map[int]int
 }
 
-//atis:hotpath
 func (x *s) seed() {
 	%sx.m[0] = len(x.m)
 }
@@ -179,7 +179,7 @@ func (x *s) seed() {
 		if err != nil {
 			t.Fatal(err)
 		}
-		return Run(units, []Analyzer{NewLockScope(), NewHotPath()})
+		return Run(units, []Analyzer{NewLockScope(), NewImmutSnapshot()})
 	}
 
 	// Without the directive both analyzers fire on the same line.
@@ -189,12 +189,12 @@ func (x *s) seed() {
 		analyzers = append(analyzers, d.Analyzer)
 	}
 	if len(bare) < 2 || !strings.Contains(strings.Join(analyzers, " "), "lockscope") ||
-		!strings.Contains(strings.Join(analyzers, " "), "hotpath") {
+		!strings.Contains(strings.Join(analyzers, " "), "immutsnapshot") {
 		t.Fatalf("baseline fixture must trip both analyzers, got %v", bare)
 	}
 
 	// One comma-list directive silences both.
-	suppressed := load(t, "//lint:ignore lockscope,hotpath startup-time seeding, single-threaded and cold\n\t")
+	suppressed := load(t, "//lint:ignore lockscope,immutsnapshot startup-time seeding, single-threaded and before publication\n\t")
 	if len(suppressed) != 0 {
 		t.Errorf("comma-list ignore left %d finding(s): %v", len(suppressed), suppressed)
 	}
@@ -260,9 +260,9 @@ func (x *s) bad() int {
 	}
 }
 
-// BenchmarkLintModule times the full seven-analyzer run over the loaded
+// BenchmarkLintModule times the full five-analyzer run over the loaded
 // module (type-checking excluded), the `make bench-lint` figure that keeps
-// the interprocedural pass honest as the call graph grows.
+// the interprocedural immutsnapshot pass honest as the call graph grows.
 func BenchmarkLintModule(b *testing.B) {
 	loader, err := NewLoader(filepath.Join("..", ".."))
 	if err != nil {

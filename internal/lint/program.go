@@ -17,8 +17,8 @@ import (
 // Annotation directives recognised on declarations. Like //go: directives
 // they attach to the doc comment with no space after the slashes.
 const (
-	// hotpathDirective marks a function whose body — and everything it
-	// transitively calls through static edges — must be allocation-free.
+	// hotpathDirective marks a function whose warm path is allocation-free
+	// and pinned by a registered AllocsPerRun gate (hotpath_gate_test.go).
 	hotpathDirective = "//atis:hotpath"
 	// immutableDirective marks a type whose values must not be written
 	// outside their build phase.
@@ -250,10 +250,6 @@ func (p *Program) resolveCall(u *Unit, call *ast.CallExpr) (CallSite, bool) {
 		return CallSite{Call: call, Kind: CallFuncValue}, true
 	}
 }
-
-// FuncOf returns the module function info for obj, or nil when obj is not a
-// module function with a body (stdlib, interface method, bodiless decl).
-func (p *Program) FuncOf(obj *types.Func) *FuncInfo { return p.funcs[obj] }
 
 // Funcs returns every module function in deterministic load order.
 func (p *Program) Funcs() []*FuncInfo { return p.order }

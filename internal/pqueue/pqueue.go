@@ -79,7 +79,6 @@ func (h *Indexed) Grow(capacity int) {
 		}
 		return
 	}
-	//lint:ignore hotpath growth reallocates once per larger graph; steady traffic over one graph never takes this branch
 	pos := make([]int, capacity)
 	copy(pos, h.pos)
 	for i := len(h.pos); i < capacity; i++ {

@@ -11,9 +11,10 @@ import (
 // expansion); most calls cost one increment, one mask, and one
 // predictable branch, and only every CheckInterval-th call pays the
 // ctx.Err() read. 1024 keeps the amortised cost under the 2% hot-path
-// budget (see BENCH_PR5.json) while bounding cancellation latency to
-// the time of ~1024 expansions — tens of microseconds on the 100x100
-// grid, far inside the 10ms serving target. Must be a power of two.
+// budget (the `make bench-admission` row of the benchmark history in
+// CHANGES.md) while bounding cancellation latency to the time of ~1024
+// expansions — tens of microseconds on the 100x100 grid, far inside the
+// 10ms serving target. Must be a power of two.
 const CheckInterval = 1024
 
 // Lifecycle errors. Kernels return them with the partial Trace

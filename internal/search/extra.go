@@ -81,13 +81,11 @@ func BidirectionalCtx(ctx context.Context, g *graph.Graph, s, d graph.NodeID) (r
 		defer observeRun(rec, "bidirectional", time.Now(), &res, &err)
 	}
 	if s == d {
-		//lint:ignore hotpath trivial same-node answer: one two-word slice on a path that does no search work
 		return Result{Found: true, Path: graph.Path{Nodes: []graph.NodeID{s}}, Cost: 0}, nil
 	}
 	// ReverseView caches the reverse graph until a cost changes, so a
 	// stream of queries under stable traffic shares one reverse instead of
 	// paying an O(m) rebuild per call (the last per-query O(m) allocation).
-	//lint:ignore hotpath the reverse view is cached until a cost changes; the O(m) rebuild runs once per traffic batch
 	rg := g.ReverseView()
 	n := g.NumNodes()
 
@@ -210,7 +208,6 @@ func BidirectionalCtx(ctx context.Context, g *graph.Graph, s, d graph.NodeID) (r
 	for at := meet; at != d; at = lbB.prev[at] {
 		total++
 	}
-	//lint:ignore hotpath result materialisation: the stitched path is the query's one allocation
 	nodes := make([]graph.NodeID, total)
 	for i, at := fwd-1, meet; i >= 0; i-- {
 		nodes[i], at = at, lbF.prev[at]

@@ -75,11 +75,9 @@ type Result struct {
 func validatePair(g *graph.Graph, s, d graph.NodeID) error {
 	n := graph.NodeID(g.NumNodes())
 	if s < 0 || s >= n {
-		//lint:ignore hotpath cold validation error path: a rejected request never reaches the loop
 		return fmt.Errorf("search: source %d out of range [0,%d)", s, n)
 	}
 	if d < 0 || d >= n {
-		//lint:ignore hotpath cold validation error path: a rejected request never reaches the loop
 		return fmt.Errorf("search: destination %d out of range [0,%d)", d, n)
 	}
 	return nil
@@ -187,7 +185,6 @@ func IterativeCtx(ctx context.Context, g *graph.Graph, s, d graph.NodeID) (res R
 	}
 	return Result{
 		Found: true,
-		//lint:ignore hotpath result materialisation: the returned path is the query's one allocation
 		Path:  graph.BuildPath(lb.prev, s, d),
 		Cost:  lb.dist[d],
 		Trace: tr,
@@ -336,7 +333,6 @@ func BestFirstCtx(ctx context.Context, g *graph.Graph, s, d graph.NodeID, opts O
 			tr.HeapPushes, tr.HeapPops = front.ops()
 			return Result{
 				Found: true,
-				//lint:ignore hotpath result materialisation: the returned path is the query's one allocation
 				Path:  graph.BuildPath(lb.prev, s, d),
 				Cost:  lb.dist[d],
 				Trace: tr,

@@ -102,10 +102,8 @@ func acquireWorkspace(n int) *Workspace {
 		rec.ObserveWorkspace(!ws.fresh)
 	}
 	ws.fresh = false
-	//lint:ignore hotpath label storage reallocates only when the graph grows; steady state is an epoch bump
 	ws.fwd.reset(n)
 	if ws.heap == nil {
-		//lint:ignore hotpath first acquisition builds the heap; every later query reuses it from the pool
 		ws.heap = pqueue.NewIndexed(n)
 		ws.hf.h = ws.heap
 	} else {
@@ -118,10 +116,8 @@ func acquireWorkspace(n int) *Workspace {
 // ensureBackward prepares the backward label set and heap (bidirectional
 // search only).
 func (ws *Workspace) ensureBackward(n int) {
-	//lint:ignore hotpath label storage reallocates only when the graph grows; steady state is an epoch bump
 	ws.bwd.reset(n)
 	if ws.bh == nil {
-		//lint:ignore hotpath first acquisition builds the heap; every later query reuses it from the pool
 		ws.bh = pqueue.NewIndexed(n)
 	} else {
 		ws.bh.Grow(n)
@@ -141,6 +137,5 @@ func (ws *Workspace) frontierFor(kind FrontierKind, n int) frontier {
 	if kind == FrontierHeap {
 		return &ws.hf
 	}
-	//lint:ignore hotpath ablation frontiers allocate per query by design; they measure alternatives, not serve traffic
 	return newFrontier(kind, n)
 }

@@ -302,12 +302,10 @@ func Start(ctx context.Context, name string) (context.Context, *Span) {
 	if parent == nil {
 		return ctx, nil
 	}
-	//lint:ignore hotpath enabled path: the span node is a traced request's deliberate cost
 	sp := &Span{tr: parent.tr, name: name, start: time.Now()}
 	parent.tr.mu.Lock()
 	parent.children = append(parent.children, sp)
 	parent.tr.mu.Unlock()
-	//lint:ignore hotpath enabled path: propagating the child span needs a new context node
 	return context.WithValue(ctx, spanKey{}, sp), sp
 }
 
@@ -354,7 +352,6 @@ func (s *Span) SetStr(key, v string) {
 	if s == nil {
 		return
 	}
-	//lint:ignore hotpath enabled path: boxing the attribute is a traced request's deliberate cost
 	s.set(key, v)
 }
 
@@ -365,7 +362,6 @@ func (s *Span) SetInt(key string, v int64) {
 	if s == nil {
 		return
 	}
-	//lint:ignore hotpath enabled path: boxing the attribute is a traced request's deliberate cost
 	s.set(key, v)
 }
 
@@ -376,7 +372,6 @@ func (s *Span) SetFloat(key string, v float64) {
 	if s == nil {
 		return
 	}
-	//lint:ignore hotpath enabled path: boxing the attribute is a traced request's deliberate cost
 	s.set(key, v)
 }
 
@@ -387,7 +382,6 @@ func (s *Span) SetBool(key string, v bool) {
 	if s == nil {
 		return
 	}
-	//lint:ignore hotpath enabled path: boxing the attribute is a traced request's deliberate cost
 	s.set(key, v)
 }
 
