@@ -325,9 +325,12 @@ func randomDirectedGraph(rng *rand.Rand, n int) *graph.Graph {
 // skeleton arc {x, y} with rank x < rank y, the up weight is the shortest
 // x→y path whose interior nodes all rank below x, and the down weight the
 // shortest y→x path under the same rule, each +Inf when no such path
-// exists. Every middle ranks below x, and the two arcs through it sum to
-// the weight exactly; an arc without a middle is one original edge.
-// Costs are integers, so every comparison is exact.
+// exists. It also pins the tie-break that makes unpacked paths
+// deterministic: an original edge that realises the weight leaves the arc
+// without a middle; otherwise the middle ranks below x, the two arcs
+// through it sum to the weight exactly, and no lower-ranked middle in the
+// arc's triangle list realises it too. Costs are integers, so every
+// comparison is exact and ties are common.
 func TestCustomizeMatchesLowerRankOracle(t *testing.T) {
 	grid := gridgen.MustGenerate(gridgen.Config{K: 8, Model: gridgen.Variance, Seed: 3})
 	rng := rand.New(rand.NewSource(3))
@@ -383,17 +386,27 @@ func TestCustomizeMatchesLowerRankOracle(t *testing.T) {
 						if math.IsInf(dir.w, 1) {
 							continue
 						}
-						if dir.mid == graph.Invalid {
-							if c, ok := g.ArcCost(dir.a, dir.b); !ok || c != dir.w {
-								t.Fatalf("arc %d→%d: no middle, but the cheapest edge is %v (exists %v), weight %v", dir.a, dir.b, c, ok, dir.w)
+						c, edge := g.ArcCost(dir.a, dir.b)
+						if edge && c == dir.w {
+							if dir.mid != graph.Invalid {
+								t.Fatalf("arc %d→%d: an original edge realises weight %v, but the middle is %d", dir.a, dir.b, dir.w, dir.mid)
 							}
 							continue
+						}
+						if dir.mid == graph.Invalid {
+							t.Fatalf("arc %d→%d: no middle, but the cheapest edge is %v (exists %v), weight %v", dir.a, dir.b, c, edge, dir.w)
 						}
 						if topo.rank[dir.mid] >= topo.rank[x] {
 							t.Fatalf("arc %d→%d: middle %d ranks %d, not below %d", dir.a, dir.b, dir.mid, topo.rank[dir.mid], topo.rank[x])
 						}
 						if s := weight(dir.a, dir.mid) + weight(dir.mid, dir.b); s != dir.w {
 							t.Fatalf("arc %d→%d: through middle %d sums to %v, weight %v", dir.a, dir.b, dir.mid, s, dir.w)
+						}
+						for _, tr := range topo.tris[topo.triOff[p]:topo.triOff[p+1]] {
+							v := topo.owner[tr.lo]
+							if topo.rank[v] < topo.rank[dir.mid] && weight(dir.a, v)+weight(v, dir.b) == dir.w {
+								t.Fatalf("arc %d→%d: middle %d realises weight %v, but %d, ranked lower, does too", dir.a, dir.b, dir.mid, dir.w, v)
+							}
 						}
 					}
 				}

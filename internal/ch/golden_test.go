@@ -4,6 +4,7 @@ import (
 	"crypto/sha256"
 	"encoding/binary"
 	"encoding/hex"
+	"math/rand"
 	"runtime"
 	"testing"
 
@@ -224,4 +225,66 @@ func TestTopologyIndependentOfWorkers(t *testing.T) {
 		}
 		agree(t, gridgen.MustGenerate(gridgen.Config{K: 100, Model: gridgen.Variance, Seed: 1}))
 	})
+}
+
+// metricDigest hashes every field of m in a fixed order: the up and down
+// costs (as their IEEE-754 bits) and the up and down middles. Two
+// metrics with equal digests serve the same weights and unpack the same
+// paths.
+func metricDigest(m *Metric) string {
+	return digest(m.up.costs, m.down.costs, m.up.mid, m.down.mid)
+}
+
+// metricCases are the graphs TestMetricGoldenDigest pins: the topology
+// golden graphs at their generated costs, and the k=48 grid after three
+// seeded 16-edge traffic batches, so the digests cover weights that no
+// longer follow the generator's cost model.
+var metricCases = []struct {
+	name string
+	g    func() *graph.Graph
+	want string
+}{
+	{"grid-k48-variance-seed1", goldenCases[0].g, "8740bf04186644510abaebc67812a217b9624edd4b5b6381013f7eb6ab01d166"},
+	{"grid-k20-uniform", goldenCases[1].g, "1896c4b9a56633368ca1dc0d7985bf07fe1f0da57b565a28c6d62d2bc148490e"},
+	{"mpls-default", goldenCases[2].g, "68a4cd25c75f4697699d7785eae03b71a062a79b774c2112fc6fa191680b09c1"},
+	{"directed-small", goldenCases[3].g, "3ae07e94fcdb02570011cd519d7f3141a57456637b0215096168f0308e7b93dc"},
+	{"grid-k48-variance-seed1-3x16", func() *graph.Graph {
+		g := goldenCases[0].g()
+		base := g.Edges()
+		rng := rand.New(rand.NewSource(7))
+		for batch := 0; batch < 3; batch++ {
+			changes := make([]graph.EdgeCostChange, 16)
+			for j := range changes {
+				e := base[rng.Intn(len(base))]
+				changes[j] = graph.EdgeCostChange{Tail: e.Tail, Head: e.Head, Cost: e.Cost * (0.5 + 3*rng.Float64())}
+			}
+			if _, err := g.ApplyBatch(changes); err != nil {
+				panic(err)
+			}
+		}
+		return g
+	}, "ab78877bd48b3b814d30995d907a8fb5436c0e826e35a59564ec5a4543a63634"},
+}
+
+// TestMetricGoldenDigest pins Customize's output byte for byte: every
+// weight and every middle, on each golden graph. A faster sweep must
+// leave every digest unchanged, and so must a partial customization
+// that claims to equal a full one.
+func TestMetricGoldenDigest(t *testing.T) {
+	for _, tc := range metricCases {
+		t.Run(tc.name, func(t *testing.T) {
+			g := tc.g()
+			topo, err := BuildTopology(g, Options{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			m, err := topo.Customize(g)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := metricDigest(m); got != tc.want {
+				t.Errorf("metric digest %s, want %s", got, tc.want)
+			}
+		})
+	}
 }
