@@ -38,8 +38,8 @@ type Metric struct {
 // Customize derives a fresh Metric for g's current costs in one bottom-up
 // pass over the topology: seed every base-backed weight with its cheapest
 // original edge cost, then sweep nodes in contraction order relaxing each
-// arc {x, y} of the node x through its lower triangles, up weights first
-// and then down weights:
+// arc {x, y} of the node x through its lower triangles, both directions
+// in one walk over the arc's triangle range:
 //
 //	up(x,y)   ← min(up(x,y),   w(x→v) + w(v→y))
 //	down(x,y) ← min(down(x,y), w(y→v) + w(v→x))
@@ -48,10 +48,11 @@ type Metric struct {
 // and y — so when the sweep reaches x, every triangle constituent is
 // already final, and one pass suffices. This is the whole trick:
 // O(triangles) arithmetic instead of re-running ordering, witness
-// searches and contraction. Both directions walk the same shared list in
-// middle-contraction order, and only a strictly smaller sum wins, so an
-// original edge that realises the weight beats every triangle, and
-// otherwise the middle is the lowest-ranked one realising it.
+// searches and contraction. Each range lists its middles in contraction
+// order, and each direction keeps its own running best that only a
+// strictly smaller sum replaces, so an original edge that realises the
+// weight beats every triangle, and otherwise the middle is the
+// lowest-ranked one realising it.
 //
 // The same concurrent-mutation contract as Build applies (the route
 // service serialises mutations behind its write lock).
@@ -60,13 +61,11 @@ func (t *Topology) Customize(g *graph.Graph) (*Metric, error) {
 		return nil, fmt.Errorf("ch: graph (%d nodes, %d edges) does not share the structure of the topology's graph (%d nodes, %d edges); structural rebuild required",
 			g.NumNodes(), g.NumEdges(), t.n, t.m)
 	}
+	// All four arrays come from one length, so one bounds check per index
+	// covers every direction's read of it.
 	A := len(t.heads)
-	m := &Metric{
-		up:   metricHalf{costs: make([]float64, A), mid: make([]graph.NodeID, A)},
-		down: metricHalf{costs: make([]float64, A), mid: make([]graph.NodeID, A)},
-	}
-	up, down := m.up.costs, m.down.costs
-	upMid, downMid := m.up.mid, m.down.mid
+	up, down := make([]float64, A), make([]float64, A)
+	upMid, downMid := make([]graph.NodeID, A), make([]graph.NodeID, A)
 	inf := math.Inf(1)
 	for p := range up {
 		up[p], down[p] = inf, inf
@@ -100,26 +99,22 @@ func (t *Topology) Customize(g *graph.Graph) (*Metric, error) {
 		x := t.order[r]
 		lo, hi := t.offsets[x], t.offsets[x+1]
 		for p := lo; p < hi; p++ {
-			best, mid := up[p], upMid[p]
+			bestUp, midUp := up[p], upMid[p]
+			bestDown, midDown := down[p], downMid[p]
 			for _, tr := range t.tris[t.triOff[p]:t.triOff[p+1]] {
-				if c := down[tr.lo] + up[tr.hi]; c < best {
-					best, mid = c, t.owner[tr.lo]
+				if c := down[tr.lo] + up[tr.hi]; c < bestUp {
+					bestUp, midUp = c, t.owner[tr.lo]
+				}
+				if c := down[tr.hi] + up[tr.lo]; c < bestDown {
+					bestDown, midDown = c, t.owner[tr.lo]
 				}
 			}
-			up[p], upMid[p] = best, mid
-		}
-		for p := lo; p < hi; p++ {
-			best, mid := down[p], downMid[p]
-			for _, tr := range t.tris[t.triOff[p]:t.triOff[p+1]] {
-				if c := down[tr.hi] + up[tr.lo]; c < best {
-					best, mid = c, t.owner[tr.lo]
-				}
-			}
-			down[p], downMid[p] = best, mid
+			up[p], upMid[p] = bestUp, midUp
+			down[p], downMid[p] = bestDown, midDown
 		}
 	}
 
-	return m, nil
+	return &Metric{up: metricHalf{up, upMid}, down: metricHalf{down, downMid}}, nil
 }
 
 // NewIndex customizes g's current costs over the topology and assembles a

@@ -2,6 +2,7 @@ package storage
 
 import (
 	"bytes"
+	"sync"
 	"testing"
 )
 
@@ -78,6 +79,59 @@ func TestDiskStatsArithmetic(t *testing.T) {
 	}
 	if u := diff.TimeUnits(0.035, 0.05); u != 7*0.035+3*0.05 {
 		t.Errorf("TimeUnits = %v", u)
+	}
+}
+
+// TestDiskConcurrentUse drives every Disk method from several goroutines
+// at once, so the race detector checks that each one holds d.mu. Each
+// worker allocates a page, writes and reads it back and polls the
+// counters; it frees every other page at once and holds the rest until
+// it is done, so the device keeps growing while the others read it.
+func TestDiskConcurrentUse(t *testing.T) {
+	const workers, rounds = 4, 1000
+	d := NewDisk(64)
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func(fill byte) {
+			defer wg.Done()
+			buf, out := bytes.Repeat([]byte{fill}, 64), make([]byte, 64)
+			var held []PageID
+			for i := 0; i < rounds; i++ {
+				id := d.Allocate()
+				if err := d.Write(id, buf); err != nil {
+					t.Error(err)
+					return
+				}
+				if err := d.Read(id, out); err != nil || !bytes.Equal(out, buf) {
+					t.Errorf("page %d read back %v (err %v), wrote %v", id, out[:4], err, fill)
+					return
+				}
+				// Pages never shrink, so a free count read first cannot
+				// exceed a page count read after it.
+				if f, n := d.FreePages(), d.NumPages(); n > workers*rounds || f > n {
+					t.Errorf("%d pages, %d free, after at most %d allocations", n, f, workers*rounds)
+				}
+				_ = d.Stats()
+				if i%2 == 0 {
+					held = append(held, id)
+				} else if err := d.Free(id); err != nil {
+					t.Error(err)
+				}
+			}
+			for _, id := range held {
+				if err := d.Free(id); err != nil {
+					t.Error(err)
+				}
+			}
+		}(byte(w + 1))
+	}
+	wg.Wait()
+	if st := d.Stats(); st.Reads != workers*rounds || st.Writes != workers*rounds {
+		t.Errorf("stats %+v, want %d reads and writes", st, workers*rounds)
+	}
+	if d.FreePages() != d.NumPages() {
+		t.Errorf("%d of %d pages free after every worker freed its own", d.FreePages(), d.NumPages())
 	}
 }
 
