@@ -234,13 +234,24 @@ func routeToBody(rt core.Route) RouteResponse {
 		Iterations: rt.Trace.Iterations,
 	}
 	if rt.Found {
-		for _, u := range rt.Path.Nodes {
-			resp.Nodes = append(resp.Nodes, int32(u))
-		}
+		resp.Nodes = wireNodes(rt.Path.Nodes)
 	} else {
 		resp.Cost = -1
 	}
 	return resp
+}
+
+// wireNodes converts a path's node ids to their wire form in one
+// allocation. An empty path stays nil, which encodes as null.
+func wireNodes(nodes []graph.NodeID) []int32 {
+	if len(nodes) == 0 {
+		return nil
+	}
+	out := make([]int32, len(nodes))
+	for i, u := range nodes {
+		out[i] = int32(u)
+	}
+	return out
 }
 
 // Evaluation is the JSON form of route.Evaluation.
@@ -727,11 +738,7 @@ func (s *Server) handleAlternates(w http.ResponseWriter, r *http.Request) {
 	}
 	alts := make([]alt, 0, len(routes))
 	for _, rt := range routes {
-		a := alt{Cost: rt.Cost}
-		for _, u := range rt.Path.Nodes {
-			a.Nodes = append(a.Nodes, int32(u))
-		}
-		alts = append(alts, a)
+		alts = append(alts, alt{Cost: rt.Cost, Nodes: wireNodes(rt.Path.Nodes)})
 	}
 	s.writeJSON(w, r, map[string]any{"count": len(alts), "routes": alts})
 }

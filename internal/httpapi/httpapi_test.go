@@ -8,6 +8,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/core"
 	"repro/internal/graph"
 	"repro/internal/mpls"
 	"repro/internal/route"
@@ -521,5 +522,44 @@ func TestMaxCountTrafficBatchFitsBodyLimit(t *testing.T) {
 	}
 	if resp := postJSON(t, ts.URL+"/v1/traffic/batch", body, &out); resp.StatusCode != http.StatusOK || out.Changes != maxTrafficChanges {
 		t.Fatalf("%d-byte batch of %d changes: status %d, applied %d", len(body), maxTrafficChanges, resp.StatusCode, out.Changes)
+	}
+}
+
+// TestPathBodySizedOnce pins the wire conversion of a route's nodes: one
+// allocation for a 65-node path, where growing a nil slice node by node
+// took seven, and the same bytes as that append loop, including null
+// for an empty alternate.
+func TestPathBodySizedOnce(t *testing.T) {
+	nodes := make([]graph.NodeID, 65)
+	for i := range nodes {
+		nodes[i] = graph.NodeID(3 * i)
+	}
+	rt := core.Route{Found: true, Cost: 12.5, Path: graph.Path{Nodes: nodes}}
+	if allocs := testing.AllocsPerRun(100, func() { _ = routeToBody(rt) }); allocs != 1 {
+		t.Fatalf("routeToBody on a 65-node path: %.1f allocs, want 1", allocs)
+	}
+	appendLoop := func(nodes []graph.NodeID) []int32 {
+		var out []int32
+		for _, u := range nodes {
+			out = append(out, int32(u))
+		}
+		return out
+	}
+	type alt struct {
+		Cost  float64 `json:"cost"`
+		Nodes []int32 `json:"nodes"`
+	}
+	for _, path := range [][]graph.NodeID{nodes, {7}, {}, nil} {
+		want, _ := json.Marshal(alt{Cost: 1, Nodes: appendLoop(path)})
+		got, _ := json.Marshal(alt{Cost: 1, Nodes: wireNodes(path)})
+		if string(got) != string(want) {
+			t.Fatalf("%d-node path encodes as %s, want %s", len(path), got, want)
+		}
+		rt := core.Route{Found: true, Path: graph.Path{Nodes: path}}
+		want, _ = json.Marshal(RouteResponse{Found: true, Nodes: appendLoop(path), Algorithm: rt.Algorithm.String()})
+		got, _ = json.Marshal(routeToBody(rt))
+		if string(got) != string(want) {
+			t.Fatalf("%d-node route encodes as %s, want %s", len(path), got, want)
+		}
 	}
 }

@@ -155,7 +155,7 @@ func (s *Server) instrument(pattern string, h http.HandlerFunc) http.Handler {
 		// The snapshot generation the service holds as the request begins;
 		// a gateway fanning out across replicas joins responses on it to
 		// know which published world answered.
-		w.Header().Set("X-ATIS-Snapshot", strconv.FormatUint(s.svc.Snapshot().Generation(), 10))
+		w.Header().Set("X-ATIS-Snapshot", s.svc.Snapshot().GenerationText())
 		ctx := context.WithValue(r.Context(), requestIDKey, id)
 		ctx, trace := s.tracer.StartRequest(ctx, pattern, r.Header.Get("traceparent"))
 		if trace != nil {

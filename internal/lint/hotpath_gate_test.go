@@ -43,6 +43,7 @@ var hotpathGates = map[string]struct {
 	"route.Snapshot.CH":              {"../route", "TestSnapshotReadPathZeroAlloc"},
 	"route.Snapshot.CostGeneration":  {"../route", "TestSnapshotReadPathZeroAlloc"},
 	"route.Snapshot.Generation":      {"../route", "TestSnapshotReadPathZeroAlloc"},
+	"route.Snapshot.GenerationText":  {"../route", "TestSnapshotReadPathZeroAlloc"},
 }
 
 // TestHotpathGateRegistry walks the module's //atis:hotpath annotations

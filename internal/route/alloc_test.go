@@ -1,6 +1,8 @@
 package route
 
 import (
+	"context"
+	"strconv"
 	"testing"
 
 	"repro/internal/gridgen"
@@ -22,7 +24,7 @@ func TestSnapshotReadPathZeroAlloc(t *testing.T) {
 	allocs := testing.AllocsPerRun(200, func() {
 		sn := s.Snapshot()
 		sink += sn.CostGeneration() + sn.Generation()
-		sink += s.CostGeneration()
+		sink += s.CostGeneration() + uint64(len(sn.GenerationText()))
 		if sn.Graph() == nil || sn.CH() == nil {
 			t.Fatal("warmed snapshot missing graph or index")
 		}
@@ -31,4 +33,18 @@ func TestSnapshotReadPathZeroAlloc(t *testing.T) {
 		t.Fatalf("snapshot read path allocated %.1f times per run, want 0", allocs)
 	}
 	_ = sink
+}
+
+// TestGenerationTextMatchesGeneration: the header text rendered at
+// publish is the publish sequence in decimal, past the two-digit values
+// strconv serves without allocating.
+func TestGenerationTextMatchesGeneration(t *testing.T) {
+	s := NewService(gridgen.MustGenerate(gridgen.Config{K: 3, Model: gridgen.Uniform}))
+	for i := 0; i < 120; i++ {
+		sn := s.Snapshot()
+		if want := strconv.FormatUint(sn.Generation(), 10); sn.GenerationText() != want {
+			t.Fatalf("GenerationText() = %q, want %q", sn.GenerationText(), want)
+		}
+		s.ResetTrafficCtx(context.Background())
+	}
 }

@@ -12,11 +12,11 @@ import (
 )
 
 // cacheKey identifies one cached route computation. The cost generation is
-// part of the key: every traffic mutation bumps the Service's generation
-// counter, so entries computed under old costs simply stop matching — O(1)
-// implicit invalidation with no scan, no per-entry timestamps, and no risk
-// of serving a route priced under stale traffic. Superseded entries age out
-// of the LRU naturally.
+// part of the key, so an entry computed under old costs can never match a
+// query on a newer snapshot: correctness rests on the key alone. Memory
+// does not: every cost-changing publish retires the superseded generation
+// from the cache (routeCache.retire), and put refuses keys older than the
+// shard's generation, so dead entries neither linger nor come back.
 type cacheKey struct {
 	from, to graph.NodeID
 	algo     core.Algorithm
@@ -59,6 +59,9 @@ type cacheShard struct {
 	table map[cacheKey]*list.Element
 	order *list.List // front = most recently used
 	cap   int
+	// gen is the oldest cost generation the shard accepts: the generation
+	// of the last retire. Every resident key carries it.
+	gen uint64
 }
 
 // routeCache is the sharded LRU behind Service.ComputeCtx.
@@ -66,6 +69,9 @@ type routeCache struct {
 	shards [cacheShardCount]cacheShard
 	// evictions, when set, counts LRU evictions for the telemetry layer.
 	evictions *telemetry.Counter
+	// retired, when set, counts entries dropped by retire, apart from
+	// LRU evictions.
+	retired *telemetry.Counter
 }
 
 const (
@@ -106,11 +112,16 @@ func (c *routeCache) get(k cacheKey) (core.Route, bool) {
 }
 
 // put stores a private copy of rt under k, evicting the shard's least
-// recently used entry when full.
+// recently used entry when full. A key older than the shard's generation
+// is refused: it comes from a reader still on a superseded snapshot, and
+// no query will ever ask for it again.
 func (c *routeCache) put(k cacheKey, rt core.Route) {
 	s := c.shard(k)
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	if k.gen < s.gen {
+		return
+	}
 	if el, ok := s.table[k]; ok {
 		el.Value = &cacheEntry{key: k, route: cloneRoute(rt)}
 		s.order.MoveToFront(el)
@@ -125,6 +136,27 @@ func (c *routeCache) put(k cacheKey, rt core.Route) {
 		}
 	}
 	s.table[k] = s.order.PushFront(&cacheEntry{key: k, route: cloneRoute(rt)})
+}
+
+// retire empties every shard and raises its generation to gen, so the
+// cache holds nothing a query on the snapshot of generation gen cannot
+// use. Each shard gets a fresh table and list rather than a cleared one:
+// a cleared Go map keeps its buckets, a fresh one lets them be collected.
+func (c *routeCache) retire(gen uint64) {
+	for i := range c.shards {
+		s := &c.shards[i]
+		s.mu.Lock()
+		n := s.order.Len()
+		if n > 0 {
+			s.table = make(map[cacheKey]*list.Element)
+			s.order = list.New()
+		}
+		s.gen = gen
+		s.mu.Unlock()
+		if c.retired != nil {
+			c.retired.Add(uint64(n))
+		}
+	}
 }
 
 // len reports total resident entries (tests and stats).

@@ -57,8 +57,9 @@ import (
 // instead. Either way one publish (publishLocked) re-customizes the
 // hierarchy's metric for the new costs and swaps the finished Snapshot
 // in. The route cache is keyed on (endpoints, options, snapshot cost
-// generation) and has its own per-shard locks; a publish retires every
-// stale entry at once by changing the generation new requests key on.
+// generation) and has its own per-shard locks; a cost-changing publish
+// empties it just before the swap, so it only ever holds routes of the
+// published generation.
 type Service struct {
 	base *graph.Graph // pristine costs, for congestion ratios, reset and the CH topology
 
@@ -152,6 +153,8 @@ func NewServiceWithRegistry(g *graph.Graph, reg *telemetry.Registry) *Service {
 	s.snap.Store(newSnapshot(g.Clone(), nil, 0, 1))
 	s.cache.evictions = reg.Counter("atis_route_cache_evictions_total",
 		"Routes evicted from the LRU cache.")
+	s.cache.retired = reg.Counter("atis_route_cache_retired_total",
+		"Routes dropped from the cache because a publish superseded their cost generation.")
 	for _, a := range core.Algorithms() {
 		s.computeSeconds[a] = reg.Histogram("atis_route_compute_seconds",
 			"Wall time of uncached route computations.", nil, telemetry.L("algo", a.String()))
@@ -204,8 +207,10 @@ func (s *Service) Graph() *graph.Graph {
 // ComputeCtx runs route computation between nodes, consulting the
 // generation-keyed cache first: repeated queries for the same endpoints and
 // options under unchanged traffic are served from memory without touching
-// the search engine. A traffic mutation bumps the cost generation, which
-// implicitly invalidates every cached route at once.
+// the search engine. It reads the published snapshot with one atomic load
+// and takes no service lock. A traffic mutation bumps the cost generation
+// and empties the cache as it publishes, so no cached route outlives the
+// costs it was priced under.
 //
 // The underlying kernel polls ctx from its main loop and the call returns
 // a typed lifecycle error (search.ErrCanceled, search.ErrDeadline,
@@ -240,8 +245,8 @@ func (s *Service) computeSnap(ctx context.Context, snap *Snapshot, from, to grap
 		h.Observe(time.Since(start).Seconds())
 	}
 	// Stored under the snapshot's generation: if a mutation published
-	// meanwhile, the entry sits under the old generation and will never be
-	// served.
+	// meanwhile, the cache has moved past that generation and refuses
+	// the entry.
 	s.cache.put(key, rt)
 	return rt, nil
 }

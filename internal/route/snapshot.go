@@ -2,6 +2,7 @@ package route
 
 import (
 	"context"
+	"strconv"
 	"time"
 
 	"repro/internal/ch"
@@ -32,13 +33,17 @@ type Snapshot struct {
 
 	// gen is the cost generation: it increases by one with every traffic
 	// mutation and keys the route cache, so entries priced under retired
-	// costs stop matching without a scan.
+	// costs can never match; the publish that bumps it also empties the
+	// cache (routeCache.retire).
 	gen uint64
 	// seq is the publish sequence: it increases by one with every
 	// snapshot swap, including cost-neutral ones (EnableCH installing an
 	// index). It is the identity a gateway uses for snapshot-version-
 	// aware fan-out (X-ATIS-Snapshot, GET /v1/snapshot).
-	seq         uint64
+	seq uint64
+	// seqText is seq in decimal, rendered once here rather than on every
+	// response that names the snapshot.
+	seqText     string
 	publishedAt time.Time
 }
 
@@ -53,6 +58,7 @@ func newSnapshot(g *graph.Graph, ix *ch.Index, gen, seq uint64) *Snapshot {
 		ch:          ix,
 		gen:         gen,
 		seq:         seq,
+		seqText:     strconv.FormatUint(seq, 10),
 		publishedAt: time.Now(),
 	}
 }
@@ -87,6 +93,11 @@ func (sn *Snapshot) CostGeneration() uint64 { return sn.gen }
 //
 //atis:hotpath
 func (sn *Snapshot) Generation() uint64 { return sn.seq }
+
+// GenerationText is Generation in decimal, the X-ATIS-Snapshot value.
+//
+//atis:hotpath
+func (sn *Snapshot) GenerationText() string { return sn.seqText }
 
 // PublishedAt is when the snapshot was swapped in.
 func (sn *Snapshot) PublishedAt() time.Time { return sn.publishedAt }
@@ -127,9 +138,16 @@ func (s *Service) mutateLocked(ctx context.Context, cur *Snapshot, changes []gra
 // re-customize the hierarchy's metric for next's costs (with a topology
 // in hand this is the entire price of keeping CH fresh — one bottom-up
 // triangle pass, no contraction), and bump the cost generation.
+//
+// The route cache retires cur's generation after the customization, so
+// cur's readers keep their hits until the last moment, and before the
+// Store, so no reader can have loaded the new snapshot yet: every entry
+// put from then on either carries the new generation or is refused.
 func (s *Service) publishLocked(ctx context.Context, cur *Snapshot, next *graph.Graph) {
 	s.trafficUpdates.Inc()
-	s.snap.Store(newSnapshot(next, s.customizeFor(ctx, next), cur.gen+1, cur.seq+1))
+	sn := newSnapshot(next, s.customizeFor(ctx, next), cur.gen+1, cur.seq+1)
+	s.cache.retire(sn.gen)
+	s.snap.Store(sn)
 }
 
 // customizeFor re-derives the hierarchy's metric for g's costs, or
