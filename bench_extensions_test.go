@@ -1,6 +1,8 @@
 package repro_test
 
 import (
+	"context"
+	"strconv"
 	"testing"
 
 	"repro/internal/alt"
@@ -59,17 +61,18 @@ func BenchmarkExtensionALT(b *testing.B) {
 	})
 }
 
-// BenchmarkExtensionKShortest measures Yen's alternates on the road map.
+// BenchmarkExtensionKShortest measures Yen's alternates on the road map,
+// up to k=16, the largest k /v1/alternates accepts.
 func BenchmarkExtensionKShortest(b *testing.B) {
 	g := mpls.MustGenerate(mpls.Config{Seed: benchSeed})
 	s, _ := g.Lookup("G")
 	d, _ := g.Lookup("D")
-	for _, k := range []int{1, 3, 5} {
+	for _, k := range []int{1, 3, 5, 16} {
 		k := k
 		b.Run(byKName(k), func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				paths, err := search.KShortest(g, s, d, k)
+				paths, _, err := search.KShortestCtx(context.Background(), g, s, d, k)
 				if err != nil || len(paths) == 0 {
 					b.Fatalf("%v / %d paths", err, len(paths))
 				}
@@ -79,7 +82,7 @@ func BenchmarkExtensionKShortest(b *testing.B) {
 }
 
 func byKName(k int) string {
-	return "k=" + string(rune('0'+k))
+	return "k=" + strconv.Itoa(k)
 }
 
 // BenchmarkExtensionClosureVsSinglePair quantifies the paper's economics:
@@ -117,7 +120,7 @@ func BenchmarkExtensionIsochrone(b *testing.B) {
 			b.ReportAllocs()
 			var size int
 			for i := 0; i < b.N; i++ {
-				reach, err := search.Within(g, origin, budget)
+				reach, err := search.WithinCtx(context.Background(), g, origin, budget)
 				if err != nil {
 					b.Fatal(err)
 				}

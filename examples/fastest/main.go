@@ -9,6 +9,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -74,7 +75,7 @@ func main() {
 	describe("shortest route (distance metric)  ", shortest)
 
 	// Alternate fastest routes for the traveller to choose among.
-	alts, err := search.KShortest(gTime, from, to, 3)
+	alts, _, err := search.KShortestCtx(context.Background(), gTime, from, to, 3)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"io"
 
@@ -88,7 +89,7 @@ func runAblationKPaths(w io.Writer, cfg RunConfig) error {
 	for _, pp := range mpls.PaperPaths() {
 		s, _ := g.Lookup(pp.From)
 		d, _ := g.Lookup(pp.To)
-		paths, err := search.KShortest(g, s, d, 3)
+		paths, _, err := search.KShortestCtx(context.Background(), g, s, d, 3)
 		if err != nil {
 			return err
 		}

@@ -13,6 +13,7 @@ import (
 	"time"
 
 	"repro/internal/admission"
+	"repro/internal/core"
 	"repro/internal/graph"
 	"repro/internal/gridgen"
 	"repro/internal/mpls"
@@ -241,9 +242,10 @@ var bigGrid = sync.OnceValue(func() *graph.Graph {
 })
 
 // TestMidSearchBudgetReturns504: on a search far longer than the
-// scheduler's preemption quantum (Yen's alternates on the big grid runs
-// a family of full Dijkstras — hundreds of milliseconds), the in-flight
-// kernels observe the expired 1ms budget and the handler maps it to 504.
+// scheduler's preemption quantum (Yen's alternates on the big grid run a
+// backward Dijkstra over all 250k nodes, then thousands of spur searches
+// — seconds of work), the in-flight kernels observe the expired 1ms
+// budget and the handler maps it to 504.
 // A single Iterative pass is not long enough here: at ~25ms it races the
 // single-core timer delivery (~10-20ms) and can win, finish, and poison
 // the remaining attempts through the route cache.
@@ -271,12 +273,57 @@ func TestMidSearchBudgetReturns504(t *testing.T) {
 	t.Fatalf("no 504 in 5 attempts; last response: %s", last)
 }
 
+// TestAlternatesRequestBudgetReturns504: the best-first class's expansion
+// budget bounds a whole alternates request, not each of its searches. On
+// a chain of 2,000 unit arcs with a 5,000-node zero-cost side chain that
+// every chain node enters and that leaves only to the chain's second node,
+// each spur search pops at most 5,001 nodes once that node is on its root,
+// and no search can pop more than the graph's 7,001 nodes; the request as
+// a whole needs about 10M pops. The budget stops it, and the handler
+// answers with the 504 deadline_exceeded envelope.
+func TestAlternatesRequestBudgetReturns504(t *testing.T) {
+	const chain, side = 2000, 5000
+	if budget := admission.ClassFor(core.Dijkstra).MaxExpansions; chain*side <= budget || chain+1+side >= budget {
+		t.Fatalf("fixture does not straddle the best-first budget %d", budget)
+	}
+	b := graph.NewBuilder(chain+1+side, 2*(chain+side))
+	for i := 0; i < chain+1+side; i++ {
+		b.AddNode(float64(i), 0)
+	}
+	first := graph.NodeID(chain + 1)
+	for i := 0; i < chain; i++ {
+		b.AddEdge(graph.NodeID(i), graph.NodeID(i+1), 1)
+		b.AddEdge(graph.NodeID(i), first, 1)
+	}
+	for u := first; u < first+side; u++ {
+		if u+1 < first+side {
+			b.AddEdge(u, u+1, 0)
+		}
+		b.AddEdge(u, 1, 1)
+	}
+	_, ts := newLifecycleServer(t, b.MustBuild(), admission.Config{}, false)
+	resp, err := http.Get(ts.URL + "/v1/alternates?from=0&to=" + strconv.Itoa(chain) + "&k=2&budget_ms=60000")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if resp.StatusCode != http.StatusGatewayTimeout {
+		body, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		t.Fatalf("status %s (%s), want 504", resp.Status, body)
+	}
+	env := decodeError(t, resp)
+	if env.Error.Code != CodeDeadlineExceeded || !strings.Contains(env.Error.Message, "budget") {
+		t.Errorf("error %q %q, want %q naming the expansion budget", env.Error.Code, env.Error.Message, CodeDeadlineExceeded)
+	}
+}
+
 // TestCanceledClientRecords499: a client that disconnects mid-search is
 // recorded under the canceled lifecycle outcome (the 499 itself is never
 // seen by anyone — the connection is gone).
 func TestCanceledClientRecords499(t *testing.T) {
-	// Yen's alternates on the 250k-node grid runs a family of Dijkstras —
-	// hundreds of milliseconds of search — so the disconnect's multi-hop
+	// Yen's alternates on the 250k-node grid run a backward Dijkstra over
+	// the whole grid and then thousands of spur searches — seconds of
+	// search — so the disconnect's multi-hop
 	// delivery (client timer, TCP close, the server's background reader,
 	// context propagation) lands mid-flight even on one core.
 	g := bigGrid()

@@ -33,6 +33,39 @@ func newTracedServer(t *testing.T, cfg tracing.Config) (*httptest.Server, *Serve
 	return ts, srv
 }
 
+// TestAlternatesKernelSpan: an alternates request shows its Yen search as
+// a "kernel" span carrying algo=yen, the request's heap pops and its spur
+// searches.
+func TestAlternatesKernelSpan(t *testing.T) {
+	ts, _ := newTracedServer(t, tracing.Config{SampleRate: 1})
+	resp, err := http.Get(ts.URL + "/v1/alternates?from=A&to=B&k=3")
+	if err != nil {
+		t.Fatal(err)
+	}
+	io.Copy(io.Discard, resp.Body)
+	resp.Body.Close()
+	m := traceparentRe.FindStringSubmatch(resp.Header.Get("traceparent"))
+	if resp.StatusCode != http.StatusOK || m == nil {
+		t.Fatalf("GET /v1/alternates = %d, traceparent %q", resp.StatusCode, resp.Header.Get("traceparent"))
+	}
+	var snap tracing.Snapshot
+	getJSON(t, ts.URL+"/v1/debug/traces/"+m[1], &snap)
+	names := map[string]tracing.SpanNode{}
+	spanNames(snap.Root, names)
+	k, ok := names["kernel"]
+	if !ok {
+		t.Fatalf("span tree missing kernel; have %v", keysOf(names))
+	}
+	if got := k.Attrs["algo"]; got != "yen" {
+		t.Errorf("kernel algo = %v, want yen", got)
+	}
+	for _, attr := range []string{"pops", "spurs"} {
+		if v, ok := k.Attrs[attr].(float64); !ok || v <= 0 {
+			t.Errorf("kernel %s = %v, want a positive count", attr, k.Attrs[attr])
+		}
+	}
+}
+
 var traceparentRe = regexp.MustCompile(`^00-([0-9a-f]{32})-([0-9a-f]{16})-(0[01])$`)
 
 // spanNames flattens a snapshot tree into its set of span names.

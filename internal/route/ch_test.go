@@ -66,9 +66,6 @@ func TestCHDisabledReturnsErrCHDisabled(t *testing.T) {
 	if _, err := s.ComputeCtx(context.Background(), from, to, opts); !errors.Is(err, ErrCHDisabled) {
 		t.Fatalf("ComputeCtx: err %v, want ErrCHDisabled", err)
 	}
-	if _, err := s.ComputeViaCtx(context.Background(), []graph.NodeID{from, 5, to}, opts); !errors.Is(err, ErrCHDisabled) {
-		t.Fatalf("ComputeViaCtx: err %v, want ErrCHDisabled", err)
-	}
 	for i, res := range s.ComputeBatchCtx(context.Background(), []Pair{{from, to}, {to, from}, {3, 7}}, opts) {
 		if !errors.Is(res.Err, ErrCHDisabled) {
 			t.Fatalf("ComputeBatchCtx pair %d: err %v, want ErrCHDisabled", i, res.Err)
@@ -181,14 +178,15 @@ func TestSustainedMutationStreamZeroStaleFallbacks(t *testing.T) {
 		for i := 0; i < 3; i++ {
 			from := graph.NodeID(rng.Intn(n))
 			to := graph.NodeID(rng.Intn(n))
-			rt, err := s.ComputeViaCtx(context.Background(), []graph.NodeID{from, to}, core.Options{Algorithm: core.CH})
+			snap := s.Snapshot()
+			rt, err := s.routeSnap(context.Background(), snap, from, to, core.Options{Algorithm: core.CH})
 			if err != nil {
 				t.Fatal(err)
 			}
 			if rt.Algorithm != core.CH {
 				t.Fatalf("round %d: stream query served by %v", round, rt.Algorithm)
 			}
-			dij, err := s.ComputeViaCtx(context.Background(), []graph.NodeID{from, to}, core.Options{Algorithm: core.Dijkstra})
+			dij, err := s.routeSnap(context.Background(), snap, from, to, core.Options{Algorithm: core.Dijkstra})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -208,9 +206,9 @@ func TestSustainedMutationStreamZeroStaleFallbacks(t *testing.T) {
 
 // TestCHNeverDisagreesUnderConcurrentMutation is the -race guarantee of the
 // snapshot design: query workers hammer algo=ch while a mutator applies and
-// resets congestion. Every CH answer must match
-// a Dijkstra computed through the same ComputeCtx path (same lock scope), so a
-// stale hierarchy can never leak a cost from retired edge weights.
+// resets congestion. Every CH answer must match a Dijkstra computed on the
+// same snapshot, so a stale hierarchy can never leak a cost from retired
+// edge weights.
 func TestCHNeverDisagreesUnderConcurrentMutation(t *testing.T) {
 	s, g := chTestService(t, 9, 4)
 	if err := s.EnableCH(); err != nil {
@@ -251,22 +249,22 @@ func TestCHNeverDisagreesUnderConcurrentMutation(t *testing.T) {
 			for i := 0; i < 60; i++ {
 				from := graph.NodeID(rng.Intn(n))
 				to := graph.NodeID(rng.Intn(n))
-				genBefore := s.CostGeneration()
-				chRt, err := s.ComputeViaCtx(context.Background(), []graph.NodeID{from, to}, core.Options{Algorithm: core.CH})
+				// Both computations read one snapshot and bypass the route
+				// cache, so a mutation between them cannot make their costs
+				// incomparable, and neither answer can come from a previous
+				// generation's cache entry.
+				snap := s.Snapshot()
+				chRt, err := s.routeSnap(context.Background(), snap, from, to, core.Options{Algorithm: core.CH})
 				if err != nil {
 					t.Errorf("ch %d→%d: %v", from, to, err)
 					return
 				}
-				dij, err := s.ComputeViaCtx(context.Background(), []graph.NodeID{from, to}, core.Options{Algorithm: core.Dijkstra})
+				dij, err := s.routeSnap(context.Background(), snap, from, to, core.Options{Algorithm: core.Dijkstra})
 				if err != nil {
 					t.Errorf("dijkstra %d→%d: %v", from, to, err)
 					return
 				}
-				// The two computations may straddle a mutation; the costs
-				// are only comparable when the generation held still across
-				// both. (ComputeViaCtx bypasses the route cache, so neither
-				// answer can come from a previous generation's entry.)
-				if s.CostGeneration() == genBefore && math.Abs(chRt.Cost-dij.Cost) > 1e-9*(1+dij.Cost) {
+				if math.Abs(chRt.Cost-dij.Cost) > 1e-9*(1+dij.Cost) {
 					t.Errorf("%d→%d: ch cost %v, dijkstra %v", from, to, chRt.Cost, dij.Cost)
 					return
 				}

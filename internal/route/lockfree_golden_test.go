@@ -18,9 +18,9 @@ var queryPathFuncs = map[string]bool{
 	"Graph": true, "ComputeCtx": true, "computeSnap": true,
 	"cacheLookup": true, "routeSnap": true, "chQuery": true,
 	"ComputeDegraded": true, "CHStats": true, "ComputeByName": true,
-	"ComputeViaCtx": true, "ComputeBatchCtx": true, "Evaluate": true,
-	"Display": true, "AlternatesCtx": true, "Nearest": true,
-	"ReachableCtx": true, "DisplayReachable": true, "Directions": true,
+	"ComputeBatchCtx": true, "Evaluate": true, "Display": true,
+	"AlternatesCtx": true, "Nearest": true, "ReachableCtx": true,
+	"Directions": true,
 }
 
 // TestQueryPathAcquiresNoServiceLock is the ISSUE's lockscope/golden

@@ -3,7 +3,6 @@ package route
 import (
 	"context"
 	"math"
-	"strings"
 	"testing"
 
 	"repro/internal/graph"
@@ -14,7 +13,7 @@ import (
 func TestWithinBasics(t *testing.T) {
 	g := gridgen.MustGenerate(gridgen.Config{K: 7}) // unit costs
 	center := gridgen.NodeAt(7, 3, 3)
-	reach, err := search.Within(g, center, 2)
+	reach, err := search.WithinCtx(context.Background(), g, center, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -40,7 +39,7 @@ func TestWithinBasics(t *testing.T) {
 
 func TestWithinZeroBudget(t *testing.T) {
 	g := gridgen.MustGenerate(gridgen.Config{K: 4})
-	reach, err := search.Within(g, 5, 0)
+	reach, err := search.WithinCtx(context.Background(), g, 5, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -51,13 +50,13 @@ func TestWithinZeroBudget(t *testing.T) {
 
 func TestWithinValidation(t *testing.T) {
 	g := gridgen.MustGenerate(gridgen.Config{K: 4})
-	if _, err := search.Within(g, -1, 3); err == nil {
+	if _, err := search.WithinCtx(context.Background(), g, -1, 3); err == nil {
 		t.Error("bad source accepted")
 	}
-	if _, err := search.Within(g, 0, -2); err == nil {
+	if _, err := search.WithinCtx(context.Background(), g, 0, -2); err == nil {
 		t.Error("negative budget accepted")
 	}
-	if _, err := search.Within(g, 0, math.NaN()); err == nil {
+	if _, err := search.WithinCtx(context.Background(), g, 0, math.NaN()); err == nil {
 		t.Error("NaN budget accepted")
 	}
 }
@@ -79,21 +78,5 @@ func TestWithinRespectsCongestion(t *testing.T) {
 	}
 	if len(after) >= len(before) {
 		t.Errorf("congestion did not shrink the isochrone: %d → %d", len(before), len(after))
-	}
-}
-
-func TestDisplayReachable(t *testing.T) {
-	s := gridService(t, 8)
-	out, err := s.DisplayReachable(gridgen.NodeAt(8, 4, 4), 2, 40, 20)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, want := range []string{"S", "o", "."} {
-		if !strings.Contains(out, want) {
-			t.Errorf("isochrone display missing %q", want)
-		}
-	}
-	if _, err := s.DisplayReachable(-1, 2, 40, 20); err == nil {
-		t.Error("bad origin accepted")
 	}
 }

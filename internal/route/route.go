@@ -451,48 +451,6 @@ func (s *Service) ComputeByName(from, to string, opts core.Options) (core.Route,
 	return s.computeSnap(context.Background(), snap, f, t, opts)
 }
 
-// ComputeViaCtx plans a route that visits every stop in order — the
-// errand run (home → school → work) an ATIS serves routinely. The result
-// is the concatenation of the per-leg routes: its cost is the sum of the
-// leg costs and its trace accumulates the legs' work. Found is false when
-// any leg is unreachable.
-//
-// Each leg's kernel polls ctx, so a multi-stop plan stops between (or
-// within) legs with a typed lifecycle error as soon as the context dies.
-// All legs are computed against one snapshot, so a traffic mutation
-// mid-plan cannot price different legs under different costs.
-func (s *Service) ComputeViaCtx(ctx context.Context, stops []graph.NodeID, opts core.Options) (core.Route, error) {
-	if len(stops) < 2 {
-		return core.Route{}, fmt.Errorf("route: a via route needs at least 2 stops, got %d", len(stops))
-	}
-	snap := s.snap.Load()
-	combined := core.Route{
-		Found:     true,
-		Algorithm: opts.Algorithm,
-		Path:      graph.Path{Nodes: []graph.NodeID{stops[0]}},
-	}
-	for i := 0; i+1 < len(stops); i++ {
-		leg, err := s.routeSnap(ctx, snap, stops[i], stops[i+1], opts)
-		if err != nil {
-			return core.Route{}, fmt.Errorf("route: leg %d (%d→%d): %w", i, stops[i], stops[i+1], err)
-		}
-		if !leg.Found {
-			return core.Route{Found: false, Algorithm: opts.Algorithm, Cost: math.Inf(1)}, nil
-		}
-		combined.Cost += leg.Cost
-		combined.Path.Nodes = append(combined.Path.Nodes, leg.Path.Nodes[1:]...)
-		combined.Trace.Iterations += leg.Trace.Iterations
-		combined.Trace.Expansions += leg.Trace.Expansions
-		combined.Trace.Relaxations += leg.Trace.Relaxations
-		combined.Trace.Improvements += leg.Trace.Improvements
-		combined.Trace.Reopens += leg.Trace.Reopens
-		if leg.Trace.MaxFrontier > combined.Trace.MaxFrontier {
-			combined.Trace.MaxFrontier = leg.Trace.MaxFrontier
-		}
-	}
-	return combined, nil
-}
-
 // Evaluation is the attribute set of a given route (the paper's route
 // evaluation: "useful for selecting travel time by a familiar path").
 type Evaluation struct {
@@ -574,13 +532,22 @@ func (s *Service) Display(path graph.Path, width, height int) string {
 
 // AlternatesCtx returns up to k loopless routes from from to to in
 // increasing cost order under live costs (Yen's algorithm) — the "offer
-// the traveller a choice" feature. Yen's algorithm runs a family of
-// restricted Dijkstras, every one of which polls ctx. The whole family
+// the traveller a choice" feature. Yen's spur searches are A* under an
+// exact potential, and one lifecycle polls ctx and counts their heap pops
+// against one expansion budget for the whole request. The whole family
 // runs against one snapshot, so all k alternatives are priced under the
 // same costs.
+//
+// Under an active trace the request shows up as a "kernel" span with
+// algo=yen, the request's heap pops and its spur searches.
 func (s *Service) AlternatesCtx(ctx context.Context, from, to graph.NodeID, k int) ([]core.Route, error) {
+	ctx, sp := tracing.Start(ctx, "kernel")
+	defer sp.End()
+	sp.SetStr("algo", "yen")
 	g := s.snap.Load().graph
-	results, err := search.KShortestCtx(ctx, g, from, to, k)
+	results, tr, err := search.KShortestCtx(ctx, g, from, to, k)
+	sp.SetInt("pops", int64(tr.HeapPops))
+	sp.SetInt("spurs", int64(tr.Iterations))
 	if err != nil {
 		return nil, err
 	}
@@ -624,33 +591,6 @@ func (s *Service) Nearest(x, y float64) (graph.NodeID, bool) {
 // (and therefore wrong) isochrone.
 func (s *Service) ReachableCtx(ctx context.Context, from graph.NodeID, budget float64) (map[graph.NodeID]float64, error) {
 	return search.WithinCtx(ctx, s.snap.Load().graph, from, budget)
-}
-
-// DisplayReachable renders the isochrone: reachable nodes as 'o', the
-// origin as 'S', the rest of the network as dots. The isochrone and the
-// rendering read the same snapshot, so the picture cannot mix costs from
-// two generations.
-func (s *Service) DisplayReachable(from graph.NodeID, budget float64, width, height int) (string, error) {
-	g := s.snap.Load().graph
-	reach, err := search.WithinCtx(context.Background(), g, from, budget)
-	if err != nil {
-		return "", err
-	}
-	var pts []asciichart.Point
-	for u := graph.NodeID(0); int(u) < g.NumNodes(); u++ {
-		if g.OutDegree(u) == 0 {
-			continue
-		}
-		p := g.Point(u)
-		glyph := byte('.')
-		if _, ok := reach[u]; ok {
-			glyph = 'o'
-		}
-		pts = append(pts, asciichart.Point{X: p.X, Y: p.Y, Glyph: glyph})
-	}
-	p := g.Point(from)
-	pts = append(pts, asciichart.Point{X: p.X, Y: p.Y, Glyph: 'S'})
-	return asciichart.Map(pts, asciichart.Options{Width: width, Height: height}), nil
 }
 
 // ApplyRegionCongestionCtx scales every edge with both endpoints within

@@ -207,7 +207,7 @@ func TestCanceledRunsRecycleWorkspaces(t *testing.T) {
 func TestKShortestCtxCancel(t *testing.T) {
 	g := lifecycleGrid(t, 30)
 	ctx := newCountdownCtx(1)
-	if _, err := KShortestCtx(ctx, g, 0, graph.NodeID(g.NumNodes()-1), 3); !errors.Is(err, ErrCanceled) {
+	if _, _, err := KShortestCtx(ctx, g, 0, graph.NodeID(g.NumNodes()-1), 3); !errors.Is(err, ErrCanceled) {
 		t.Fatalf("err = %v, want ErrCanceled", err)
 	}
 }

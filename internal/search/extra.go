@@ -219,20 +219,15 @@ func BidirectionalCtx(ctx context.Context, g *graph.Graph, s, d graph.NodeID) (r
 	return Result{Found: true, Path: graph.Path{Nodes: nodes}, Cost: best, Trace: tr}, nil
 }
 
-// Within computes the budget-bounded reachable set: every node whose
+// WithinCtx computes the budget-bounded reachable set: every node whose
 // shortest-path cost from s is at most budget, with those costs. It is
 // Dijkstra cut off at the budget — the isochrone ("everywhere within 15
 // minutes") query an ATIS answers for trip planning, and a direct payoff of
 // early-terminating single-source search: work is proportional to the
-// region size, not the map size.
-func Within(g *graph.Graph, s graph.NodeID, budget float64) (map[graph.NodeID]float64, error) {
-	return WithinCtx(context.Background(), g, s, budget)
-}
-
-// WithinCtx is Within under a request lifecycle: the Dijkstra loop polls
-// ctx once per pop (amortised) and stops with a typed lifecycle error —
-// discarding the partial reachable set, which is not meaningful when
-// truncated — when the context dies or the expansion budget runs out.
+// region size, not the map size. The search polls ctx once per pop
+// (amortised) and stops with a typed lifecycle error — discarding the
+// partial reachable set, which is not meaningful when truncated — when the
+// context dies or the expansion budget runs out.
 func WithinCtx(ctx context.Context, g *graph.Graph, s graph.NodeID, budget float64) (map[graph.NodeID]float64, error) {
 	if s < 0 || int(s) >= g.NumNodes() {
 		return nil, fmt.Errorf("search: source %d out of range [0,%d)", s, g.NumNodes())
@@ -244,37 +239,17 @@ func WithinCtx(ctx context.Context, g *graph.Graph, s graph.NodeID, budget float
 	if err != nil {
 		return nil, err
 	}
-	n := g.NumNodes()
-	ws := acquireWorkspace(n)
+	ws := acquireWorkspace(g.NumNodes())
 	defer releaseWorkspace(ws)
-	lb := &ws.fwd
-	h := ws.heap
-	lb.touch(s)
-	lb.dist[s] = 0
-	h.Push(int(s), 0)
-	out := make(map[graph.NodeID]float64)
-	expansions := 0
-	for {
-		if err := lc.poll(expansions); err != nil {
-			return nil, err
-		}
-		expansions++
-		ui, du, ok := h.PopMin()
-		if !ok || du > budget {
-			return out, nil
-		}
-		u := graph.NodeID(ui)
-		out[u] = du
-		g.Neighbors(u, func(a graph.Arc) {
-			v := a.Head
-			lb.touch(v)
-			nd := du + a.Cost
-			if nd < lb.dist[v] && nd <= budget {
-				lb.dist[v] = nd
-				h.PushOrUpdate(int(v), nd)
-			}
-		})
+	var tr Trace
+	if _, err := ws.restricted(&lc, &tr, g, s, bounds{target: graph.Invalid, cutoff: budget}); err != nil {
+		return nil, err
 	}
+	out := make(map[graph.NodeID]float64, len(ws.settled))
+	for _, u := range ws.settled {
+		out[u] = ws.fwd.dist[u]
+	}
+	return out, nil
 }
 
 // VerifyAdmissible checks an estimator empirically against destination d: it

@@ -5,91 +5,113 @@ import (
 	"fmt"
 	"math"
 	"sort"
-	"strings"
+	"strconv"
 
 	"repro/internal/graph"
-	"repro/internal/pqueue"
 )
 
-// KShortest returns up to k loopless paths from s to d in increasing cost
-// order, using Yen's algorithm over restricted Dijkstra runs. Alternate
-// routes are a staple ATIS feature — the traveller picks among the best few
-// routes, trading distance against familiarity — and a natural extension of
-// the paper's single-pair computation.
+// KShortestCtx returns up to k loopless paths from s to d in increasing
+// cost order, by Yen's algorithm. Alternate routes are a staple ATIS
+// feature — the traveller picks among the best few routes, trading
+// distance against familiarity — and a natural extension of the paper's
+// single-pair computation.
+//
+// The first path is Dijkstra's. Every spur search is the paper's A*
+// (Figure 3) under the exact potential h*(u): the cost from u to d on the
+// unrestricted graph, computed once, when k > 1, by a backward
+// SingleSource over the reverse graph. Yen's restrictions only remove
+// arcs, so h* stays a consistent lower bound in every spur search, and a
+// node that cannot reach d at all is never pushed. One lifecycle polls
+// ctx and counts heap pops across the whole request, so the expansion
+// budget (WithBudget) bounds the request, not each spur.
 //
 // The result is empty when no path exists. Ties are returned in a
-// deterministic order.
-func KShortest(g *graph.Graph, s, d graph.NodeID, k int) ([]Result, error) {
-	return KShortestCtx(context.Background(), g, s, d, k)
-}
-
-// KShortestCtx is KShortest under a request lifecycle: every spur-path
-// Dijkstra run polls ctx (see BestFirstCtx), so a Yen's iteration — a
-// whole family of restricted searches per accepted path — stops with a
-// typed lifecycle error as soon as the context dies.
-func KShortestCtx(ctx context.Context, g *graph.Graph, s, d graph.NodeID, k int) ([]Result, error) {
+// deterministic order. The returned Trace accounts for the whole request,
+// also when it stops with a lifecycle error: HeapPops counts every heap
+// pop, the backward pass's included, and Iterations the spur searches.
+func KShortestCtx(ctx context.Context, g *graph.Graph, s, d graph.NodeID, k int) ([]Result, Trace, error) {
+	var tr Trace
 	if err := validatePair(g, s, d); err != nil {
-		return nil, err
+		return nil, tr, err
 	}
 	if k <= 0 {
-		return nil, fmt.Errorf("search: k = %d, want at least 1", k)
+		return nil, tr, fmt.Errorf("search: k = %d, want at least 1", k)
 	}
-	first, err := DijkstraCtx(ctx, g, s, d)
+	lc, err := newLifecycle(ctx)
 	if err != nil {
-		return nil, err
+		return nil, tr, err
 	}
-	if !first.Found {
-		return nil, nil
+	ws := acquireWorkspace(g.NumNodes())
+	defer releaseWorkspace(ws)
+	b := bounds{target: d, cutoff: math.Inf(1)}
+
+	// continuation searches from root's last node under b and returns
+	// root's interior followed by the path found, priced rootCost plus
+	// the search's cost.
+	continuation := func(root []graph.NodeID, rootCost float64) (Result, error) {
+		interior := root[: len(root)-1 : len(root)-1] // append must copy
+		b.bannedNodes = interior
+		found, err := ws.restricted(&lc, &tr, g, root[len(root)-1], b)
+		if !found || err != nil {
+			return Result{}, err
+		}
+		nodes := append(interior, graph.BuildPath(ws.fwd.prev, root[len(root)-1], d).Nodes...)
+		return Result{Found: true, Path: graph.Path{Nodes: nodes}, Cost: rootCost + ws.fwd.dist[d]}, nil
 	}
 
+	first, err := continuation([]graph.NodeID{s}, 0)
+	if !first.Found || err != nil {
+		return nil, tr, err
+	}
+	if k > 1 {
+		// The backward pass pops each node that reaches d exactly once.
+		b.potential, _ = SingleSource(g.ReverseView(), d)
+		for _, c := range b.potential {
+			if !math.IsInf(c, 1) {
+				tr.HeapPops++
+			}
+		}
+	}
 	accepted := []Result{first}
 	seen := map[string]bool{pathKey(first.Path): true}
-	var candidates []Result
+	type candidate struct {
+		Result
+		key string
+	}
+	var candidates []candidate
 
 	for len(accepted) < k {
 		prev := accepted[len(accepted)-1].Path.Nodes
 		// Each node of the previous path except the destination serves as a
-		// spur node.
+		// spur node; rootCost prices the root the way Path.CostIn does.
+		rootCost := 0.0
 		for j := 0; j+1 < len(prev); j++ {
-			spur := prev[j]
+			if j > 0 {
+				c, _ := g.ArcCost(prev[j-1], prev[j])
+				rootCost += c
+			}
 			root := prev[:j+1]
-
 			// Ban the outgoing edges that previously-accepted paths with
 			// the same root take from the spur node, and the root's interior
 			// nodes, forcing a genuinely new continuation.
-			bannedEdges := map[[2]graph.NodeID]bool{}
+			b.bannedArcs = b.bannedArcs[:0]
 			for _, a := range accepted {
 				nodes := a.Path.Nodes
 				if len(nodes) > j+1 && equalPrefix(nodes, root) {
-					bannedEdges[[2]graph.NodeID{nodes[j], nodes[j+1]}] = true
+					b.bannedArcs = append(b.bannedArcs, [2]graph.NodeID{nodes[j], nodes[j+1]})
 				}
 			}
-			bannedNodes := make([]bool, g.NumNodes())
-			for _, u := range root[:len(root)-1] {
-				bannedNodes[u] = true
-			}
-
-			spurRes, err := restrictedDijkstra(ctx, g, spur, d, bannedNodes, bannedEdges)
+			tr.Iterations++
+			cand, err := continuation(root, rootCost)
 			if err != nil {
-				return nil, err
+				return nil, tr, err
 			}
-			if !spurRes.Found {
+			if !cand.Found {
 				continue
 			}
-			rootCost, err := (graph.Path{Nodes: append([]graph.NodeID(nil), root...)}).CostIn(g)
-			if err != nil {
-				return nil, err
-			}
-			total := append(append([]graph.NodeID(nil), root[:len(root)-1]...), spurRes.Path.Nodes...)
-			cand := Result{
-				Found: true,
-				Path:  graph.Path{Nodes: total},
-				Cost:  rootCost + spurRes.Cost,
-			}
-			key := pathKey(cand.Path)
-			if !seen[key] {
+			if key := pathKey(cand.Path); !seen[key] {
 				seen[key] = true
-				candidates = append(candidates, cand)
+				candidates = append(candidates, candidate{cand, key})
 			}
 		}
 		if len(candidates) == 0 {
@@ -101,21 +123,21 @@ func KShortestCtx(ctx context.Context, g *graph.Graph, s, d graph.NodeID, k int)
 			if candidates[i].Cost != candidates[j].Cost {
 				return candidates[i].Cost < candidates[j].Cost
 			}
-			return pathKey(candidates[i].Path) < pathKey(candidates[j].Path)
+			return candidates[i].key < candidates[j].key
 		})
-		accepted = append(accepted, candidates[0])
+		accepted = append(accepted, candidates[0].Result)
 		candidates = candidates[1:]
 	}
-	return accepted, nil
+	return accepted, tr, nil
 }
 
 // pathKey canonicalises a path for dedup.
 func pathKey(p graph.Path) string {
-	var sb strings.Builder
+	buf := make([]byte, 0, 6*len(p.Nodes))
 	for _, u := range p.Nodes {
-		fmt.Fprintf(&sb, "%d,", u)
+		buf = append(strconv.AppendInt(buf, int64(u), 10), ',')
 	}
-	return sb.String()
+	return string(buf)
 }
 
 func equalPrefix(nodes, prefix []graph.NodeID) bool {
@@ -128,57 +150,4 @@ func equalPrefix(nodes, prefix []graph.NodeID) bool {
 		}
 	}
 	return true
-}
-
-// restrictedDijkstra is Dijkstra that may not enter banned nodes nor take
-// banned edges. The source is allowed even if marked banned (spur nodes are
-// never banned by the caller, but defensive anyway). The loop polls ctx
-// like every other kernel loop; a non-nil error is a typed lifecycle
-// error.
-func restrictedDijkstra(ctx context.Context, g *graph.Graph, s, d graph.NodeID, bannedNodes []bool, bannedEdges map[[2]graph.NodeID]bool) (Result, error) {
-	lc, err := newLifecycle(ctx)
-	if err != nil {
-		return Result{}, err
-	}
-	n := g.NumNodes()
-	dist := make([]float64, n)
-	for i := range dist {
-		dist[i] = math.Inf(1)
-	}
-	prev := make([]graph.NodeID, n)
-	for i := range prev {
-		prev[i] = graph.Invalid
-	}
-	closed := make([]bool, n)
-	h := pqueue.NewIndexed(n)
-	dist[s] = 0
-	h.Push(int(s), 0)
-	var tr Trace
-	for {
-		if err := lc.poll(tr.Iterations); err != nil {
-			return notFound(tr), err
-		}
-		ui, du, ok := h.PopMin()
-		if !ok {
-			return notFound(tr), nil
-		}
-		u := graph.NodeID(ui)
-		closed[u] = true
-		if u == d {
-			return Result{Found: true, Path: graph.BuildPath(prev, s, d), Cost: du, Trace: tr}, nil
-		}
-		tr.Iterations++
-		g.Neighbors(u, func(a graph.Arc) {
-			v := a.Head
-			if closed[v] || bannedNodes[v] || bannedEdges[[2]graph.NodeID{u, v}] {
-				return
-			}
-			nd := du + a.Cost
-			if nd < dist[v] {
-				dist[v] = nd
-				prev[v] = u
-				h.PushOrUpdate(int(v), nd)
-			}
-		})
-	}
 }

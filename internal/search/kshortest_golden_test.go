@@ -26,7 +26,7 @@ func TestKShortestGolden(t *testing.T) {
 		for _, pp := range mpls.PaperPaths() {
 			s, _ := g.Lookup(pp.From)
 			d, _ := g.Lookup(pp.To)
-			paths, err := KShortestCtx(context.Background(), g, s, d, k)
+			paths, _, err := KShortestCtx(context.Background(), g, s, d, k)
 			if err != nil {
 				t.Fatalf("%s k=%d: %v", pp.Name, k, err)
 			}

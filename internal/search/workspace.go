@@ -26,6 +26,7 @@ type labelSet struct {
 const (
 	flagClosed   uint8 = 1 << 0 // node settled (Dijkstra/A* closed set)
 	flagFrontier uint8 = 1 << 1 // node queued in Iterative's frontier
+	flagBanned   uint8 = 1 << 2 // node barred from a restricted search
 )
 
 // reset prepares the set for a fresh query over n nodes. Growth reallocates;
@@ -68,12 +69,13 @@ func (l *labelSet) distAt(u graph.NodeID) float64 {
 
 // Workspace bundles the per-query mutable state of every algorithm in this
 // package: two label sets (forward, and backward for bidirectional search),
-// two indexed heaps, and the frontier scratch slices of the Iterative
-// algorithm. Workspaces are recycled through an internal sync.Pool, so a
-// steady stream of queries over the same graph reuses the same arrays and
-// performs zero O(n) allocations or clears after warm-up — the direct answer
-// to the paper's conclusion that storage management, not algorithmic search,
-// dominates single-pair cost.
+// two indexed heaps, the frontier scratch slices of the Iterative
+// algorithm, and the settled list of a restricted search. Workspaces are
+// recycled through an internal sync.Pool, so a steady stream of queries
+// over the same graph reuses the same arrays and performs zero O(n)
+// allocations or clears after warm-up — the direct answer to the paper's
+// conclusion that storage management, not algorithmic search, dominates
+// single-pair cost.
 //
 // A Workspace is owned by exactly one query at a time; the pool hands each
 // concurrent query its own instance, which makes all package entry points
@@ -87,6 +89,7 @@ type Workspace struct {
 
 	frontier []graph.NodeID
 	next     []graph.NodeID
+	settled  []graph.NodeID // a restricted search's settled nodes
 
 	fresh bool // set by the pool's New; cleared on first acquisition
 }

@@ -1,6 +1,7 @@
 package search
 
 import (
+	"context"
 	"math"
 	"reflect"
 	"sync"
@@ -151,13 +152,13 @@ func (e *mismatchError) Error() string {
 // pooled state: Within's labels and SingleSource's heap.
 func TestWorkspaceWithinAndSingleSource(t *testing.T) {
 	g := gridgen.MustGenerate(gridgen.Config{K: 8, Model: gridgen.Uniform, Seed: 5})
-	wantReach, err := Within(g, 0, 3)
+	wantReach, err := WithinCtx(context.Background(), g, 0, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
 	wantDist, _ := SingleSource(g, 0)
 	for i := 0; i < 5; i++ {
-		reach, err := Within(g, 0, 3)
+		reach, err := WithinCtx(context.Background(), g, 0, 3)
 		if err != nil {
 			t.Fatal(err)
 		}

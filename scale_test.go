@@ -49,7 +49,7 @@ func TestScaleGrid50(t *testing.T) {
 	}
 
 	// Alternates and landmarks still behave at this size.
-	paths, err := search.KShortest(g, s, gridgen.NodeAt(k, 5, 5), 3)
+	paths, _, err := search.KShortestCtx(context.Background(), g, s, gridgen.NodeAt(k, 5, 5), 3)
 	if err != nil || len(paths) != 3 {
 		t.Fatalf("k-shortest at scale: %v, %d paths", err, len(paths))
 	}
