@@ -558,7 +558,6 @@ func (s *Service) AlternatesCtx(ctx context.Context, from, to graph.NodeID, k in
 			Path:      r.Path,
 			Cost:      r.Cost,
 			Algorithm: core.Dijkstra,
-			Trace:     r.Trace,
 		})
 	}
 	return out, nil
