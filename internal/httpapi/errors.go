@@ -1,7 +1,6 @@
 package httpapi
 
 import (
-	"encoding/json"
 	"errors"
 	"net/http"
 )
@@ -78,14 +77,7 @@ func (s *Server) apiError(w http.ResponseWriter, r *http.Request, status int, co
 	if code == "" {
 		code = codeOf(err, CodeBadRequest)
 	}
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	body := map[string]ErrorBody{"error": {
-		Code:      code,
-		Message:   err.Error(),
-		RequestID: RequestID(r.Context()),
-	}}
-	if encErr := json.NewEncoder(w).Encode(body); encErr != nil {
-		s.log.Warn("encoding error response", "request_id", RequestID(r.Context()), "err", encErr)
-	}
+	s.writeBody(w, r, status, func(e *jsonBody) {
+		e.errorEnvelope(code, err.Error(), RequestID(r.Context()))
+	})
 }

@@ -27,10 +27,12 @@
 // header with the scheduled removal date, and bump
 // atis_http_legacy_path_total (see README for the removal schedule).
 //
-// Every response carries an X-ATIS-Snapshot header naming the publish
-// generation of the snapshot the service held when the request began —
-// the hook a fan-out gateway uses to tell which world each replica
-// serves.
+// Every response carries an X-ATIS-Snapshot header naming a publish
+// generation — the hook a fan-out gateway uses to tell which world each
+// replica serves. On /v1/route it names the snapshot that answered: the
+// route, its evaluation and the header come from one snapshot load,
+// taken once the request is admitted. Elsewhere it names the snapshot
+// published when the request began.
 //
 // Every endpoint runs behind the instrumentation middleware (see
 // middleware.go). Search-running endpoints additionally run behind the
@@ -190,7 +192,7 @@ func (s *Server) registerLegacy(mux *http.ServeMux, method, path string, h http.
 }
 
 func (s *Server) writeJSON(w http.ResponseWriter, r *http.Request, v any) {
-	w.Header().Set("Content-Type", "application/json")
+	w.Header()[hdrContentType] = jsonContentType
 	if err := json.NewEncoder(w).Encode(v); err != nil {
 		s.log.Warn("encoding response", "request_id", RequestID(r.Context()), "err", err)
 	}
@@ -224,23 +226,6 @@ type RouteResponse struct {
 	Evaluation *Evaluation `json:"evaluation,omitempty"`
 }
 
-// routeToBody converts a computed route to its wire shape; Algorithm and
-// Iterations are always populated, found or not.
-func routeToBody(rt core.Route) RouteResponse {
-	resp := RouteResponse{
-		Found:      rt.Found,
-		Cost:       rt.Cost,
-		Algorithm:  rt.Algorithm.String(),
-		Iterations: rt.Trace.Iterations,
-	}
-	if rt.Found {
-		resp.Nodes = wireNodes(rt.Path.Nodes)
-	} else {
-		resp.Cost = -1
-	}
-	return resp
-}
-
 // wireNodes converts a path's node ids to their wire form in one
 // allocation. An empty path stays nil, which encodes as null.
 func wireNodes(nodes []graph.NodeID) []int32 {
@@ -264,27 +249,16 @@ type Evaluation struct {
 	CongestedHops   int     `json:"congestedHops"`
 }
 
-func evalToBody(ev route.Evaluation) *Evaluation {
-	return &Evaluation{
-		Hops:            ev.Hops,
-		Distance:        ev.Distance,
-		BaseCost:        ev.BaseCost,
-		CurrentCost:     ev.CurrentCost,
-		CongestionRatio: ev.CongestionRatio,
-		CongestedHops:   ev.CongestedHops,
-	}
-}
-
-func (s *Server) computeOptions(r *http.Request) (core.Options, error) {
+func computeOptions(q *query) (core.Options, error) {
 	opts := core.Options{}
-	if a := r.URL.Query().Get("algo"); a != "" {
+	if a := q.algo; a != "" {
 		algo, err := core.ParseAlgorithm(a)
 		if err != nil {
 			return opts, withCode(CodeBadAlgo, err)
 		}
 		opts.Algorithm = algo
 	}
-	if ws := r.URL.Query().Get("weight"); ws != "" {
+	if ws := q.weight; ws != "" {
 		w, err := strconv.ParseFloat(ws, 64)
 		if err != nil || w < 0 {
 			return opts, withCode(CodeBadRequest, fmt.Errorf("bad weight %q", ws))
@@ -296,18 +270,18 @@ func (s *Server) computeOptions(r *http.Request) (core.Options, error) {
 
 // parseRouteQuery resolves the endpoints and options of a single-pair
 // query, writing the error response itself on failure.
-func (s *Server) parseRouteQuery(w http.ResponseWriter, r *http.Request) (from, to graph.NodeID, opts core.Options, ok bool) {
-	from, err := s.resolve(r.URL.Query().Get("from"))
+func (s *Server) parseRouteQuery(w http.ResponseWriter, r *http.Request, q *query) (from, to graph.NodeID, opts core.Options, ok bool) {
+	from, err := s.resolve(q.from)
 	if err != nil {
 		s.apiError(w, r, http.StatusBadRequest, "", err)
 		return 0, 0, opts, false
 	}
-	to, err = s.resolve(r.URL.Query().Get("to"))
+	to, err = s.resolve(q.to)
 	if err != nil {
 		s.apiError(w, r, http.StatusBadRequest, "", err)
 		return 0, 0, opts, false
 	}
-	opts, err = s.computeOptions(r)
+	opts, err = computeOptions(q)
 	if err != nil {
 		s.apiError(w, r, http.StatusBadRequest, "", err)
 		return 0, 0, opts, false
@@ -319,11 +293,12 @@ func (s *Server) parseRouteQuery(w http.ResponseWriter, r *http.Request) (from, 
 // search — shared by /display and /directions. It writes the error
 // response itself; callers render the route on ok.
 func (s *Server) computeFromQuery(w http.ResponseWriter, r *http.Request) (core.Route, bool) {
-	from, to, opts, ok := s.parseRouteQuery(w, r)
+	q := parseQuery(r.URL.RawQuery)
+	from, to, opts, ok := s.parseRouteQuery(w, r, &q)
 	if !ok {
 		return core.Route{}, false
 	}
-	ctx, done, err := s.admit(w, r, opts.Algorithm, false)
+	ctx, done, err := s.admit(w, r, &q, opts.Algorithm, false)
 	if err != nil {
 		return core.Route{}, false
 	}
@@ -336,22 +311,27 @@ func (s *Server) computeFromQuery(w http.ResponseWriter, r *http.Request) (core.
 	return rt, true
 }
 
+// handleRoute answers GET /v1/route. Once admitted it loads the
+// published snapshot once and serves the route, its evaluation and the
+// X-ATIS-Snapshot header from that one world, so a publish landing
+// mid-request cannot mix two.
 func (s *Server) handleRoute(w http.ResponseWriter, r *http.Request) {
-	from, to, opts, ok := s.parseRouteQuery(w, r)
+	q := parseQuery(r.URL.RawQuery)
+	from, to, opts, ok := s.parseRouteQuery(w, r, &q)
 	if !ok {
 		return
 	}
-	ctx, done, err := s.admit(w, r, opts.Algorithm, true)
+	ctx, done, err := s.admit(w, r, &q, opts.Algorithm, true)
 	if err != nil {
 		if errors.Is(err, admission.ErrShed) && s.gate.Config().Degrade {
 			// Degradation mode: a shed route request may still be
 			// answerable without search work — from the cache or the CH
 			// index — which beats a 503 for the traveller.
-			if rt, served := s.svc.ComputeDegraded(from, to, opts); served {
+			sn := s.svc.Snapshot()
+			if rt, served := s.svc.ComputeDegraded(sn, from, to, opts); served {
 				s.degradedReqs.Inc()
-				resp := routeToBody(rt)
-				resp.Degraded = true
-				s.writeJSON(w, r, resp)
+				setSnapshotHeader(w, sn)
+				s.writeRoute(w, r, rt, true, nil)
 				return
 			}
 			s.shedResponse(w, r, err)
@@ -359,18 +339,40 @@ func (s *Server) handleRoute(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	defer done()
-	rt, err := s.svc.ComputeCtx(ctx, from, to, opts)
+	sn := s.svc.Snapshot()
+	setSnapshotHeader(w, sn)
+	rt, err := s.svc.ComputeIn(ctx, sn, from, to, opts)
 	if err != nil {
 		s.searchError(w, r, err)
 		return
 	}
-	resp := routeToBody(rt)
 	if rt.Found {
-		if ev, err := s.svc.Evaluate(rt.Path); err == nil {
-			resp.Evaluation = evalToBody(ev)
+		if ev, err := s.svc.EvaluateIn(sn, rt.Path); err == nil {
+			s.writeRoute(w, r, rt, false, &ev)
+			return
 		}
 	}
-	s.writeJSON(w, r, resp)
+	s.writeRoute(w, r, rt, false, nil)
+}
+
+// setSnapshotHeader names sn in X-ATIS-Snapshot, reusing the value slot
+// the middleware assigned.
+func setSnapshotHeader(w http.ResponseWriter, sn *route.Snapshot) {
+	h := w.Header()
+	if v := h[hdrSnapshot]; len(v) == 1 {
+		v[0] = sn.GenerationText()
+		return
+	}
+	h[hdrSnapshot] = []string{sn.GenerationText()}
+}
+
+// writeRoute sends one RouteResponse body.
+func (s *Server) writeRoute(w http.ResponseWriter, r *http.Request, rt core.Route, degraded bool, ev *route.Evaluation) {
+	s.writeBody(w, r, http.StatusOK, func(e *jsonBody) {
+		e.raw("{")
+		e.routeFields(rt, degraded, ev)
+		e.raw("}")
+	})
 }
 
 // maxBatchPairs bounds one /routes/batch request; larger fleets should
@@ -420,51 +422,35 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	// admission child span carries the outcome).
 	sp := tracing.FromContext(r.Context())
 	sp.SetInt("batch.pairs", int64(len(body.Pairs)))
-	ctx, done, err := s.admit(w, r, opts.Algorithm, false)
+	q := parseQuery(r.URL.RawQuery)
+	ctx, done, err := s.admit(w, r, &q, opts.Algorithm, false)
 	if err != nil {
 		return
 	}
 	defer done()
 
-	type item struct {
-		RouteResponse
-		// RequestID is the whole batch's request-scoped id: the batch is
-		// admitted and traced as one request, so every item joins to the
-		// same access-log line and (when captured) the same trace.
-		RequestID string `json:"requestId"`
-		Error     string `json:"error,omitempty"`
-	}
-	reqID := RequestID(r.Context())
-	items := make([]item, len(body.Pairs))
+	// A pair that fails to resolve keeps its error in its slot; the rest
+	// are computed as one batch, and their results fill the other slots
+	// in order.
+	resolveErrs := make([]error, len(body.Pairs))
 	pairs := make([]route.Pair, 0, len(body.Pairs))
-	idx := make([]int, 0, len(body.Pairs)) // items slot per resolvable pair
 	for i, p := range body.Pairs {
 		from, err := s.resolve(p.From)
-		if err != nil {
-			items[i] = item{RouteResponse: RouteResponse{Cost: -1, Algorithm: opts.Algorithm.String()}, RequestID: reqID, Error: err.Error()}
-			continue
+		if err == nil {
+			var to graph.NodeID
+			if to, err = s.resolve(p.To); err == nil {
+				pairs = append(pairs, route.Pair{From: from, To: to})
+				continue
+			}
 		}
-		to, err := s.resolve(p.To)
-		if err != nil {
-			items[i] = item{RouteResponse: RouteResponse{Cost: -1, Algorithm: opts.Algorithm.String()}, RequestID: reqID, Error: err.Error()}
-			continue
-		}
-		pairs = append(pairs, route.Pair{From: from, To: to})
-		idx = append(idx, i)
+		resolveErrs[i] = err
 	}
-
-	failed := len(body.Pairs) - len(pairs)
-	for j, res := range s.svc.ComputeBatchCtx(ctx, pairs, opts) {
-		i := idx[j]
-		if res.Err != nil {
-			items[i] = item{RouteResponse: RouteResponse{Cost: -1, Algorithm: opts.Algorithm.String()}, RequestID: reqID, Error: res.Err.Error()}
-			failed++
-			continue
-		}
-		items[i] = item{RouteResponse: routeToBody(res.Route), RequestID: reqID}
-	}
+	results := s.svc.ComputeBatchCtx(ctx, pairs, opts)
+	var failed int
+	s.writeBody(w, r, http.StatusOK, func(e *jsonBody) {
+		failed = e.batch(opts.Algorithm, RequestID(r.Context()), resolveErrs, results)
+	})
 	sp.SetInt("batch.errors", int64(failed))
-	s.writeJSON(w, r, map[string]any{"count": len(items), "routes": items})
 }
 
 // handleStats reports the serving stack's counters:
@@ -538,7 +524,7 @@ func (s *Server) handleEvaluate(w http.ResponseWriter, r *http.Request) {
 		s.apiError(w, r, http.StatusBadRequest, CodeBadRequest, err)
 		return
 	}
-	s.writeJSON(w, r, evalToBody(ev))
+	s.writeBody(w, r, http.StatusOK, func(e *jsonBody) { e.evaluation(ev) })
 }
 
 func (s *Server) handleDisplay(w http.ResponseWriter, r *http.Request) {
@@ -702,18 +688,19 @@ func (s *Server) handleDirections(w http.ResponseWriter, r *http.Request) {
 // handleAlternates lists up to k loopless routes:
 // GET /v1/alternates?from=A&to=B&k=3.
 func (s *Server) handleAlternates(w http.ResponseWriter, r *http.Request) {
-	from, err := s.resolve(r.URL.Query().Get("from"))
+	q := parseQuery(r.URL.RawQuery)
+	from, err := s.resolve(q.from)
 	if err != nil {
 		s.apiError(w, r, http.StatusBadRequest, "", err)
 		return
 	}
-	to, err := s.resolve(r.URL.Query().Get("to"))
+	to, err := s.resolve(q.to)
 	if err != nil {
 		s.apiError(w, r, http.StatusBadRequest, "", err)
 		return
 	}
 	k := 3
-	if ks := r.URL.Query().Get("k"); ks != "" {
+	if ks := q.k; ks != "" {
 		k, err = strconv.Atoi(ks)
 		if err != nil || k < 1 || k > 16 {
 			s.apiError(w, r, http.StatusBadRequest, CodeBadRequest, fmt.Errorf("bad k %q (want 1..16)", ks))
@@ -722,7 +709,7 @@ func (s *Server) handleAlternates(w http.ResponseWriter, r *http.Request) {
 	}
 	// Yen's algorithm runs a family of Dijkstras; admit under the
 	// best-first class.
-	ctx, done, err := s.admit(w, r, core.Dijkstra, false)
+	ctx, done, err := s.admit(w, r, &q, core.Dijkstra, false)
 	if err != nil {
 		return
 	}
@@ -746,18 +733,19 @@ func (s *Server) handleAlternates(w http.ResponseWriter, r *http.Request) {
 // handleReachable answers the isochrone query:
 // GET /v1/reachable?from=A&budget=5 → {"count":N,"nodes":{"17":3.2,…}}.
 func (s *Server) handleReachable(w http.ResponseWriter, r *http.Request) {
-	from, err := s.resolve(r.URL.Query().Get("from"))
+	q := parseQuery(r.URL.RawQuery)
+	from, err := s.resolve(q.from)
 	if err != nil {
 		s.apiError(w, r, http.StatusBadRequest, "", err)
 		return
 	}
-	budget, err := strconv.ParseFloat(r.URL.Query().Get("budget"), 64)
+	budget, err := strconv.ParseFloat(q.budget, 64)
 	if err != nil {
 		s.apiError(w, r, http.StatusBadRequest, CodeBadRequest,
-			fmt.Errorf("bad budget %q", r.URL.Query().Get("budget")))
+			fmt.Errorf("bad budget %q", q.budget))
 		return
 	}
-	ctx, done, err := s.admit(w, r, core.Dijkstra, false)
+	ctx, done, err := s.admit(w, r, &q, core.Dijkstra, false)
 	if err != nil {
 		return
 	}

@@ -525,18 +525,27 @@ func TestMaxCountTrafficBatchFitsBodyLimit(t *testing.T) {
 	}
 }
 
-// TestPathBodySizedOnce pins the wire conversion of a route's nodes: one
-// allocation for a 65-node path, where growing a nil slice node by node
-// took seven, and the same bytes as that append loop, including null
-// for an empty alternate.
+// TestPathBodySizedOnce pins the wire form of a route's nodes: the
+// encoder appends a 65-node route body to a warm buffer without
+// allocating, and writes the bytes encoding/json writes for the same
+// RouteResponse, including an empty path (no nodes field). Alternates
+// still convert paths with wireNodes: one allocation, and null for an
+// empty alternate, as the append loop it replaced.
 func TestPathBodySizedOnce(t *testing.T) {
 	nodes := make([]graph.NodeID, 65)
 	for i := range nodes {
 		nodes[i] = graph.NodeID(3 * i)
 	}
 	rt := core.Route{Found: true, Cost: 12.5, Path: graph.Path{Nodes: nodes}}
-	if allocs := testing.AllocsPerRun(100, func() { _ = routeToBody(rt) }); allocs != 1 {
-		t.Fatalf("routeToBody on a 65-node path: %.1f allocs, want 1", allocs)
+	e := jsonBody{b: make([]byte, 0, 1024)}
+	if allocs := testing.AllocsPerRun(100, func() {
+		e.b = e.b[:0]
+		e.routeFields(rt, false, nil)
+	}); allocs != 0 {
+		t.Fatalf("route body of a 65-node path: %.1f allocs, want 0", allocs)
+	}
+	if allocs := testing.AllocsPerRun(100, func() { _ = wireNodes(nodes) }); allocs != 1 {
+		t.Fatalf("wireNodes on a 65-node path: %.1f allocs, want 1", allocs)
 	}
 	appendLoop := func(nodes []graph.NodeID) []int32 {
 		var out []int32
@@ -557,9 +566,12 @@ func TestPathBodySizedOnce(t *testing.T) {
 		}
 		rt := core.Route{Found: true, Path: graph.Path{Nodes: path}}
 		want, _ = json.Marshal(RouteResponse{Found: true, Nodes: appendLoop(path), Algorithm: rt.Algorithm.String()})
-		got, _ = json.Marshal(routeToBody(rt))
-		if string(got) != string(want) {
-			t.Fatalf("%d-node route encodes as %s, want %s", len(path), got, want)
+		e := jsonBody{}
+		e.raw("{")
+		e.routeFields(rt, false, nil)
+		e.raw("}")
+		if string(e.b) != string(want) {
+			t.Fatalf("%d-node route encodes as %s, want %s", len(path), e.b, want)
 		}
 	}
 }

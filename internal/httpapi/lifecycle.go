@@ -18,12 +18,12 @@ import (
 // requestContext derives the request's lifecycle context: the client's
 // connection context (so a dropped connection cancels the search) capped
 // by a server-side deadline — the gate's default budget, or the client's
-// ?budget_ms= ask clamped to the configured maximum. The caller must
-// call cancel.
-func (s *Server) requestContext(r *http.Request) (context.Context, context.CancelFunc, error) {
+// ?budget_ms= ask (q.budgetMS) clamped to the configured maximum. The
+// caller must call cancel.
+func (s *Server) requestContext(r *http.Request, q *query) (context.Context, context.CancelFunc, error) {
 	cfg := s.gate.Config()
 	budget := cfg.DefaultBudget
-	if bs := r.URL.Query().Get("budget_ms"); bs != "" {
+	if bs := q.budgetMS; bs != "" {
 		ms, err := strconv.ParseInt(bs, 10, 64)
 		if err != nil || ms < 1 {
 			return nil, nil, withCode(CodeBadRequest, fmt.Errorf("bad budget_ms %q (want a positive integer)", bs))
@@ -44,8 +44,8 @@ func (s *Server) requestContext(r *http.Request) (context.Context, context.Cance
 // the deadline timer. On failure admit writes the error response —
 // except a shed when the caller passed degrade=true, where it returns
 // errShedDegradable so the caller may try a degraded answer first.
-func (s *Server) admit(w http.ResponseWriter, r *http.Request, algo core.Algorithm, degrade bool) (context.Context, func(), error) {
-	ctx, cancel, err := s.requestContext(r)
+func (s *Server) admit(w http.ResponseWriter, r *http.Request, q *query, algo core.Algorithm, degrade bool) (context.Context, func(), error) {
+	ctx, cancel, err := s.requestContext(r, q)
 	if err != nil {
 		s.apiError(w, r, http.StatusBadRequest, "", err)
 		return nil, nil, err

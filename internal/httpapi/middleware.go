@@ -13,6 +13,7 @@ import (
 	"net/http"
 	"runtime/debug"
 	"strconv"
+	"sync"
 	"sync/atomic"
 	"time"
 
@@ -22,15 +23,39 @@ import (
 // ctxKey is the private type for request-scoped context values.
 type ctxKey int
 
-const requestIDKey ctxKey = iota
+const requestKey ctxKey = iota
+
+// Canonical header keys. The middleware and the encoder assign them into
+// header maps directly, skipping Set's per-call canonicalisation; the
+// wire names are unchanged, since net/http writes every key canonically.
+const (
+	hdrRequestID     = "X-Request-Id"
+	hdrSnapshot      = "X-Atis-Snapshot"
+	hdrTraceparent   = "Traceparent"
+	hdrContentType   = "Content-Type"
+	hdrContentLength = "Content-Length"
+)
+
+// jsonContentType is the shared Content-Type value of every JSON body;
+// header values are never modified in place once assigned.
+var jsonContentType = []string{"application/json"}
+
+// request is the middleware's per-request state, allocated once: the
+// request id and the status-capturing writer.
+type request struct {
+	id string
+	sw statusWriter
+}
 
 // RequestID returns the trace id assigned to the request, or "" outside an
 // instrumented handler. The same id is echoed to the client in the
 // X-Request-ID response header, so a traveller's complaint and the server's
 // structured log line can be joined on it.
 func RequestID(ctx context.Context) string {
-	id, _ := ctx.Value(requestIDKey).(string)
-	return id
+	if rq, _ := ctx.Value(requestKey).(*request); rq != nil {
+		return rq.id
+	}
+	return ""
 }
 
 // requestIDSeq disambiguates ids if the random source ever fails.
@@ -62,17 +87,95 @@ func validRequestID(id string) bool {
 func newRequestID() string {
 	var b [8]byte
 	if _, err := rand.Read(b[:]); err != nil {
-		return fmt.Sprintf("req-%d", requestIDSeq.Add(1))
+		return "req-" + strconv.FormatUint(requestIDSeq.Add(1), 10)
 	}
-	return hex.EncodeToString(b[:])
+	var id [16]byte
+	hex.Encode(id[:], b[:])
+	return string(id[:])
+}
+
+// firstValue is Header.Get for a key already in canonical form.
+func firstValue(h http.Header, key string) string {
+	if v := h[key]; len(v) > 0 {
+		return v[0]
+	}
+	return ""
+}
+
+// statusCounters resolves the atis_http_requests_total{path,method,code}
+// series of one endpoint without rendering labels per request: each
+// (method, status) pair seen is looked up in the registry once, and then
+// read from a copy-on-write map. A series is created only when its first
+// request is counted, so /metrics never shows a code the endpoint has not
+// served. Past maxCachedStatus pairs (clients choose the method of a
+// 405), lookups go to the registry.
+type statusCounters struct {
+	reg  *telemetry.Registry
+	path string
+	mu   sync.Mutex // serialises map copies
+	m    atomic.Pointer[map[methodStatus]*telemetry.Counter]
+}
+
+type methodStatus struct {
+	method string
+	status int
+}
+
+const maxCachedStatus = 64
+
+func (c *statusCounters) counter(method string, status int) *telemetry.Counter {
+	k := methodStatus{method, status}
+	if m := c.m.Load(); m != nil {
+		if ctr, ok := (*m)[k]; ok {
+			return ctr
+		}
+	}
+	ctr := c.reg.Counter("atis_http_requests_total", "HTTP requests by path, method, and status code.",
+		telemetry.L("path", c.path),
+		telemetry.L("method", method),
+		telemetry.L("code", strconv.Itoa(status)),
+	)
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	var cur map[methodStatus]*telemetry.Counter
+	if m := c.m.Load(); m != nil {
+		cur = *m
+	}
+	if len(cur) >= maxCachedStatus {
+		return ctr
+	}
+	next := make(map[methodStatus]*telemetry.Counter, len(cur)+1)
+	for ck, cv := range cur {
+		next[ck] = cv
+	}
+	next[k] = ctr
+	c.m.Store(&next)
+	return ctr
 }
 
 // statusWriter captures the response status and body size for the access
-// log and the status-code counters.
+// log and the status-code counters. It also holds the values of the
+// headers the server sets on every response, so assigning one costs no
+// slice of its own.
 type statusWriter struct {
 	http.ResponseWriter
 	status int
 	bytes  int
+	hdr    [4]string
+}
+
+// Slots of statusWriter.hdr.
+const (
+	slotRequestID = iota
+	slotSnapshot
+	slotTraceparent
+	slotContentLength
+)
+
+// setHeader assigns v to the canonical key through slot i.
+func (w *statusWriter) setHeader(key string, i int, v string) {
+	w.hdr[i] = v
+	w.Header()[key] = w.hdr[i : i+1 : i+1]
 }
 
 func (w *statusWriter) WriteHeader(code int) {
@@ -146,27 +249,30 @@ func (w *statusWriter) ReadFrom(r io.Reader) (int64, error) {
 func (s *Server) instrument(pattern string, h http.HandlerFunc) http.Handler {
 	latency := s.reg.Histogram("atis_http_request_seconds",
 		"HTTP request latency.", nil, telemetry.L("path", pattern))
+	requests := &statusCounters{reg: s.reg, path: pattern}
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		id := r.Header.Get("X-Request-ID")
-		if !validRequestID(id) {
-			id = newRequestID()
+		rq := &request{sw: statusWriter{ResponseWriter: w}}
+		rq.id = firstValue(r.Header, hdrRequestID)
+		if !validRequestID(rq.id) {
+			rq.id = newRequestID()
 		}
-		w.Header().Set("X-Request-ID", id)
+		sw := &rq.sw
+		sw.setHeader(hdrRequestID, slotRequestID, rq.id)
 		// The snapshot generation the service holds as the request begins;
 		// a gateway fanning out across replicas joins responses on it to
-		// know which published world answered.
-		w.Header().Set("X-ATIS-Snapshot", s.svc.Snapshot().GenerationText())
-		ctx := context.WithValue(r.Context(), requestIDKey, id)
-		ctx, trace := s.tracer.StartRequest(ctx, pattern, r.Header.Get("traceparent"))
+		// know which published world answered. /v1/route overwrites it
+		// with the snapshot its answer came from.
+		sw.setHeader(hdrSnapshot, slotSnapshot, s.svc.Snapshot().GenerationText())
+		ctx := context.WithValue(r.Context(), requestKey, rq)
+		ctx, trace := s.tracer.StartRequest(ctx, pattern, firstValue(r.Header, hdrTraceparent))
 		if trace != nil {
-			w.Header().Set("traceparent", trace.Traceparent())
+			sw.setHeader(hdrTraceparent, slotTraceparent, trace.Traceparent())
 		}
 		r = r.WithContext(ctx)
 
 		s.inFlight.Inc()
 		defer s.inFlight.Dec()
 		start := time.Now()
-		sw := &statusWriter{ResponseWriter: w}
 		aborted := s.serve(h, sw, r)
 		elapsed := time.Since(start)
 
@@ -174,7 +280,7 @@ func (s *Server) instrument(pattern string, h http.HandlerFunc) http.Handler {
 			sw.status = http.StatusOK // handler wrote nothing at all
 		}
 		root := trace.Root()
-		root.SetStr("requestId", id)
+		root.SetStr("requestId", rq.id)
 		root.SetStr("method", r.Method)
 		root.SetInt("status", int64(sw.status))
 		root.SetInt("bytes", int64(sw.bytes))
@@ -186,14 +292,10 @@ func (s *Server) instrument(pattern string, h http.HandlerFunc) http.Handler {
 		} else {
 			latency.Observe(elapsed.Seconds())
 		}
-		s.reg.Counter("atis_http_requests_total", "HTTP requests by path, method, and status code.",
-			telemetry.L("path", pattern),
-			telemetry.L("method", r.Method),
-			telemetry.L("code", strconv.Itoa(sw.status)),
-		).Inc()
+		requests.counter(r.Method, sw.status).Inc()
 
 		logAttrs := []slog.Attr{
-			slog.String("request_id", id),
+			slog.String("request_id", rq.id),
 			slog.String("method", r.Method),
 			slog.String("path", r.URL.Path),
 			slog.Int("status", sw.status),

@@ -1,9 +1,21 @@
 package httpapi
 
 import (
+	"context"
+	"io"
+	"log/slog"
+	"math"
+	"math/rand"
 	"net/http"
+	"net/http/httptest"
 	"strconv"
+	"sync"
 	"testing"
+
+	"repro/internal/graph"
+	"repro/internal/mpls"
+	"repro/internal/route"
+	"repro/internal/search"
 )
 
 // TestSnapshotHeaderAdvancesOnMutation pins the per-response snapshot
@@ -132,5 +144,99 @@ func TestLegacyAliasDeprecationHeaders(t *testing.T) {
 		if got := v1.Header.Get(h); got != "" {
 			t.Errorf("/v1 path unexpectedly carries %s: %q", h, got)
 		}
+	}
+}
+
+// TestRouteProvenanceUnderMutation pins which world answers a /v1/route
+// request while traffic batches publish new snapshots under it: the
+// served cost equals the evaluation's currentCost, and equals Dijkstra's
+// cost on the snapshot whose generation X-ATIS-Snapshot names. Both hold
+// only if the route, its evaluation and the header come from one
+// snapshot.
+func TestRouteProvenanceUnderMutation(t *testing.T) {
+	g := mpls.MustGenerate(mpls.Config{})
+	svc := route.NewService(g)
+	ts := httptest.NewServer(NewServer(svc, WithLogger(slog.New(slog.NewTextHandler(io.Discard, nil)))).Handler())
+	t.Cleanup(ts.Close)
+
+	// worlds maps every published generation to its snapshot; only the
+	// mutator below publishes, so the snapshot it loads after a batch is
+	// the one that batch published.
+	var mu sync.Mutex
+	worlds := map[string]*route.Snapshot{svc.Snapshot().GenerationText(): svc.Snapshot()}
+	edges := g.Edges()
+	stop := make(chan struct{})
+	mutated := make(chan struct{})
+	go func() {
+		defer close(mutated)
+		rng := rand.New(rand.NewSource(7))
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			changes := make([]graph.EdgeCostChange, 0, 300)
+			for i := 0; i < 300; i++ {
+				e := edges[rng.Intn(len(edges))]
+				base, _ := g.ArcCost(e.Tail, e.Head)
+				changes = append(changes, graph.EdgeCostChange{Tail: e.Tail, Head: e.Head,
+					Cost: base * []float64{1, 1.5, 2, 4}[rng.Intn(4)]})
+			}
+			if _, err := svc.ApplyTrafficBatchCtx(context.Background(), changes); err != nil {
+				t.Error(err)
+				return
+			}
+			sn := svc.Snapshot()
+			mu.Lock()
+			worlds[sn.GenerationText()] = sn
+			mu.Unlock()
+		}
+	}()
+
+	type answer struct {
+		gen      string
+		from, to graph.NodeID
+		rr       RouteResponse
+	}
+	var answers []answer
+	rng := rand.New(rand.NewSource(11))
+	n := g.NumNodes()
+	for i := 0; i < 400; i++ {
+		from, to := graph.NodeID(rng.Intn(n)), graph.NodeID(rng.Intn(n))
+		var rr RouteResponse
+		resp := getJSON(t, ts.URL+"/v1/route?from="+strconv.Itoa(int(from))+"&to="+strconv.Itoa(int(to)), &rr)
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("route %d→%d: status %d", from, to, resp.StatusCode)
+		}
+		answers = append(answers, answer{resp.Header.Get("X-ATIS-Snapshot"), from, to, rr})
+	}
+	close(stop)
+	<-mutated
+
+	near := func(a, b float64) bool { return math.Abs(a-b) <= 1e-9*math.Max(1, math.Abs(b)) }
+	gens := map[string]bool{}
+	for _, a := range answers {
+		gens[a.gen] = true
+		if !a.rr.Found {
+			continue
+		}
+		if a.rr.Evaluation == nil || !near(a.rr.Cost, a.rr.Evaluation.CurrentCost) {
+			t.Fatalf("route %d→%d on snapshot %s: cost %v, evaluation %+v", a.from, a.to, a.gen, a.rr.Cost, a.rr.Evaluation)
+		}
+		sn := worlds[a.gen]
+		if sn == nil {
+			t.Fatalf("route %d→%d names snapshot %s, which was never published", a.from, a.to, a.gen)
+		}
+		want, err := search.Dijkstra(sn.Graph(), a.from, a.to)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !near(a.rr.Cost, want.Cost) {
+			t.Fatalf("route %d→%d: served cost %v, but Dijkstra on snapshot %s gives %v", a.from, a.to, a.rr.Cost, a.gen, want.Cost)
+		}
+	}
+	if len(gens) < 10 {
+		t.Fatalf("answers came from %d snapshots; the mutator did not publish under the readers", len(gens))
 	}
 }

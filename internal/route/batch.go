@@ -67,7 +67,7 @@ func (s *Service) ComputeBatchCtx(ctx context.Context, pairs []Pair, opts core.O
 					out[i] = BatchResult{Err: search.FromContextErr(err)}
 					continue
 				}
-				rt, err := s.computeSnap(ctx, snap, pairs[i].From, pairs[i].To, opts)
+				rt, err := s.ComputeIn(ctx, snap, pairs[i].From, pairs[i].To, opts)
 				out[i] = BatchResult{Route: rt, Err: err}
 			}
 		}()

@@ -71,7 +71,7 @@ func TestCHDisabledReturnsErrCHDisabled(t *testing.T) {
 			t.Fatalf("ComputeBatchCtx pair %d: err %v, want ErrCHDisabled", i, res.Err)
 		}
 	}
-	if _, ok := s.ComputeDegraded(from, to, opts); ok {
+	if _, ok := s.ComputeDegraded(s.Snapshot(), from, to, opts); ok {
 		t.Fatal("ComputeDegraded answered without an index")
 	}
 	if _, _, entries := s.CacheStats(); entries != 0 {

@@ -15,10 +15,10 @@ import (
 // the check silently skipping it.
 var queryPathFuncs = map[string]bool{
 	"Snapshot": true, "CostGeneration": true, "CacheStats": true,
-	"Graph": true, "ComputeCtx": true, "computeSnap": true,
+	"Graph": true, "ComputeCtx": true, "ComputeIn": true,
 	"cacheLookup": true, "routeSnap": true, "chQuery": true,
 	"ComputeDegraded": true, "CHStats": true, "ComputeByName": true,
-	"ComputeBatchCtx": true, "Evaluate": true, "Display": true,
+	"ComputeBatchCtx": true, "Evaluate": true, "EvaluateIn": true, "Display": true,
 	"AlternatesCtx": true, "Nearest": true, "ReachableCtx": true,
 	"Directions": true,
 }

@@ -219,13 +219,14 @@ func (s *Service) Graph() *graph.Graph {
 // context's state — the answer is already in hand. Lifecycle-aborted
 // computations are never cached.
 func (s *Service) ComputeCtx(ctx context.Context, from, to graph.NodeID, opts core.Options) (core.Route, error) {
-	return s.computeSnap(ctx, s.snap.Load(), from, to, opts)
+	return s.ComputeIn(ctx, s.snap.Load(), from, to, opts)
 }
 
-// computeSnap is ComputeCtx pinned to one already-loaded snapshot — the
-// shared entry for single requests and batch workers, which load the
-// snapshot once and serve every pair from the same world.
-func (s *Service) computeSnap(ctx context.Context, snap *Snapshot, from, to graph.NodeID, opts core.Options) (core.Route, error) {
+// ComputeIn is ComputeCtx pinned to one already-loaded snapshot — the
+// shared entry for callers that serve several reads from one world:
+// batch workers, and an HTTP route request that evaluates its answer and
+// names its snapshot in a header.
+func (s *Service) ComputeIn(ctx context.Context, snap *Snapshot, from, to graph.NodeID, opts core.Options) (core.Route, error) {
 	key := cacheKey{
 		from: from, to: to,
 		algo: opts.Algorithm, weight: opts.Weight, frontier: opts.Frontier,
@@ -321,9 +322,9 @@ func (s *Service) chQuery(ctx context.Context, ix *ch.Index, from, to graph.Node
 // bumps — degraded answers must not skew cache telemetry), then the
 // snapshot's contraction-hierarchy index, whose per-query work is
 // near-constant and far below any kernel's. It reports ok=false when
-// neither source can answer — the caller sheds the request for real.
-func (s *Service) ComputeDegraded(from, to graph.NodeID, opts core.Options) (core.Route, bool) {
-	snap := s.snap.Load()
+// neither source can answer — the caller sheds the request for real. It
+// serves from snap, which the caller has loaded.
+func (s *Service) ComputeDegraded(snap *Snapshot, from, to graph.NodeID, opts core.Options) (core.Route, bool) {
 	key := cacheKey{
 		from: from, to: to,
 		algo: opts.Algorithm, weight: opts.Weight, frontier: opts.Frontier,
@@ -448,7 +449,7 @@ func (s *Service) ComputeByName(from, to string, opts core.Options) (core.Route,
 	if !ok {
 		return core.Route{}, fmt.Errorf("route: unknown landmark %q", to)
 	}
-	return s.computeSnap(context.Background(), snap, f, t, opts)
+	return s.ComputeIn(context.Background(), snap, f, t, opts)
 }
 
 // Evaluation is the attribute set of a given route (the paper's route
@@ -473,10 +474,15 @@ type Evaluation struct {
 }
 
 // Evaluate computes the attributes of path under the published snapshot's
-// costs. base is read-only after construction, so comparing it with the
-// snapshot needs no coordination.
+// costs.
 func (s *Service) Evaluate(path graph.Path) (Evaluation, error) {
-	cur := s.snap.Load().graph
+	return s.EvaluateIn(s.snap.Load(), path)
+}
+
+// EvaluateIn is Evaluate under snap's costs. base is read-only after
+// construction, so comparing it with the snapshot needs no coordination.
+func (s *Service) EvaluateIn(snap *Snapshot, path graph.Path) (Evaluation, error) {
+	cur := snap.graph
 	ev := Evaluation{Hops: path.Len()}
 	if !path.ValidIn(cur) {
 		return ev, fmt.Errorf("route: not a path of the network: %s", path)

@@ -114,7 +114,7 @@ func TestSnapshotsCompleteUnderMutationStream(t *testing.T) {
 				from := graph.NodeID(rng.Intn(n))
 				to := graph.NodeID(rng.Intn(n))
 				sn := s.Snapshot()
-				chRt, err := s.computeSnap(ctx, sn, from, to, core.Options{Algorithm: core.CH})
+				chRt, err := s.ComputeIn(ctx, sn, from, to, core.Options{Algorithm: core.CH})
 				if err != nil {
 					t.Errorf("ch %d→%d: %v", from, to, err)
 					return
@@ -123,7 +123,7 @@ func TestSnapshotsCompleteUnderMutationStream(t *testing.T) {
 					t.Errorf("%d→%d: warmed snapshot served %v, want ch", from, to, chRt.Algorithm)
 					return
 				}
-				dij, err := s.computeSnap(ctx, sn, from, to, core.Options{Algorithm: core.Dijkstra})
+				dij, err := s.ComputeIn(ctx, sn, from, to, core.Options{Algorithm: core.Dijkstra})
 				if err != nil {
 					t.Errorf("dijkstra %d→%d: %v", from, to, err)
 					return
