@@ -239,7 +239,10 @@ func (w *statusWriter) ReadFrom(r io.Reader) (int64, error) {
 //     atis_http_request_seconds{path} latency histogram (with an
 //     OpenMetrics exemplar linking to the trace when it was captured),
 //     and the atis_http_in_flight gauge;
-//   - one structured access-log line per request;
+//   - a structured access-log line for every failure (4xx, 499, 5xx),
+//     and for a success only when its trace was captured (head-sampled
+//     or slow), so the log follows the trace sampler and every logged
+//     success can be fetched by its trace_id;
 //   - recovery of a handler panic into a 500 internal envelope (serve).
 //
 // pattern is the mux registration pattern, used as the path label so metric
@@ -284,7 +287,8 @@ func (s *Server) instrument(pattern string, h http.HandlerFunc) http.Handler {
 		root.SetStr("method", r.Method)
 		root.SetInt("status", int64(sw.status))
 		root.SetInt("bytes", int64(sw.bytes))
-		if s.tracer.Finish(trace) {
+		captured := s.tracer.Finish(trace)
+		if captured {
 			// Captured (sampled or slow): link the histogram bucket to the
 			// retrievable trace.
 			latency.ObserveExemplar(elapsed.Seconds(), trace.ID(),
@@ -294,18 +298,20 @@ func (s *Server) instrument(pattern string, h http.HandlerFunc) http.Handler {
 		}
 		requests.counter(r.Method, sw.status).Inc()
 
-		logAttrs := []slog.Attr{
-			slog.String("request_id", rq.id),
-			slog.String("method", r.Method),
-			slog.String("path", r.URL.Path),
-			slog.Int("status", sw.status),
-			slog.Int("bytes", sw.bytes),
-			slog.Duration("duration", elapsed),
+		if captured || sw.status >= 400 {
+			logAttrs := []slog.Attr{
+				slog.String("request_id", rq.id),
+				slog.String("method", r.Method),
+				slog.String("path", r.URL.Path),
+				slog.Int("status", sw.status),
+				slog.Int("bytes", sw.bytes),
+				slog.Duration("duration", elapsed),
+			}
+			if trace != nil {
+				logAttrs = append(logAttrs, slog.String("trace_id", trace.ID()))
+			}
+			s.log.LogAttrs(r.Context(), slog.LevelInfo, "request", logAttrs...)
 		}
-		if trace != nil {
-			logAttrs = append(logAttrs, slog.String("trace_id", trace.ID()))
-		}
-		s.log.LogAttrs(r.Context(), slog.LevelInfo, "request", logAttrs...)
 		if aborted {
 			panic(http.ErrAbortHandler)
 		}

@@ -11,11 +11,13 @@ import (
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"repro/internal/mpls"
 	"repro/internal/route"
 	"repro/internal/search"
 	"repro/internal/telemetry"
+	"repro/internal/tracing"
 )
 
 // newInstrumentedServer returns a test server plus the route service behind
@@ -390,5 +392,71 @@ func TestInstrumentRecoversPanics(t *testing.T) {
 	_, repanic = serve("/abort", func(http.ResponseWriter, *http.Request) { panic(http.ErrAbortHandler) })
 	if repanic != http.ErrAbortHandler {
 		t.Errorf("http.ErrAbortHandler: re-panicked %v, want http.ErrAbortHandler", repanic)
+	}
+}
+
+// lockedBuffer is an io.Writer safe for the server's goroutines.
+type lockedBuffer struct {
+	mu  sync.Mutex
+	buf strings.Builder
+}
+
+func (b *lockedBuffer) Write(p []byte) (int, error) {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	return b.buf.Write(p)
+}
+
+func (b *lockedBuffer) String() string {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	return b.buf.String()
+}
+
+// TestAccessLogFollowsTraceSampler pins the access-log rule: a 2xx line
+// is written only when the request's trace was captured (head-sampled
+// or slow) and carries its trace_id; every 4xx and 5xx line is written,
+// traced or not.
+func TestAccessLogFollowsTraceSampler(t *testing.T) {
+	for _, tc := range []struct {
+		name        string
+		cfg         tracing.Config
+		wantSuccess bool
+	}{
+		{"tracing off", tracing.Config{}, false},
+		{"unsampled", tracing.Config{SlowThreshold: time.Hour}, false},
+		{"head-sampled", tracing.Config{SampleRate: 1}, true},
+		{"slow", tracing.Config{SlowThreshold: time.Nanosecond}, true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			var logs lockedBuffer
+			svc := route.NewService(mpls.MustGenerate(mpls.Config{}))
+			srv := NewServer(svc, WithLogger(slog.New(slog.NewTextHandler(&logs, nil))), WithTracing(tc.cfg))
+			ts := httptest.NewServer(srv.Handler())
+			defer ts.Close()
+			for _, q := range []string{"/v1/route?from=A&to=B", "/v1/route?from=ZZZ&to=B", "/v1/map"} {
+				resp, err := http.Get(ts.URL + q)
+				if err != nil {
+					t.Fatal(err)
+				}
+				resp.Body.Close()
+			}
+			out := logs.String()
+			if !strings.Contains(out, "status=400") {
+				t.Errorf("the 400 was not logged:\n%s", out)
+			}
+			successes := strings.Count(out, "status=200")
+			if tc.wantSuccess && successes != 2 {
+				t.Errorf("%d of 2 captured successes logged:\n%s", successes, out)
+			}
+			if !tc.wantSuccess && successes != 0 {
+				t.Errorf("%d uncaptured successes logged:\n%s", successes, out)
+			}
+			for _, line := range strings.Split(strings.TrimSpace(out), "\n") {
+				if strings.Contains(line, "status=200") && !strings.Contains(line, "trace_id=") {
+					t.Errorf("logged success without a trace_id: %s", line)
+				}
+			}
+		})
 	}
 }
