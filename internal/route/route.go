@@ -483,15 +483,14 @@ func (s *Service) Evaluate(path graph.Path) (Evaluation, error) {
 // construction, so comparing it with the snapshot needs no coordination.
 func (s *Service) EvaluateIn(snap *Snapshot, path graph.Path) (Evaluation, error) {
 	cur := snap.graph
-	ev := Evaluation{Hops: path.Len()}
-	if !path.ValidIn(cur) {
-		return ev, fmt.Errorf("route: not a path of the network: %s", path)
-	}
-	ev.Valid = true
+	ev := Evaluation{Hops: path.Len(), Valid: true}
 	for i := 0; i+1 < len(path.Nodes); i++ {
 		u, v := path.Nodes[i], path.Nodes[i+1]
+		curCost, ok := cur.ArcCost(u, v)
+		if !ok {
+			return Evaluation{Hops: path.Len()}, fmt.Errorf("route: not a path of the network: %s", path)
+		}
 		ev.Distance += cur.Point(u).EuclideanDistance(cur.Point(v))
-		curCost, _ := cur.ArcCost(u, v)
 		baseCost, _ := s.base.ArcCost(u, v)
 		ev.CurrentCost += curCost
 		ev.BaseCost += baseCost
