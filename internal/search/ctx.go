@@ -104,3 +104,13 @@ func (lc *lifecycle) poll(expansions int) error {
 	}
 	return ctxErr(lc.ctx)
 }
+
+// pollCtx is poll without the expansion budget, for a pass whose pops
+// are charged against the budget only once it completes.
+func (lc *lifecycle) pollCtx() error {
+	lc.calls++
+	if lc.calls&(CheckInterval-1) != 0 {
+		return nil
+	}
+	return ctxErr(lc.ctx)
+}

@@ -212,6 +212,34 @@ func TestKShortestCtxCancel(t *testing.T) {
 	}
 }
 
+// TestKShortestBackwardPassCancel: Yen's backward pass polls the
+// request's context. A context that dies once the first path is found
+// stops the request inside the pass, with ErrCanceled, before the pass
+// is charged its pops and before any spur search runs.
+func TestKShortestBackwardPassCancel(t *testing.T) {
+	g := lifecycleGrid(t, 100)
+	s, d := graph.NodeID(0), graph.NodeID(g.NumNodes()-1)
+	// The context checks the first path's search makes, counted on a k=1
+	// request, which runs that search alone.
+	counter := newCountdownCtx(1 << 30)
+	_, first, err := KShortestCtx(counter, g, s, d, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := newCountdownCtx(counter.calls)
+	_, tr, err := KShortestCtx(ctx, g, s, d, 3)
+	if !errors.Is(err, ErrCanceled) {
+		t.Fatalf("err = %v, want ErrCanceled", err)
+	}
+	if tr.HeapPops != first.HeapPops || tr.Iterations != 0 {
+		t.Fatalf("request stopped after %d pops and %d spurs; the first path alone pops %d, so the pass completed",
+			tr.HeapPops, tr.Iterations, first.HeapPops)
+	}
+	if ctx.calls <= counter.calls {
+		t.Fatalf("the pass checked the context %d times after the first path, want at least once", ctx.calls-counter.calls)
+	}
+}
+
 // TestWithinCtxCancel covers the isochrone kernel.
 func TestWithinCtxCancel(t *testing.T) {
 	g := lifecycleGrid(t, 50)

@@ -17,6 +17,16 @@ import (
 // contrasts the single-pair algorithms against, and the oracle used by the
 // property tests and by VerifyAdmissible.
 func SingleSource(g *graph.Graph, s graph.NodeID) (dist []float64, prev []graph.NodeID) {
+	dist, prev, _ = singleSource(g, s, nil)
+	return dist, prev
+}
+
+// singleSource is SingleSource under an optional request lifecycle: when
+// lc is non-nil, the loop polls it for cancel and deadline once per pop,
+// without charging the pops against the expansion budget — the caller
+// charges a completed pass. A dead context stops the pass with its typed
+// lifecycle error and nil slices.
+func singleSource(g *graph.Graph, s graph.NodeID, lc *lifecycle) (dist []float64, prev []graph.NodeID, err error) {
 	n := g.NumNodes()
 	dist = make([]float64, n)
 	for i := range dist {
@@ -27,7 +37,7 @@ func SingleSource(g *graph.Graph, s graph.NodeID) (dist []float64, prev []graph.
 		prev[i] = graph.Invalid
 	}
 	if s < 0 || int(s) >= n {
-		return dist, prev
+		return dist, prev, nil
 	}
 	// dist and prev escape to the caller and must be fresh allocations; the
 	// heap does not, so it comes from the workspace pool.
@@ -37,9 +47,14 @@ func SingleSource(g *graph.Graph, s graph.NodeID) (dist []float64, prev []graph.
 	dist[s] = 0
 	h.Push(int(s), 0)
 	for {
+		if lc != nil {
+			if err := lc.pollCtx(); err != nil {
+				return nil, nil, err
+			}
+		}
 		ui, du, ok := h.PopMin()
 		if !ok {
-			return dist, prev
+			return dist, prev, nil
 		}
 		u := graph.NodeID(ui)
 		g.Neighbors(u, func(a graph.Arc) {

@@ -23,12 +23,14 @@ import (
 // arcs, so h* stays a consistent lower bound in every spur search, and a
 // node that cannot reach d at all is never pushed. One lifecycle polls
 // ctx and counts heap pops across the whole request, so the expansion
-// budget (WithBudget) bounds the request, not each spur.
+// budget (WithBudget) bounds the request, not each spur. The backward
+// pass polls ctx too, but its pops are charged only once it completes.
 //
 // The result is empty when no path exists. Ties are returned in a
 // deterministic order. The returned Trace accounts for the whole request,
 // also when it stops with a lifecycle error: HeapPops counts every heap
-// pop, the backward pass's included, and Iterations the spur searches.
+// pop, a completed backward pass's included, and Iterations the spur
+// searches.
 func KShortestCtx(ctx context.Context, g *graph.Graph, s, d graph.NodeID, k int) ([]Result, Trace, error) {
 	var tr Trace
 	if err := validatePair(g, s, d); err != nil {
@@ -64,8 +66,11 @@ func KShortestCtx(ctx context.Context, g *graph.Graph, s, d graph.NodeID, k int)
 		return nil, tr, err
 	}
 	if k > 1 {
-		// The backward pass pops each node that reaches d exactly once.
-		b.potential, _ = SingleSource(g.ReverseView(), d)
+		b.potential, _, err = singleSource(g.ReverseView(), d, &lc)
+		if err != nil {
+			return nil, tr, err
+		}
+		// The backward pass popped each node that reaches d exactly once.
 		for _, c := range b.potential {
 			if !math.IsInf(c, 1) {
 				tr.HeapPops++
