@@ -7,13 +7,14 @@
 #                 immutsnapshot is interprocedural over the whole-program
 #                 call graph. `-format json|sarif` for machine output.
 #                 The hot paths' allocation freedom is not linted: run
-#                 `go test -run 'ZeroAlloc|HotpathGateRegistry' ./...`
+#                 `go test -run 'ZeroAlloc|AllocCeiling|HotpathGateRegistry' ./...`
 #                 without -race (the AllocsPerRun gates skip under it).
 #   make check  — tier 2: vet + lint + full suite under the race
 #                 detector, exercising the concurrent query engine
 #                 (pooled workspaces, route cache, batch fan-out)
 #   make fuzz-short — 30-second bursts of every fuzz target (graphio
-#                 reader, quel parser, pqueue heap invariant)
+#                 reader, quel parser, pqueue heap invariant, the HTTP
+#                 query-string scan)
 #   make bench  — regenerate the concurrent-engine benchmarks behind
 #                 its row of the benchmark history in CHANGES.md
 #   make bench-telemetry — search kernel with telemetry off vs on; the
@@ -39,6 +40,11 @@
 #                 tracing disabled vs fully sampled (target: 0 extra
 #                 allocs and < 1% when disabled), see its row of the
 #                 benchmark history in CHANGES.md
+#   make bench-http — a /v1/route request through Handler().ServeHTTP
+#                 (middleware, admission, route service, encoding) on a
+#                 route-cache hit and a miss, on a service past 100
+#                 publishes, see its row of the benchmark history in
+#                 CHANGES.md
 #   make bench-lint — time the five-analyzer atislint run over the
 #                 module (type-check excluded); keeps the interprocedural
 #                 immutsnapshot pass honest as the call graph grows
@@ -53,7 +59,7 @@
 GO ?= go
 FUZZTIME ?= 30s
 
-.PHONY: build test vet lint race check loc fuzz-short bench bench-paper bench-telemetry bench-ch bench-admission bench-customize bench-trace bench-lint bench-snapshot
+.PHONY: build test vet lint race check loc fuzz-short bench bench-paper bench-telemetry bench-ch bench-admission bench-customize bench-trace bench-http bench-lint bench-snapshot
 
 build:
 	$(GO) build ./...
@@ -82,6 +88,7 @@ fuzz-short:
 	$(GO) test -run '^$$' -fuzz FuzzRead -fuzztime $(FUZZTIME) ./internal/graphio
 	$(GO) test -run '^$$' -fuzz FuzzParse -fuzztime $(FUZZTIME) ./internal/quel
 	$(GO) test -run '^$$' -fuzz FuzzIndexed -fuzztime $(FUZZTIME) ./internal/pqueue
+	$(GO) test -run '^$$' -fuzz FuzzRouteQuery -fuzztime $(FUZZTIME) ./internal/httpapi
 
 bench:
 	$(GO) test -run xxx -bench 'RepeatedQueries|SearchParallel|RouteServiceParallel|BatchCompute|ALTPreprocess' -benchmem .
@@ -110,6 +117,9 @@ bench-customize:
 
 bench-trace:
 	$(GO) test -run xxx -bench 'TraceOverhead|TraceRingCapture' -benchmem -benchtime 200x -count 3 .
+
+bench-http:
+	$(GO) test -run xxx -bench 'HTTPRoute' -benchmem -count 3 ./internal/httpapi
 
 bench-lint:
 	$(GO) test -run xxx -bench 'LintModule' -benchmem -count 3 ./internal/lint

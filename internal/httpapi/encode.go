@@ -202,8 +202,8 @@ func (e *jsonBody) evaluation(ev route.Evaluation) {
 // batch appends the /v1/routes/batch body, {"count":…,"routes":[…]},
 // and returns how many items carry an error. Item i is a RouteResponse
 // plus the whole batch's request id — the batch is admitted and traced
-// as one request, so every item joins to the same access-log line and
-// (when captured) the same trace — and, on failure, the pair's error:
+// as one request, so every item joins to the same trace and access-log
+// line, when those are kept — and, on failure, the pair's error:
 // resolveErrs[i] if its endpoints did not resolve, else the next of
 // results, which hold the resolved pairs in order. A failed item reports
 // algo, no route and no iterations.

@@ -346,13 +346,13 @@ func (s *Server) handleRoute(w http.ResponseWriter, r *http.Request) {
 		s.searchError(w, r, err)
 		return
 	}
+	var ev *route.Evaluation
 	if rt.Found {
-		if ev, err := s.svc.EvaluateIn(sn, rt.Path); err == nil {
-			s.writeRoute(w, r, rt, false, &ev)
-			return
+		if e, err := s.svc.EvaluateIn(sn, rt.Path); err == nil {
+			ev = &e
 		}
 	}
-	s.writeRoute(w, r, rt, false, nil)
+	s.writeRoute(w, r, rt, false, ev)
 }
 
 // setSnapshotHeader names sn in X-ATIS-Snapshot, reusing the value slot

@@ -147,13 +147,13 @@ func TestLegacyAliasDeprecationHeaders(t *testing.T) {
 	}
 }
 
-// TestRouteProvenanceUnderMutation pins which world answers a /v1/route
+// TestRouteSnapshotProvenanceUnderMutation pins which world answers a /v1/route
 // request while traffic batches publish new snapshots under it: the
 // served cost equals the evaluation's currentCost, and equals Dijkstra's
 // cost on the snapshot whose generation X-ATIS-Snapshot names. Both hold
 // only if the route, its evaluation and the header come from one
 // snapshot.
-func TestRouteProvenanceUnderMutation(t *testing.T) {
+func TestRouteSnapshotProvenanceUnderMutation(t *testing.T) {
 	g := mpls.MustGenerate(mpls.Config{})
 	svc := route.NewService(g)
 	ts := httptest.NewServer(NewServer(svc, WithLogger(slog.New(slog.NewTextHandler(io.Discard, nil)))).Handler())
