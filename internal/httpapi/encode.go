@@ -12,13 +12,14 @@ import (
 	"repro/internal/route"
 )
 
-// jsonBody is an append-style JSON encoder for the hot response bodies —
-// the route body, the batch body and the error envelope. It writes the
-// bytes encoding/json writes for the same values (field order,
-// omitempty, float formatting, HTML-safe string escapes), so the wire
-// shapes stay those of RouteResponse, Evaluation and ErrorBody, without
-// reflection or intermediate structs. The first unsupported value (a
-// non-finite float) is kept in err, as json.Encoder would report it.
+// jsonBody is an append-style JSON encoder for the hot response bodies:
+// the route, evaluation and batch bodies and the error envelope. It
+// writes the bytes encoding/json writes for the same values (field
+// order, omitempty, float formatting, HTML-safe string escapes), so the
+// wire shapes stay those of RouteResponse, Evaluation and ErrorBody,
+// without reflection or intermediate structs. The first unsupported
+// value (a non-finite float) is kept in err, as json.Encoder would
+// report it.
 type jsonBody struct {
 	b   []byte
 	err error
@@ -45,8 +46,8 @@ func (s *Server) writeBody(w http.ResponseWriter, r *http.Request, status int, f
 
 // send finishes e with encoding/json's trailing newline and writes it as
 // the whole response: Content-Type, Content-Length, status and one
-// Write. A body that failed to encode is logged and sent empty, as
-// writeJSON does.
+// Write. A body that failed to encode is logged and sent empty, and a
+// failed write is logged, as writeJSON does.
 func (s *Server) send(w http.ResponseWriter, r *http.Request, status int, e *jsonBody) {
 	h := w.Header()
 	h[hdrContentType] = jsonContentType
@@ -63,7 +64,9 @@ func (s *Server) send(w http.ResponseWriter, r *http.Request, status int, e *jso
 		h[hdrContentLength] = []string{n}
 	}
 	w.WriteHeader(status)
-	w.Write(e.b)
+	if _, err := w.Write(e.b); err != nil {
+		s.log.Warn("writing response", "request_id", RequestID(r.Context()), "err", err)
+	}
 }
 
 func (e *jsonBody) raw(s string) { e.b = append(e.b, s...) }
