@@ -1,14 +1,16 @@
 # Tiered verification for the ATIS reproduction.
 #
 #   make test   — tier 1: build + unit tests (the seed gate)
-#   make lint   — atislint: five project-specific analyzers enforcing
-#                 the engine's concurrency invariants (lockscope,
-#                 poolpair, ctxcheck, spanend, immutsnapshot);
-#                 immutsnapshot is interprocedural over the whole-program
-#                 call graph. `-format json|sarif` for machine output.
-#                 The hot paths' allocation freedom is not linted: run
+#   make lint   — atislint: the project-specific analyzers for the
+#                 invariants no runtime test can carry (today lockscope:
+#                 mutex-guarded fields only under their lock).
+#                 `-format json|sarif` for machine output. Pool pairing,
+#                 context polling, span lifecycle and snapshot
+#                 immutability are carried by runtime tests (README,
+#                 "Static analysis"), and the hot paths' allocation
+#                 freedom by the AllocsPerRun gates: run
 #                 `go test -run 'ZeroAlloc|AllocCeiling|HotpathGateRegistry' ./...`
-#                 without -race (the AllocsPerRun gates skip under it).
+#                 without -race (the gates skip under it).
 #   make check  — tier 2: vet + lint + full suite under the race
 #                 detector, exercising the concurrent query engine
 #                 (pooled workspaces, route cache, batch fan-out)
@@ -45,9 +47,8 @@
 #                 route-cache hit and a miss, on a service past 100
 #                 publishes, see its row of the benchmark history in
 #                 CHANGES.md
-#   make bench-lint — time the five-analyzer atislint run over the
-#                 module (type-check excluded); keeps the interprocedural
-#                 immutsnapshot pass honest as the call graph grows
+#   make bench-lint — time the atislint run over the module
+#                 (type-check excluded)
 #   make bench-snapshot — reader latency under a sustained mutation
 #                 stream on the lock-free snapshot read path (target:
 #                 reader p99 within 10% of idle), see its row of the

@@ -138,7 +138,7 @@ func main() {
 		ev.Distance, ev.CurrentCost, ev.CongestionRatio)
 	fmt.Printf("  path: %s\n", r.Path)
 	if *directions {
-		ins, err := svc.Directions(r.Path)
+		ins, err := svc.Snapshot().Directions(r.Path)
 		if err != nil {
 			fatal(err)
 		}
@@ -147,7 +147,7 @@ func main() {
 	}
 	if *display {
 		fmt.Println()
-		fmt.Print(svc.Display(r.Path, 80, 40))
+		fmt.Print(svc.Snapshot().Display(r.Path, 80, 40))
 	}
 }
 

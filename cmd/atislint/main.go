@@ -1,14 +1,16 @@
 // Command atislint runs the project's static-analysis suite: the
-// analyzers that mechanically enforce the engine's concurrency
-// invariants — lock scope, pool pairing, kernel context polling, span
-// lifecycle, and snapshot immutability (see internal/lint and the
-// "Static analysis" section of the README; `atislint -list` prints the
-// current set). Hot-path allocation freedom is not linted: the
-// AllocsPerRun gates registered for every //atis:hotpath function carry it.
+// analyzers that mechanically enforce the engine's invariants no runtime
+// test can carry — today lock scope (see internal/lint and the "Static
+// analysis" section of the README; `atislint -list` prints the current
+// set). Hot-path allocation freedom, pool pairing, kernel context
+// polling, span lifecycle and snapshot immutability are not linted:
+// runtime tests carry them (the AllocsPerRun gates, the countdown-context
+// tests, and httpapi's TestEverySpanEnded and
+// TestSnapshotDigestsUnchangedByReads).
 //
 // Usage:
 //
-//	atislint [-analyzers lockscope,poolpair] [-format text|json|sarif] [-list] [module-root]
+//	atislint [-analyzers lockscope] [-format text|json|sarif] [-list] [module-root]
 //
 // The module root defaults to the current directory. Exit status is 0
 // when clean, 1 when findings remain after //lint:ignore suppression, and

@@ -66,10 +66,10 @@ func main() {
 
 	// Show the detour on the map.
 	fmt.Println("\nre-routed commute (S = start, D = destination, o = route):")
-	fmt.Print(svc.Display(rerouted.Path, 80, 40))
+	fmt.Print(svc.Snapshot().Display(rerouted.Path, 80, 40))
 
 	// Turn-by-turn guidance for the detour.
-	ins, err := svc.Directions(rerouted.Path)
+	ins, err := svc.Snapshot().Directions(rerouted.Path)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -27,10 +27,10 @@ type metricHalf struct {
 // an up weight (lower endpoint → upper) and a down weight (upper → lower),
 // each with its middle node. A Metric is immutable after Customize and
 // safe for concurrent queries; a cost mutation is served by customizing a
-// fresh Metric, never by editing one in place (atislint's immutsnapshot
-// analyzer checks this mechanically).
-//
-//atis:immutable
+// fresh Metric, never by editing one in place. Queries only read it:
+// unpacking reads mid, it never memoises into it. The HTTP suite's
+// TestSnapshotDigestsUnchangedByReads digests the published metric
+// around concurrent reads of every endpoint and fails on any write.
 type Metric struct {
 	up, down metricHalf
 }

@@ -27,10 +27,9 @@ import (
 // separator-based split). Contraction therefore needs no shortest-path
 // searches at all — ordering and contraction are purely structural.
 //
-// A Topology is immutable after BuildTopology and safe for concurrent use
-// (atislint's immutsnapshot analyzer enforces the freeze).
-//
-//atis:immutable
+// A Topology is immutable after BuildTopology and safe for concurrent use;
+// the HTTP suite's TestSnapshotDigestsUnchangedByReads digests it around
+// concurrent reads and fails on any write.
 type Topology struct {
 	src *graph.Graph // the graph built from; Matches compares structures with it
 	n   int          // nodes of the source graph

@@ -27,7 +27,7 @@ var paperTable8 = map[string]map[string]int{
 func runFigure8(w io.Writer, cfg RunConfig) error {
 	g := mpls.MustGenerate(mpls.Config{Seed: cfg.seed()})
 	svc := route.NewService(g)
-	fmt.Fprint(w, svc.Display(graph.Path{}, 80, 40))
+	fmt.Fprint(w, svc.Snapshot().Display(graph.Path{}, 80, 40))
 	fmt.Fprintf(w, "\nFigure 8: synthetic Minneapolis road map — %d nodes, %d directed edges.\n",
 		g.NumNodes(), g.NumEdges())
 	fmt.Fprintf(w, "Landmarks A–G mark the Table 8 routes; blank regions are the lakes (lower left)\n")

@@ -126,7 +126,10 @@ func BenchmarkHTTPRoute(b *testing.B) {
 // TestRouteAllocCeiling bounds the allocations of one /v1/route request
 // through Handler().ServeHTTP — middleware, query parse, admission,
 // route service, evaluation and encoding — on a service past 100
-// publishes: at most 15 on a route-cache hit and 18 on a miss.
+// publishes: at most 13 on a route-cache hit and 16 on a miss. Both are
+// the measured counts, with no slack: a pooled value that is not
+// returned (a response buffer, a kernel workspace) costs at least one
+// allocation per request, and that one allocation fails the gate.
 func TestRouteAllocCeiling(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector defeats sync.Pool caching, so allocs/op is not meaningful under -race")
@@ -142,10 +145,10 @@ func TestRouteAllocCeiling(t *testing.T) {
 		next++
 	})
 	t.Logf("allocations per /v1/route request: hit %.0f, miss %.0f", hit, miss)
-	if hit > 15 {
-		t.Errorf("cache hit allocates %.0f times, want at most 15", hit)
+	if hit > 13 {
+		t.Errorf("cache hit allocates %.0f times, want at most 13", hit)
 	}
-	if miss > 18 {
-		t.Errorf("cache miss allocates %.0f times, want at most 18", miss)
+	if miss > 16 {
+		t.Errorf("cache miss allocates %.0f times, want at most 16", miss)
 	}
 }

@@ -29,10 +29,11 @@
 //
 // Every response carries an X-ATIS-Snapshot header naming a publish
 // generation — the hook a fan-out gateway uses to tell which world each
-// replica serves. On /v1/route it names the snapshot that answered: the
-// route, its evaluation and the header come from one snapshot load,
-// taken once the request is admitted. Elsewhere it names the snapshot
-// published when the request began.
+// replica serves. On /v1/route, /v1/routes/batch, /v1/directions,
+// /v1/display and /v1/evaluate it names the snapshot that answered: the
+// answer and the header come from one snapshot load, taken once the
+// request is admitted. Elsewhere it names the snapshot published when
+// the request began.
 //
 // Every endpoint runs behind the instrumentation middleware (see
 // middleware.go). Search-running endpoints additionally run behind the
@@ -290,25 +291,29 @@ func (s *Server) parseRouteQuery(w http.ResponseWriter, r *http.Request, q *quer
 }
 
 // computeFromQuery is the full single-pair pipeline — parse, admit,
-// search — shared by /display and /directions. It writes the error
-// response itself; callers render the route on ok.
-func (s *Server) computeFromQuery(w http.ResponseWriter, r *http.Request) (core.Route, bool) {
+// load the snapshot it names in X-ATIS-Snapshot, search — shared by
+// /display and /directions, which render the route from the same
+// snapshot. It writes the error response itself; callers render the
+// route on ok.
+func (s *Server) computeFromQuery(w http.ResponseWriter, r *http.Request) (*route.Snapshot, core.Route, bool) {
 	q := parseQuery(r.URL.RawQuery)
 	from, to, opts, ok := s.parseRouteQuery(w, r, &q)
 	if !ok {
-		return core.Route{}, false
+		return nil, core.Route{}, false
 	}
 	ctx, done, err := s.admit(w, r, &q, opts.Algorithm, false)
 	if err != nil {
-		return core.Route{}, false
+		return nil, core.Route{}, false
 	}
 	defer done()
-	rt, err := s.svc.ComputeCtx(ctx, from, to, opts)
+	sn := s.svc.Snapshot()
+	setSnapshotHeader(w, sn)
+	rt, err := s.svc.ComputeIn(ctx, sn, from, to, opts)
 	if err != nil {
 		s.searchError(w, r, err)
-		return core.Route{}, false
+		return nil, core.Route{}, false
 	}
-	return rt, true
+	return sn, rt, true
 }
 
 // handleRoute answers GET /v1/route. Once admitted it loads the
@@ -385,7 +390,8 @@ const maxBatchPairs = 1024
 // The response carries one entry per pair, positionally aligned, each
 // embedding the exact RouteResponse shape of /v1/route; a bad endpoint
 // yields a per-entry error instead of failing the batch. The whole batch
-// is admitted as one request under the algorithm's class; a mid-batch
+// is admitted as one request under the algorithm's class, then served
+// from the one snapshot its X-ATIS-Snapshot header names; a mid-batch
 // deadline or cancel leaves per-entry errors on the unprocessed pairs.
 func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	var body struct {
@@ -445,7 +451,9 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 		}
 		resolveErrs[i] = err
 	}
-	results := s.svc.ComputeBatchCtx(ctx, pairs, opts)
+	sn := s.svc.Snapshot()
+	setSnapshotHeader(w, sn)
+	results := s.svc.ComputeBatchIn(ctx, sn, pairs, opts)
 	var failed int
 	s.writeBody(w, r, http.StatusOK, func(e *jsonBody) {
 		failed = e.batch(opts.Algorithm, RequestID(r.Context()), resolveErrs, results)
@@ -519,7 +527,9 @@ func (s *Server) handleEvaluate(w http.ResponseWriter, r *http.Request) {
 	for _, n := range body.Nodes {
 		p.Nodes = append(p.Nodes, graph.NodeID(n))
 	}
-	ev, err := s.svc.Evaluate(p)
+	sn := s.svc.Snapshot()
+	setSnapshotHeader(w, sn)
+	ev, err := s.svc.EvaluateIn(sn, p)
 	if err != nil {
 		s.apiError(w, r, http.StatusBadRequest, CodeBadRequest, err)
 		return
@@ -528,12 +538,12 @@ func (s *Server) handleEvaluate(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleDisplay(w http.ResponseWriter, r *http.Request) {
-	rt, ok := s.computeFromQuery(w, r)
+	sn, rt, ok := s.computeFromQuery(w, r)
 	if !ok {
 		return
 	}
 	w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-	fmt.Fprint(w, s.svc.Display(rt.Path, 80, 40))
+	fmt.Fprint(w, sn.Display(rt.Path, 80, 40))
 }
 
 func (s *Server) handleTraffic(w http.ResponseWriter, r *http.Request) {
@@ -655,7 +665,7 @@ func (s *Server) handleTrafficReset(w http.ResponseWriter, r *http.Request) {
 // handleDirections returns turn-by-turn guidance for the computed route:
 // GET /v1/directions?from=A&to=B[&algo=…].
 func (s *Server) handleDirections(w http.ResponseWriter, r *http.Request) {
-	rt, ok := s.computeFromQuery(w, r)
+	sn, rt, ok := s.computeFromQuery(w, r)
 	if !ok {
 		return
 	}
@@ -663,7 +673,7 @@ func (s *Server) handleDirections(w http.ResponseWriter, r *http.Request) {
 		s.apiError(w, r, http.StatusNotFound, CodeNoRoute, fmt.Errorf("no route"))
 		return
 	}
-	ins, err := s.svc.Directions(rt.Path)
+	ins, err := sn.Directions(rt.Path)
 	if err != nil {
 		s.apiError(w, r, http.StatusInternalServerError, CodeInternal, err)
 		return

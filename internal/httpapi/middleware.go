@@ -263,8 +263,9 @@ func (s *Server) instrument(pattern string, h http.HandlerFunc) http.Handler {
 		sw.setHeader(hdrRequestID, slotRequestID, rq.id)
 		// The snapshot generation the service holds as the request begins;
 		// a gateway fanning out across replicas joins responses on it to
-		// know which published world answered. /v1/route overwrites it
-		// with the snapshot its answer came from.
+		// know which published world answered. The handlers that pin a
+		// snapshot (route, batch, directions, display, evaluate)
+		// overwrite it with the one their answer came from.
 		sw.setHeader(hdrSnapshot, slotSnapshot, s.svc.Snapshot().GenerationText())
 		ctx := context.WithValue(r.Context(), requestKey, rq)
 		ctx, trace := s.tracer.StartRequest(ctx, pattern, firstValue(r.Header, hdrTraceparent))

@@ -2,6 +2,7 @@ package httpapi
 
 import (
 	"context"
+	"fmt"
 	"io"
 	"log/slog"
 	"math"
@@ -9,6 +10,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"strconv"
+	"strings"
 	"sync"
 	"testing"
 
@@ -147,32 +149,40 @@ func TestLegacyAliasDeprecationHeaders(t *testing.T) {
 	}
 }
 
-// TestRouteSnapshotProvenanceUnderMutation pins which world answers a /v1/route
-// request while traffic batches publish new snapshots under it: the
-// served cost equals the evaluation's currentCost, and equals Dijkstra's
-// cost on the snapshot whose generation X-ATIS-Snapshot names. Both hold
-// only if the route, its evaluation and the header come from one
-// snapshot.
-func TestRouteSnapshotProvenanceUnderMutation(t *testing.T) {
+// provenanceFixture serves an mpls service over HTTP while a mutator
+// publishes random traffic batches under the readers. worlds maps every
+// published generation to its snapshot; only the mutator publishes, so
+// the snapshot it loads after a batch is the one that batch published.
+type provenanceFixture struct {
+	g   *graph.Graph
+	url string
+
+	mu     sync.Mutex
+	worlds map[string]*route.Snapshot
+
+	stop    chan struct{}
+	mutated chan struct{}
+}
+
+func newProvenanceFixture(t *testing.T) *provenanceFixture {
+	t.Helper()
 	g := mpls.MustGenerate(mpls.Config{})
 	svc := route.NewService(g)
 	ts := httptest.NewServer(NewServer(svc, WithLogger(slog.New(slog.NewTextHandler(io.Discard, nil)))).Handler())
 	t.Cleanup(ts.Close)
-
-	// worlds maps every published generation to its snapshot; only the
-	// mutator below publishes, so the snapshot it loads after a batch is
-	// the one that batch published.
-	var mu sync.Mutex
-	worlds := map[string]*route.Snapshot{svc.Snapshot().GenerationText(): svc.Snapshot()}
+	f := &provenanceFixture{
+		g: g, url: ts.URL,
+		worlds:  map[string]*route.Snapshot{svc.Snapshot().GenerationText(): svc.Snapshot()},
+		stop:    make(chan struct{}),
+		mutated: make(chan struct{}),
+	}
 	edges := g.Edges()
-	stop := make(chan struct{})
-	mutated := make(chan struct{})
 	go func() {
-		defer close(mutated)
+		defer close(f.mutated)
 		rng := rand.New(rand.NewSource(7))
 		for {
 			select {
-			case <-stop:
+			case <-f.stop:
 				return
 			default:
 			}
@@ -188,12 +198,58 @@ func TestRouteSnapshotProvenanceUnderMutation(t *testing.T) {
 				return
 			}
 			sn := svc.Snapshot()
-			mu.Lock()
-			worlds[sn.GenerationText()] = sn
-			mu.Unlock()
+			f.mu.Lock()
+			f.worlds[sn.GenerationText()] = sn
+			f.mu.Unlock()
 		}
 	}()
+	return f
+}
 
+// finish stops the mutator and waits for it.
+func (f *provenanceFixture) finish() {
+	close(f.stop)
+	<-f.mutated
+}
+
+// checkCost fails unless cost is Dijkstra's from→to cost on the snapshot
+// gen names.
+func (f *provenanceFixture) checkCost(t *testing.T, gen string, from, to graph.NodeID, cost float64) {
+	t.Helper()
+	f.mu.Lock()
+	sn := f.worlds[gen]
+	f.mu.Unlock()
+	if sn == nil {
+		t.Fatalf("%d→%d names snapshot %s, which was never published", from, to, gen)
+	}
+	want, err := search.Dijkstra(sn.Graph(), from, to)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !near(cost, want.Cost) {
+		t.Fatalf("%d→%d: served cost %v, but Dijkstra on snapshot %s gives %v", from, to, cost, gen, want.Cost)
+	}
+}
+
+func near(a, b float64) bool { return math.Abs(a-b) <= 1e-9*math.Max(1, math.Abs(b)) }
+
+// checkGenerations fails unless the answers came from at least 10
+// snapshots: fewer means the mutator did not publish under the readers.
+func checkGenerations(t *testing.T, gens map[string]bool) {
+	t.Helper()
+	if len(gens) < 10 {
+		t.Fatalf("answers came from %d snapshots; the mutator did not publish under the readers", len(gens))
+	}
+}
+
+// TestRouteSnapshotProvenanceUnderMutation pins which world answers a /v1/route
+// request while traffic batches publish new snapshots under it: the
+// served cost equals the evaluation's currentCost, and equals Dijkstra's
+// cost on the snapshot whose generation X-ATIS-Snapshot names. Both hold
+// only if the route, its evaluation and the header come from one
+// snapshot.
+func TestRouteSnapshotProvenanceUnderMutation(t *testing.T) {
+	f := newProvenanceFixture(t)
 	type answer struct {
 		gen      string
 		from, to graph.NodeID
@@ -201,20 +257,18 @@ func TestRouteSnapshotProvenanceUnderMutation(t *testing.T) {
 	}
 	var answers []answer
 	rng := rand.New(rand.NewSource(11))
-	n := g.NumNodes()
+	n := f.g.NumNodes()
 	for i := 0; i < 400; i++ {
 		from, to := graph.NodeID(rng.Intn(n)), graph.NodeID(rng.Intn(n))
 		var rr RouteResponse
-		resp := getJSON(t, ts.URL+"/v1/route?from="+strconv.Itoa(int(from))+"&to="+strconv.Itoa(int(to)), &rr)
+		resp := getJSON(t, f.url+"/v1/route?from="+strconv.Itoa(int(from))+"&to="+strconv.Itoa(int(to)), &rr)
 		if resp.StatusCode != http.StatusOK {
 			t.Fatalf("route %d→%d: status %d", from, to, resp.StatusCode)
 		}
 		answers = append(answers, answer{resp.Header.Get("X-ATIS-Snapshot"), from, to, rr})
 	}
-	close(stop)
-	<-mutated
+	f.finish()
 
-	near := func(a, b float64) bool { return math.Abs(a-b) <= 1e-9*math.Max(1, math.Abs(b)) }
 	gens := map[string]bool{}
 	for _, a := range answers {
 		gens[a.gen] = true
@@ -224,19 +278,88 @@ func TestRouteSnapshotProvenanceUnderMutation(t *testing.T) {
 		if a.rr.Evaluation == nil || !near(a.rr.Cost, a.rr.Evaluation.CurrentCost) {
 			t.Fatalf("route %d→%d on snapshot %s: cost %v, evaluation %+v", a.from, a.to, a.gen, a.rr.Cost, a.rr.Evaluation)
 		}
-		sn := worlds[a.gen]
-		if sn == nil {
-			t.Fatalf("route %d→%d names snapshot %s, which was never published", a.from, a.to, a.gen)
+		f.checkCost(t, a.gen, a.from, a.to, a.rr.Cost)
+	}
+	checkGenerations(t, gens)
+}
+
+// TestBatchSnapshotProvenanceUnderMutation is the /v1/routes/batch case
+// of the same pin: every item of a batch is priced on the snapshot its
+// response's X-ATIS-Snapshot names.
+func TestBatchSnapshotProvenanceUnderMutation(t *testing.T) {
+	f := newProvenanceFixture(t)
+	type answer struct {
+		gen   string
+		pairs [][2]graph.NodeID
+		body  struct{ Routes []RouteResponse }
+	}
+	var answers []answer
+	rng := rand.New(rand.NewSource(13))
+	n := f.g.NumNodes()
+	for i := 0; i < 150; i++ {
+		a := answer{}
+		var req strings.Builder
+		req.WriteString(`{"pairs":[`)
+		for j := 0; j < 8; j++ {
+			from, to := graph.NodeID(rng.Intn(n)), graph.NodeID(rng.Intn(n))
+			a.pairs = append(a.pairs, [2]graph.NodeID{from, to})
+			if j > 0 {
+				req.WriteString(",")
+			}
+			fmt.Fprintf(&req, `{"from":"%d","to":"%d"}`, from, to)
 		}
-		want, err := search.Dijkstra(sn.Graph(), a.from, a.to)
-		if err != nil {
-			t.Fatal(err)
+		req.WriteString("]}")
+		resp := postJSON(t, f.url+"/v1/routes/batch", req.String(), &a.body)
+		if resp.StatusCode != http.StatusOK || len(a.body.Routes) != len(a.pairs) {
+			t.Fatalf("batch: status %d, %d routes for %d pairs", resp.StatusCode, len(a.body.Routes), len(a.pairs))
 		}
-		if !near(a.rr.Cost, want.Cost) {
-			t.Fatalf("route %d→%d: served cost %v, but Dijkstra on snapshot %s gives %v", a.from, a.to, a.rr.Cost, a.gen, want.Cost)
+		a.gen = resp.Header.Get("X-ATIS-Snapshot")
+		answers = append(answers, a)
+	}
+	f.finish()
+
+	gens := map[string]bool{}
+	for _, a := range answers {
+		gens[a.gen] = true
+		for j, rr := range a.body.Routes {
+			if rr.Found {
+				f.checkCost(t, a.gen, a.pairs[j][0], a.pairs[j][1], rr.Cost)
+			}
 		}
 	}
-	if len(gens) < 10 {
-		t.Fatalf("answers came from %d snapshots; the mutator did not publish under the readers", len(gens))
+	checkGenerations(t, gens)
+}
+
+// TestDirectionsSnapshotProvenanceUnderMutation is the /v1/directions
+// case: the guidance's cost is priced on the snapshot the response names.
+func TestDirectionsSnapshotProvenanceUnderMutation(t *testing.T) {
+	f := newProvenanceFixture(t)
+	type answer struct {
+		gen      string
+		from, to graph.NodeID
+		cost     float64
 	}
+	var answers []answer
+	rng := rand.New(rand.NewSource(17))
+	n := f.g.NumNodes()
+	for len(answers) < 400 {
+		from, to := graph.NodeID(rng.Intn(n)), graph.NodeID(rng.Intn(n))
+		var body struct{ Cost float64 }
+		resp := getJSON(t, f.url+"/v1/directions?from="+strconv.Itoa(int(from))+"&to="+strconv.Itoa(int(to)), &body)
+		switch resp.StatusCode {
+		case http.StatusOK:
+			answers = append(answers, answer{resp.Header.Get("X-ATIS-Snapshot"), from, to, body.Cost})
+		case http.StatusNotFound: // no route between the pair
+		default:
+			t.Fatalf("directions %d→%d: status %d", from, to, resp.StatusCode)
+		}
+	}
+	f.finish()
+
+	gens := map[string]bool{}
+	for _, a := range answers {
+		gens[a.gen] = true
+		f.checkCost(t, a.gen, a.from, a.to, a.cost)
+	}
+	checkGenerations(t, gens)
 }

@@ -16,9 +16,9 @@ func sampleDiags() []Diagnostic {
 			Message:  "d.pages is guarded by d.mu but accessed without holding it",
 		},
 		{
-			Pos:      token.Position{Filename: "internal/ch/topology.go", Line: 9, Column: 2},
-			Analyzer: "immutsnapshot",
-			Message:  "write to t.rank mutates //atis:immutable Topology outside its build phase",
+			Pos:      token.Position{Filename: "internal/telemetry/registry.go", Line: 9, Column: 2},
+			Analyzer: "ignore",
+			Message:  `//lint:ignore names unknown analyzer "lockscpoe"; the suppression has no effect (known: lockscope)`,
 		},
 	}
 }

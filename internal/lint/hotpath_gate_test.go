@@ -1,6 +1,7 @@
 package lint
 
 import (
+	"go/ast"
 	"os"
 	"path/filepath"
 	"regexp"
@@ -61,17 +62,21 @@ func TestHotpathGateRegistry(t *testing.T) {
 	if err != nil {
 		t.Fatalf("type-checking module: %v", err)
 	}
-	p := NewProgram(units)
 
 	annotated := make(map[string]bool)
-	for _, fi := range p.Funcs() {
-		if !fi.Hotpath {
-			continue
-		}
-		name := shortFuncName(fi.Obj)
-		annotated[name] = true
-		if _, ok := hotpathGates[name]; !ok {
-			t.Errorf("//atis:hotpath function %s has no gate entry; add it to hotpathGates with an AllocsPerRun == 0 test", name)
+	for _, u := range units {
+		for _, f := range u.Files {
+			for _, decl := range f.Decls {
+				fd, ok := decl.(*ast.FuncDecl)
+				if !ok || !hasHotpathDirective(fd.Doc) {
+					continue
+				}
+				name := funcName(u.Pkg.Name(), fd)
+				annotated[name] = true
+				if _, ok := hotpathGates[name]; !ok {
+					t.Errorf("//atis:hotpath function %s has no gate entry; add it to hotpathGates with an AllocsPerRun == 0 test", name)
+				}
+			}
 		}
 	}
 	if len(annotated) == 0 {
@@ -86,6 +91,42 @@ func TestHotpathGateRegistry(t *testing.T) {
 			t.Errorf("gate test %s for %s not found in %s", gate.test, name, gate.dir)
 		}
 	}
+}
+
+// hasHotpathDirective reports whether a doc comment carries
+// //atis:hotpath as a line of its own, alone or followed by a note.
+func hasHotpathDirective(doc *ast.CommentGroup) bool {
+	if doc == nil {
+		return false
+	}
+	for _, c := range doc.List {
+		if c.Text == "//atis:hotpath" || strings.HasPrefix(c.Text, "//atis:hotpath ") {
+			return true
+		}
+	}
+	return false
+}
+
+// funcName renders a declared function as pkg.Func, or pkg.Type.Method
+// for a method, whatever the receiver's pointer or type parameters.
+func funcName(pkg string, fd *ast.FuncDecl) string {
+	name := fd.Name.Name
+	if fd.Recv != nil && len(fd.Recv.List) == 1 {
+		t := fd.Recv.List[0].Type
+		if star, ok := t.(*ast.StarExpr); ok {
+			t = star.X
+		}
+		switch x := t.(type) {
+		case *ast.IndexExpr:
+			t = x.X
+		case *ast.IndexListExpr:
+			t = x.X
+		}
+		if id, ok := t.(*ast.Ident); ok {
+			name = id.Name + "." + name
+		}
+	}
+	return pkg + "." + name
 }
 
 // testFuncExists reports whether a top-level test function with the given

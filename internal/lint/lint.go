@@ -1,23 +1,23 @@
 // Package lint is the project-specific static-analysis framework behind
-// cmd/atislint. It exists because the engine's correctness rests on a small
-// set of concurrency invariants — lock scope, pool Get/Put pairing, kernel
-// context polling, span lifecycle, snapshot immutability — that code
-// review keeps almost catching (the PR 2 Prometheus exporter iterated
-// mutex-guarded maps after dropping the lock, a fatal race only visible
-// under concurrent scrapes). Invariants of that kind must be enforced by
-// tooling, not vigilance. An invariant a runtime test already catches gets
-// no analyzer: the hot paths' allocation freedom is carried by the
-// AllocsPerRun gates that hotpath_gate_test.go registers for every
-// //atis:hotpath function.
+// cmd/atislint. It exists for the invariants no runtime test can carry.
+// Lock scope is one: a field read without its mutex races only under an
+// interleaving a test may never drive (the PR 2 Prometheus exporter
+// iterated mutex-guarded maps after dropping the lock, a fatal race only
+// visible under concurrent scrapes), so the lockscope analyzer checks
+// every guarded field of the module. An invariant a runtime test already
+// catches gets no analyzer: the hot paths' allocation freedom and pool
+// pairing are carried by the AllocsPerRun gates that
+// hotpath_gate_test.go registers for every //atis:hotpath function;
+// kernel context polling by the countdown-context tests of search, ch
+// and route; span lifecycle by httpapi's TestEverySpanEnded; and the
+// immutability of published snapshots by httpapi's
+// TestSnapshotDigestsUnchangedByReads.
 //
 // The framework is deliberately small and built only on the standard
 // library (go/parser, go/ast, go/types): the main module stays
-// dependency-free. A UnitAnalyzer inspects one type-checked package (a
-// Unit) and reports Diagnostics; a ProgramAnalyzer inspects the whole
-// module at once through a Program — all units type-checked together plus
-// a static call graph (program.go) — which is how immutsnapshot follows a
-// write into the helpers that reach it. The loader in loader.go
-// type-checks every package of the module, and ignore.go implements the
+// dependency-free. An Analyzer inspects one type-checked package (a
+// Unit) and reports Diagnostics. The loader in loader.go type-checks
+// every package of the module, and ignore.go implements the
 // `//lint:ignore <analyzer>[,<analyzer>...] <reason>` escape hatch.
 package lint
 
@@ -59,44 +59,22 @@ type Unit struct {
 // Position resolves a token.Pos against the unit's file set.
 func (u *Unit) Position(pos token.Pos) token.Position { return u.Fset.Position(pos) }
 
-// Analyzer is one invariant checker. Every analyzer also implements either
-// UnitAnalyzer (per-package inspection) or ProgramAnalyzer (whole-program,
-// interprocedural inspection over the static call graph).
+// Analyzer is one invariant checker, inspecting one type-checked package
+// at a time.
 type Analyzer interface {
 	// Name is the identifier used on the command line and in
 	// //lint:ignore directives.
 	Name() string
 	// Doc is a one-line description of the invariant the analyzer guards.
 	Doc() string
-}
-
-// UnitAnalyzer inspects one type-checked package at a time.
-type UnitAnalyzer interface {
-	Analyzer
 	// Run inspects the unit and returns its findings. Suppression is the
 	// driver's job; analyzers report everything they see.
 	Run(u *Unit) []Diagnostic
 }
 
-// ProgramAnalyzer inspects the whole module at once: all units plus the
-// static call graph. The driver builds the Program lazily, once, and shares
-// it between program analyzers.
-type ProgramAnalyzer interface {
-	Analyzer
-	// RunProgram inspects the program and returns its findings. As with
-	// Run, suppression is the driver's job.
-	RunProgram(p *Program) []Diagnostic
-}
-
 // Analyzers returns the full suite in stable order.
 func Analyzers() []Analyzer {
-	return []Analyzer{
-		NewLockScope(),
-		NewPoolPair(),
-		NewCtxCheck(),
-		NewSpanEnd(),
-		NewImmutSnapshot(),
-	}
+	return []Analyzer{NewLockScope()}
 }
 
 // Run applies every analyzer to the units, filters suppressed findings via
@@ -119,26 +97,14 @@ func Run(units []*Unit, analyzers []Analyzer) []Diagnostic {
 		collectIgnoresInto(ignores, u)
 	}
 
-	var prog *Program
 	var out []Diagnostic
 	for _, a := range analyzers {
-		var diags []Diagnostic
-		switch impl := a.(type) {
-		case ProgramAnalyzer:
-			if prog == nil {
-				prog = NewProgram(units)
+		for _, u := range units {
+			for _, d := range a.Run(u) {
+				if !ignores.suppresses(d) {
+					out = append(out, d)
+				}
 			}
-			diags = impl.RunProgram(prog)
-		case UnitAnalyzer:
-			for _, u := range units {
-				diags = append(diags, impl.Run(u)...)
-			}
-		}
-		for _, d := range diags {
-			if ignores.suppresses(d) {
-				continue
-			}
-			out = append(out, d)
 		}
 	}
 	out = append(out, ignores.unknownWarnings(known)...)
@@ -181,19 +147,6 @@ func mutexKind(t types.Type) (rw, ok bool) {
 		return true, true
 	}
 	return false, false
-}
-
-// isSyncPool reports whether t is sync.Pool or *sync.Pool.
-func isSyncPool(t types.Type) bool {
-	if p, isPtr := t.Underlying().(*types.Pointer); isPtr {
-		t = p.Elem()
-	}
-	named, isNamed := t.(*types.Named)
-	if !isNamed {
-		return false
-	}
-	obj := named.Obj()
-	return obj.Pkg() != nil && obj.Pkg().Path() == "sync" && obj.Name() == "Pool"
 }
 
 // rootIdent strips selector/index/star/paren chains down to the base

@@ -3,6 +3,7 @@ package lint
 import (
 	"flag"
 	"fmt"
+	"go/ast"
 	"os"
 	"path/filepath"
 	"strings"
@@ -84,10 +85,10 @@ func TestAnalyzersFire(t *testing.T) {
 }
 
 // TestRepoClean runs the full suite over this repository: the tree must
-// stay lint-clean (the same gate as `make lint`). Each of the five
-// analyzers runs as its own subtest so a regression names the invariant
-// it broke, not just "lint failed". Skipped with -short — type-checking
-// the module plus its stdlib imports takes a few seconds.
+// stay lint-clean (the same gate as `make lint`). Each analyzer runs as
+// its own subtest so a regression names the invariant it broke, not just
+// "lint failed". Skipped with -short — type-checking the module plus its
+// stdlib imports takes a few seconds.
 func TestRepoClean(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full-module type check; skipped in -short mode")
@@ -104,8 +105,8 @@ func TestRepoClean(t *testing.T) {
 		t.Fatalf("loaded only %d packages; the loader is missing most of the module", len(units))
 	}
 	analyzers := Analyzers()
-	if len(analyzers) != 5 {
-		t.Fatalf("Analyzers() returned %d analyzers, want 5; update this test with the new invariant", len(analyzers))
+	if len(analyzers) != 1 {
+		t.Fatalf("Analyzers() returned %d analyzers, want 1; update this test with the new invariant", len(analyzers))
 	}
 	for _, a := range analyzers {
 		a := a
@@ -149,6 +150,50 @@ func (x *s) bad() int {
 	}
 }
 
+// selectors is a test analyzer that flags every selector expression in a
+// function body, so it fires on the same line as a lockscope finding.
+type selectors struct{}
+
+func (selectors) Name() string { return "selectors" }
+func (selectors) Doc() string {
+	return "test analyzer: flags every selector expression in a function body"
+}
+func (selectors) Run(u *Unit) []Diagnostic {
+	var out []Diagnostic
+	for _, f := range u.Files {
+		for _, decl := range f.Decls {
+			fd, ok := decl.(*ast.FuncDecl)
+			if !ok || fd.Body == nil {
+				continue
+			}
+			ast.Inspect(fd.Body, func(n ast.Node) bool {
+				if sel, ok := n.(*ast.SelectorExpr); ok {
+					out = append(out, Diagnostic{Pos: u.Position(sel.Pos()), Analyzer: "selectors", Message: "selector"})
+				}
+				return true
+			})
+		}
+	}
+	return out
+}
+
+// loadSource type-checks a one-file fixture module.
+func loadSource(t *testing.T, src string) []*Unit {
+	t.Helper()
+	dir := t.TempDir()
+	writeFile(t, filepath.Join(dir, "go.mod"), "module fixture\n\ngo 1.22\n")
+	writeFile(t, filepath.Join(dir, "fixture.go"), src)
+	loader, err := NewLoader(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	units, err := loader.LoadAll()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return units
+}
+
 // TestIgnoreMultipleAnalyzers verifies the comma-separated directive
 // form: one //lint:ignore line naming two analyzers suppresses both
 // analyzers' findings on the next line.
@@ -157,7 +202,6 @@ func TestIgnoreMultipleAnalyzers(t *testing.T) {
 
 import "sync"
 
-//atis:immutable
 type s struct {
 	mu sync.Mutex
 	m  map[int]int
@@ -168,18 +212,7 @@ func (x *s) seed() {
 }
 `
 	load := func(t *testing.T, directive string) []Diagnostic {
-		dir := t.TempDir()
-		writeFile(t, filepath.Join(dir, "go.mod"), "module fixture\n\ngo 1.22\n")
-		writeFile(t, filepath.Join(dir, "fixture.go"), fmt.Sprintf(body, directive))
-		loader, err := NewLoader(dir)
-		if err != nil {
-			t.Fatal(err)
-		}
-		units, err := loader.LoadAll()
-		if err != nil {
-			t.Fatal(err)
-		}
-		return Run(units, []Analyzer{NewLockScope(), NewImmutSnapshot()})
+		return Run(loadSource(t, fmt.Sprintf(body, directive)), []Analyzer{NewLockScope(), selectors{}})
 	}
 
 	// Without the directive both analyzers fire on the same line.
@@ -189,12 +222,12 @@ func (x *s) seed() {
 		analyzers = append(analyzers, d.Analyzer)
 	}
 	if len(bare) < 2 || !strings.Contains(strings.Join(analyzers, " "), "lockscope") ||
-		!strings.Contains(strings.Join(analyzers, " "), "immutsnapshot") {
+		!strings.Contains(strings.Join(analyzers, " "), "selectors") {
 		t.Fatalf("baseline fixture must trip both analyzers, got %v", bare)
 	}
 
 	// One comma-list directive silences both.
-	suppressed := load(t, "//lint:ignore lockscope,immutsnapshot startup-time seeding, single-threaded and before publication\n\t")
+	suppressed := load(t, "//lint:ignore lockscope,selectors startup-time seeding, single-threaded and before publication\n\t")
 	if len(suppressed) != 0 {
 		t.Errorf("comma-list ignore left %d finding(s): %v", len(suppressed), suppressed)
 	}
@@ -207,6 +240,39 @@ func (x *s) seed() {
 	for _, d := range partial {
 		if d.Analyzer == "lockscope" {
 			t.Errorf("lockscope finding survived its own ignore: %v", d)
+		}
+	}
+}
+
+// TestIgnoreRemovedAnalyzerWarns: the analyzers that runtime tests
+// replaced are unknown names now, so a directive still naming one is
+// reported like a typo and suppresses nothing.
+func TestIgnoreRemovedAnalyzerWarns(t *testing.T) {
+	removed := []string{"immutsnapshot", "poolpair", "ctxcheck", "spanend"}
+	src := "package fixture\n\nimport \"sync\"\n\ntype s struct {\n\tmu sync.Mutex\n\tm  map[int]int\n}\n"
+	for i, name := range removed {
+		src += fmt.Sprintf("\nfunc (x *s) read%d() int {\n\t//lint:ignore %s left over from before\n\treturn len(x.m)\n}\n", i, name)
+	}
+	var lockscope int
+	warned := map[string]bool{}
+	for _, d := range Run(loadSource(t, src), Analyzers()) {
+		switch d.Analyzer {
+		case "lockscope":
+			lockscope++
+		case "ignore":
+			for _, name := range removed {
+				if strings.Contains(d.Message, fmt.Sprintf("unknown analyzer %q", name)) {
+					warned[name] = true
+				}
+			}
+		}
+	}
+	if lockscope != len(removed) {
+		t.Errorf("lockscope findings = %d, want %d: a directive naming a removed analyzer must suppress nothing", lockscope, len(removed))
+	}
+	for _, name := range removed {
+		if !warned[name] {
+			t.Errorf("no unknown-analyzer warning for %q", name)
 		}
 	}
 }
@@ -260,9 +326,8 @@ func (x *s) bad() int {
 	}
 }
 
-// BenchmarkLintModule times the full five-analyzer run over the loaded
-// module (type-checking excluded), the `make bench-lint` figure that keeps
-// the interprocedural immutsnapshot pass honest as the call graph grows.
+// BenchmarkLintModule times the full analyzer run over the loaded module
+// (type-checking excluded), the `make bench-lint` figure.
 func BenchmarkLintModule(b *testing.B) {
 	loader, err := NewLoader(filepath.Join("..", ".."))
 	if err != nil {

@@ -41,13 +41,19 @@ type BatchResult struct {
 // under the same costs, so a fleet query straddling a traffic mutation
 // returns one consistent answer set instead of a mix of generations.
 func (s *Service) ComputeBatchCtx(ctx context.Context, pairs []Pair, opts core.Options) []BatchResult {
+	return s.ComputeBatchIn(ctx, s.snap.Load(), pairs, opts)
+}
+
+// ComputeBatchIn is ComputeBatchCtx pinned to one already-loaded
+// snapshot, for a caller that names the batch's world, as an HTTP batch
+// request does in its X-ATIS-Snapshot header.
+func (s *Service) ComputeBatchIn(ctx context.Context, snap *Snapshot, pairs []Pair, opts core.Options) []BatchResult {
 	out := make([]BatchResult, len(pairs))
 	if len(pairs) == 0 {
 		return out
 	}
 	s.batchRequests.Inc()
 	s.batchPairs.Add(uint64(len(pairs)))
-	snap := s.snap.Load()
 	workers := runtime.GOMAXPROCS(0)
 	if workers > len(pairs) {
 		workers = len(pairs)

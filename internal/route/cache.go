@@ -45,8 +45,6 @@ func (k cacheKey) hash() uint64 {
 // into a shard: an update replaces the element's entry wholesale rather
 // than editing the resident route, so a concurrent get cloning the old
 // entry never observes a half-written value.
-//
-//atis:immutable
 type cacheEntry struct {
 	key   cacheKey
 	route core.Route

@@ -2,6 +2,7 @@ package route
 
 import (
 	"context"
+	"errors"
 	"math/rand"
 	"sync"
 	"sync/atomic"
@@ -10,6 +11,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/graph"
 	"repro/internal/gridgen"
+	"repro/internal/search"
 	"repro/internal/telemetry"
 )
 
@@ -157,6 +159,56 @@ func TestComputeBatch(t *testing.T) {
 	}
 	if results[1].Err != nil || !results[1].Route.Found {
 		t.Fatalf("pair 1: %+v", results[1])
+	}
+}
+
+// countdownCtx is a context whose Err() reports Canceled from its
+// (after+1)-th call on: "the client hung up" at a chosen point, with no
+// goroutines or wall-clock in the test.
+type countdownCtx struct {
+	context.Context
+	calls atomic.Int64
+	after int64
+}
+
+func (c *countdownCtx) Err() error {
+	if c.calls.Add(1) > c.after {
+		return context.Canceled
+	}
+	return nil
+}
+
+// TestComputeBatchCtxCancelPerPair: a batch's workers check the context
+// before each pair, so a context that dies mid-batch stops the fan-out
+// at pair granularity. Every pair here is a cache hit, which a dead
+// context does not stop on its own, so each pair makes exactly one
+// check: a context that dies after its fifth answers five pairs, and
+// every other pair carries search.ErrCanceled.
+func TestComputeBatchCtxCancelPerPair(t *testing.T) {
+	s := gridService(t, 8)
+	var pairs []Pair
+	for v := graph.NodeID(1); v <= 40; v++ {
+		pairs = append(pairs, Pair{From: 0, To: v})
+	}
+	for _, res := range s.ComputeBatchCtx(context.Background(), pairs, core.Options{}) {
+		if res.Err != nil || !res.Route.Found {
+			t.Fatalf("warm-up pair: found=%v err=%v", res.Route.Found, res.Err)
+		}
+	}
+	const answered = 5
+	var ok, canceled int
+	for _, res := range s.ComputeBatchCtx(&countdownCtx{Context: context.Background(), after: answered}, pairs, core.Options{}) {
+		switch {
+		case res.Err == nil:
+			ok++
+		case errors.Is(res.Err, search.ErrCanceled):
+			canceled++
+		default:
+			t.Fatalf("unexpected error %v", res.Err)
+		}
+	}
+	if ok != answered || canceled != len(pairs)-answered {
+		t.Fatalf("%d pairs answered and %d canceled, want %d and %d", ok, canceled, answered, len(pairs)-answered)
 	}
 }
 

@@ -105,11 +105,12 @@ func classifyTurn(delta float64) string {
 	}
 }
 
-// Directions converts a path into turn-by-turn guidance. Consecutive hops
-// whose bearing changes by less than the continue threshold merge into one
-// instruction. A path with fewer than two nodes yields only an arrival.
-func (s *Service) Directions(p graph.Path) ([]Instruction, error) {
-	g := s.snap.Load().graph
+// Directions converts a path of the snapshot's network into turn-by-turn
+// guidance. Consecutive hops whose bearing changes by less than the
+// continue threshold merge into one instruction. A path with fewer than
+// two nodes yields only an arrival.
+func (sn *Snapshot) Directions(p graph.Path) ([]Instruction, error) {
+	g := sn.graph
 	if !p.ValidIn(g) {
 		return nil, fmt.Errorf("route: not a path of the network: %s", p)
 	}

@@ -15,7 +15,7 @@ func TestDirectionsStraightLine(t *testing.T) {
 	s := gridService(t, 6)
 	// Along the bottom row: east, no turns.
 	p := graph.Path{Nodes: []graph.NodeID{0, 1, 2, 3, 4, 5}}
-	ins, err := s.Directions(p)
+	ins, err := s.Snapshot().Directions(p)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -46,7 +46,7 @@ func TestDirectionsLShape(t *testing.T) {
 	for row := 1; row < k; row++ {
 		nodes = append(nodes, gridgen.NodeAt(k, row, k-1))
 	}
-	ins, err := s.Directions(graph.Path{Nodes: nodes})
+	ins, err := s.Snapshot().Directions(graph.Path{Nodes: nodes})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -77,7 +77,7 @@ func TestDirectionsRightAndUTurn(t *testing.T) {
 	b.AddEdge(2, 3, 1.1)
 	g := b.MustBuild()
 	s := NewService(g)
-	ins, err := s.Directions(graph.Path{Nodes: []graph.NodeID{0, 1, 2, 3}})
+	ins, err := s.Snapshot().Directions(graph.Path{Nodes: []graph.NodeID{0, 1, 2, 3}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -94,13 +94,13 @@ func TestDirectionsRightAndUTurn(t *testing.T) {
 
 func TestDirectionsValidation(t *testing.T) {
 	s := gridService(t, 4)
-	if _, err := s.Directions(graph.Path{Nodes: []graph.NodeID{0, 9}}); err == nil {
+	if _, err := s.Snapshot().Directions(graph.Path{Nodes: []graph.NodeID{0, 9}}); err == nil {
 		t.Error("non-path accepted")
 	}
-	if _, err := s.Directions(graph.Path{}); err == nil {
+	if _, err := s.Snapshot().Directions(graph.Path{}); err == nil {
 		t.Error("empty path accepted")
 	}
-	ins, err := s.Directions(graph.Path{Nodes: []graph.NodeID{3}})
+	ins, err := s.Snapshot().Directions(graph.Path{Nodes: []graph.NodeID{3}})
 	if err != nil || len(ins) != 1 || ins[0].Action != "arrive" {
 		t.Errorf("single-node path: %v %v", ins, err)
 	}
@@ -112,7 +112,7 @@ func TestDirectionsCoverRealRoute(t *testing.T) {
 	if err != nil || !r.Found {
 		t.Fatalf("route: %v", err)
 	}
-	ins, err := s.Directions(r.Path)
+	ins, err := s.Snapshot().Directions(r.Path)
 	if err != nil {
 		t.Fatal(err)
 	}

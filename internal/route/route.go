@@ -24,7 +24,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"math"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -44,8 +43,8 @@ import (
 //
 // Concurrency discipline: there is no readers–writer lock. The service
 // publishes its entire read state as one *Snapshot behind an atomic
-// pointer; every query path (ComputeCtx, Evaluate, Display, AlternatesCtx,
-// Nearest, ReachableCtx, Directions, batch, …) loads the pointer once and
+// pointer; every query path (ComputeCtx, Evaluate, AlternatesCtx,
+// ReachableCtx, batch, …) loads the pointer once and
 // runs to completion against that frozen view, so arbitrarily many
 // queries proceed with zero coordination — no query ever blocks behind a
 // mutator, however long the mutator's customization pass runs. The
@@ -506,10 +505,11 @@ func (s *Service) EvaluateIn(snap *Snapshot, path graph.Path) (Evaluation, error
 	return ev, nil
 }
 
-// Display renders the network with the route overlaid: road nodes as dots,
-// route nodes as 'o', endpoints as 'S' and 'D', landmarks by their names.
-func (s *Service) Display(path graph.Path, width, height int) string {
-	g := s.snap.Load().graph
+// Display renders the snapshot's network with the route overlaid: road
+// nodes as dots, route nodes as 'o', endpoints as 'S' and 'D', landmarks
+// by their names.
+func (sn *Snapshot) Display(path graph.Path, width, height int) string {
+	g := sn.graph
 	var pts []asciichart.Point
 	for u := graph.NodeID(0); int(u) < g.NumNodes(); u++ {
 		if g.OutDegree(u) == 0 {
@@ -566,26 +566,6 @@ func (s *Service) AlternatesCtx(ctx context.Context, from, to graph.NodeID, k in
 		})
 	}
 	return out, nil
-}
-
-// Nearest returns the road node closest to the point (x, y) — the map
-// matching step between a traveller's position (GPS, in a modern ATIS) and
-// the network. Isolated nodes (no roads) are skipped; ok is false when the
-// network has no road nodes at all.
-func (s *Service) Nearest(x, y float64) (graph.NodeID, bool) {
-	g := s.snap.Load().graph
-	p := graph.Point{X: x, Y: y}
-	best := graph.Invalid
-	bestDist := math.Inf(1)
-	for u := graph.NodeID(0); int(u) < g.NumNodes(); u++ {
-		if g.OutDegree(u) == 0 {
-			continue
-		}
-		if d := g.Point(u).EuclideanDistance(p); d < bestDist {
-			best, bestDist = u, d
-		}
-	}
-	return best, best != graph.Invalid
 }
 
 // ReachableCtx returns every node within the given travel budget of from,

@@ -242,7 +242,7 @@ func TestDisplayShowsRouteAndLandmarks(t *testing.T) {
 	if err != nil || !r.Found {
 		t.Fatalf("route G→D: %v found=%v", err, r.Found)
 	}
-	out := s.Display(r.Path, 66, 33)
+	out := s.Snapshot().Display(r.Path, 66, 33)
 	for _, want := range []string{"S", "D", "o", "."} {
 		if !strings.Contains(out, want) {
 			t.Errorf("display missing %q", want)

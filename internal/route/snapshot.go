@@ -24,8 +24,6 @@ import (
 // because both are frozen into the same publish. The CH read path
 // therefore needs no freshness check. ch is nil exactly when EnableCH
 // has not run, and a CH request then answers ErrCHDisabled.
-//
-//atis:immutable
 type Snapshot struct {
 	graph   *graph.Graph
 	planner *core.Planner

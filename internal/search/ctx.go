@@ -55,8 +55,24 @@ func ctxErr(ctx context.Context) error {
 	return FromContextErr(ctx.Err())
 }
 
-// budgetKey carries the per-request expansion budget through a context.
+// budgetKey looks up the per-request expansion budget in a context.
 type budgetKey struct{}
+
+// budgetCtx carries an expansion budget. It answers the budgetKey lookup
+// with itself, so attaching a budget costs the one context allocation
+// and boxes no integer (context.WithValue would box every budget above
+// 255, once per request).
+type budgetCtx struct {
+	context.Context
+	max int
+}
+
+func (c *budgetCtx) Value(key any) any {
+	if key == (budgetKey{}) {
+		return c
+	}
+	return c.Context.Value(key)
+}
 
 // WithBudget returns a context carrying an expansion budget: a kernel
 // running under the returned context stops with ErrBudget once it has
@@ -64,14 +80,16 @@ type budgetKey struct{}
 // derives budgets per algorithm class — the Iterative transitive-closure
 // kernel, whose work is insensitive to path length, gets the tightest.
 func WithBudget(ctx context.Context, max int) context.Context {
-	return context.WithValue(ctx, budgetKey{}, max)
+	return &budgetCtx{Context: ctx, max: max}
 }
 
 // BudgetFrom returns the expansion budget carried by ctx, 0 (unlimited)
 // when none was set.
 func BudgetFrom(ctx context.Context) int {
-	max, _ := ctx.Value(budgetKey{}).(int)
-	return max
+	if c, _ := ctx.Value(budgetKey{}).(*budgetCtx); c != nil {
+		return c.max
+	}
+	return 0
 }
 
 // lifecycle is the per-query cancellation state each kernel polls from

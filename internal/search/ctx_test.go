@@ -7,6 +7,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/estimator"
 	"repro/internal/graph"
 	"repro/internal/gridgen"
 )
@@ -57,6 +58,9 @@ func kernelsUnderTest() map[string]func(context.Context, *graph.Graph, graph.Nod
 	return map[string]func(context.Context, *graph.Graph, graph.NodeID, graph.NodeID) (Result, error){
 		"iterative": IterativeCtx,
 		"dijkstra":  DijkstraCtx,
+		"astar": func(ctx context.Context, g *graph.Graph, s, d graph.NodeID) (Result, error) {
+			return AStarCtx(ctx, g, s, d, estimator.Euclidean())
+		},
 		"bidirectional": func(ctx context.Context, g *graph.Graph, s, d graph.NodeID) (Result, error) {
 			return BidirectionalCtx(ctx, g, s, d)
 		},
@@ -240,11 +244,11 @@ func TestKShortestBackwardPassCancel(t *testing.T) {
 	}
 }
 
-// TestWithinCtxCancel covers the isochrone kernel.
+// TestWithinCtxCancel covers the isochrone kernel: a context that dies
+// after the entry check stops the search from its loop.
 func TestWithinCtxCancel(t *testing.T) {
 	g := lifecycleGrid(t, 50)
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
+	ctx := newCountdownCtx(1)
 	if _, err := WithinCtx(ctx, g, 0, 1e9); !errors.Is(err, ErrCanceled) {
 		t.Fatalf("err = %v, want ErrCanceled", err)
 	}

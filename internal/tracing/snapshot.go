@@ -35,6 +35,9 @@ type SpanNode struct {
 	DurationMS float64        `json:"durationMs"`
 	Attrs      map[string]any `json:"attrs,omitempty"`
 	Children   []SpanNode     `json:"children,omitempty"`
+	// Open marks a span that had not ended when the snapshot was taken.
+	// In a finished trace that is a span its phase forgot to End.
+	Open bool `json:"open,omitempty"`
 }
 
 // snapshot deep-copies the span tree under the trace mutex, so the
@@ -59,6 +62,7 @@ func snapshotSpan(s *Span) SpanNode {
 		Name:       s.name,
 		Start:      s.start.UTC().Format(time.RFC3339Nano),
 		DurationMS: float64(s.duration()) / float64(time.Millisecond),
+		Open:       s.end.IsZero(),
 	}
 	if len(s.attrs) > 0 {
 		n.Attrs = make(map[string]any, len(s.attrs))

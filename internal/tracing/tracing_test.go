@@ -221,6 +221,25 @@ func TestNestedSpanTree(t *testing.T) {
 	}
 }
 
+// TestSpanNeverEndedShowsOpen: a finished trace's snapshot marks the
+// span its phase never ended, and only that one: Finish ends the root,
+// not the children.
+func TestSpanNeverEndedShowsOpen(t *testing.T) {
+	tr := New(Config{SampleRate: 1})
+	ctx, trace := tr.StartRequest(context.Background(), "req", "")
+	_, ended := Start(ctx, "ended")
+	ended.End()
+	Start(ctx, "forgotten")
+	tr.Finish(trace)
+	snap, _ := tr.Get(trace.ID())
+	if snap.Root.Open {
+		t.Error("root open after Finish")
+	}
+	if len(snap.Root.Children) != 2 || snap.Root.Children[0].Open || !snap.Root.Children[1].Open {
+		t.Fatalf("want only the forgotten child open, got %+v", snap.Root.Children)
+	}
+}
+
 func TestDisabledZeroAlloc(t *testing.T) {
 	// The whole point of the nil-span design: with no trace in the
 	// context, Start + setters + End allocate nothing.
