@@ -1,7 +1,7 @@
 // Package lint is the project-specific static-analysis framework behind
 // cmd/atislint. It exists for the invariants no runtime test can carry.
 // Lock scope is one: a field read without its mutex races only under an
-// interleaving a test may never drive (the PR 2 Prometheus exporter
+// interleaving a test may never drive (the Prometheus exporter once
 // iterated mutex-guarded maps after dropping the lock, a fatal race only
 // visible under concurrent scrapes), so the lockscope analyzer checks
 // every guarded field of the module. An invariant a runtime test already
