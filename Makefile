@@ -4,7 +4,7 @@
 #   make lint   — atislint: the project-specific analyzers for the
 #                 invariants no runtime test can carry (today lockscope:
 #                 mutex-guarded fields only under their lock).
-#                 `-format json|sarif` for machine output. Pool pairing,
+#                 `-format sarif` for code scanning. Pool pairing,
 #                 context polling, span lifecycle and snapshot
 #                 immutability are carried by runtime tests (README,
 #                 "Static analysis"), and the hot paths' allocation

@@ -177,7 +177,7 @@ func BenchmarkCHQuery(b *testing.B) {
 		b.Run(fmt.Sprintf("k=%d/astar", k), func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				if _, err := search.AStar(g, s, d, estimator.Euclidean()); err != nil {
+				if _, err := search.AStarCtx(context.Background(), g, s, d, estimator.Euclidean()); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -185,7 +185,7 @@ func BenchmarkCHQuery(b *testing.B) {
 		b.Run(fmt.Sprintf("k=%d/alt", k), func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				if _, err := search.AStar(g, s, d, pre.Estimator()); err != nil {
+				if _, err := search.AStarCtx(context.Background(), g, s, d, pre.Estimator()); err != nil {
 					b.Fatal(err)
 				}
 			}

@@ -43,7 +43,7 @@ func BenchmarkExtensionALT(b *testing.B) {
 			b.ReportAllocs()
 			var iters int
 			for i := 0; i < b.N; i++ {
-				res, err := search.AStar(g, s, d, r.est)
+				res, err := search.AStarCtx(context.Background(), g, s, d, r.est)
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -102,7 +102,7 @@ func BenchmarkExtensionClosureVsSinglePair(b *testing.B) {
 	})
 	b.Run("single-pair-astar", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			if _, err := search.AStar(g, s, d, estimator.Manhattan()); err != nil {
+			if _, err := search.AStarCtx(context.Background(), g, s, d, estimator.Manhattan()); err != nil {
 				b.Fatal(err)
 			}
 		}

@@ -47,7 +47,7 @@ func BenchmarkRepeatedQueries(b *testing.B) {
 	b.Run("bidirectional", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			if _, err := search.Bidirectional(g, s, d); err != nil {
+			if _, err := search.BidirectionalCtx(context.Background(), g, s, d); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -75,7 +75,7 @@ func BenchmarkSearchParallel(b *testing.B) {
 		b.ReportAllocs()
 		b.RunParallel(func(pb *testing.PB) {
 			for pb.Next() {
-				if _, err := search.AStar(g, s, d, estimator.Euclidean()); err != nil {
+				if _, err := search.AStarCtx(context.Background(), g, s, d, estimator.Euclidean()); err != nil {
 					b.Fatal(err)
 				}
 			}

@@ -6,6 +6,7 @@
 package repro_test
 
 import (
+	"context"
 	"fmt"
 	"testing"
 
@@ -34,10 +35,10 @@ func memRunners() []memRunner {
 			return search.Dijkstra(g, s, d)
 		}},
 		{"astar-v3", func(g *graph.Graph, s, d graph.NodeID) (search.Result, error) {
-			return search.AStar(g, s, d, estimator.Manhattan())
+			return search.AStarCtx(context.Background(), g, s, d, estimator.Manhattan())
 		}},
 		{"iterative", func(g *graph.Graph, s, d graph.NodeID) (search.Result, error) {
-			return search.Iterative(g, s, d)
+			return search.IterativeCtx(context.Background(), g, s, d)
 		}},
 	}
 }
@@ -219,7 +220,7 @@ func BenchmarkAblationFrontier(b *testing.B) {
 		b.Run(kind.String(), func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				if _, err := search.BestFirst(g, s, d, search.Options{
+				if _, err := search.BestFirstCtx(context.Background(), g, s, d, search.Options{
 					Estimator:   estimator.Manhattan(),
 					Frontier:    kind,
 					AllowReopen: true,
@@ -259,7 +260,7 @@ func BenchmarkAblationWeightedAStar(b *testing.B) {
 			b.ReportAllocs()
 			var iters int
 			for i := 0; i < b.N; i++ {
-				res, err := search.AStar(g, s, d, estimator.Scaled(estimator.Manhattan(), w))
+				res, err := search.AStarCtx(context.Background(), g, s, d, estimator.Scaled(estimator.Manhattan(), w))
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -285,7 +286,7 @@ func BenchmarkAblationBidirectional(b *testing.B) {
 	})
 	b.Run("bidirectional", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			if _, err := search.Bidirectional(g, s, d); err != nil {
+			if _, err := search.BidirectionalCtx(context.Background(), g, s, d); err != nil {
 				b.Fatal(err)
 			}
 		}

@@ -130,7 +130,7 @@ func main() {
 	fmt.Printf("  cost: %.3f over %d segments\n", r.Cost, r.Path.Len())
 	fmt.Printf("  work: %d iterations, %d relaxations, max frontier %d\n",
 		r.Trace.Iterations, r.Trace.Relaxations, r.Trace.MaxFrontier)
-	ev, err := svc.Evaluate(r.Path)
+	ev, err := svc.EvaluateIn(svc.Snapshot(), r.Path)
 	if err != nil {
 		fatal(err)
 	}

@@ -30,7 +30,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	ev, err := svc.Evaluate(morning.Path)
+	ev, err := svc.EvaluateIn(svc.Snapshot(), morning.Path)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -45,7 +45,7 @@ func main() {
 	fmt.Printf("\nrush hour: %d downtown road segments congested to 3x\n", affected)
 
 	// The old route is now painful…
-	evOld, err := svc.Evaluate(morning.Path)
+	evOld, err := svc.EvaluateIn(svc.Snapshot(), morning.Path)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -57,7 +57,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	evNew, err := svc.Evaluate(rerouted.Path)
+	evNew, err := svc.EvaluateIn(svc.Snapshot(), rerouted.Path)
 	if err != nil {
 		log.Fatal(err)
 	}

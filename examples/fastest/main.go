@@ -42,7 +42,7 @@ func main() {
 		log.Fatal(err)
 	}
 
-	fastest, err := search.AStar(gTime, from, to, tables.Estimator())
+	fastest, err := search.AStarCtx(context.Background(), gTime, from, to, tables.Estimator())
 	if err != nil {
 		log.Fatal(err)
 	}

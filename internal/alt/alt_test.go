@@ -1,6 +1,7 @@
 package alt
 
 import (
+	"context"
 	"math"
 	"testing"
 
@@ -68,7 +69,7 @@ func TestALTOnRoadMap(t *testing.T) {
 		s, _ := g.Lookup(pp.From)
 		dd, _ := g.Lookup(pp.To)
 		dij, _ := search.Dijkstra(g, s, dd)
-		ast, err := search.AStar(g, s, dd, est)
+		ast, err := search.AStarCtx(context.Background(), g, s, dd, est)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -102,11 +103,11 @@ func TestALTBeatsGeometryOnNonGeometricCosts(t *testing.T) {
 		t.Fatal(err)
 	}
 	dij, _ := search.Dijkstra(g, s, d)
-	alt, err := search.AStar(g, s, d, a.Estimator())
+	alt, err := search.AStarCtx(context.Background(), g, s, d, a.Estimator())
 	if err != nil {
 		t.Fatal(err)
 	}
-	euc, _ := search.AStar(g, s, d, estimator.Euclidean())
+	euc, _ := search.AStarCtx(context.Background(), g, s, d, estimator.Euclidean())
 	if math.Abs(alt.Cost-dij.Cost) > 1e-9 {
 		t.Fatalf("ALT suboptimal: %v vs %v", alt.Cost, dij.Cost)
 	}

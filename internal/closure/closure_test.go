@@ -1,6 +1,7 @@
 package closure
 
 import (
+	"context"
 	"math"
 	"math/rand"
 	"testing"
@@ -173,7 +174,7 @@ func TestAllPairsMatchesDijkstra(t *testing.T) {
 func TestSinglePairEconomics(t *testing.T) {
 	g := gridgen.MustGenerate(gridgen.Config{K: 10, Model: gridgen.Variance, Seed: 2})
 	s, d := gridgen.Pair(10, gridgen.Horizontal, 0)
-	single, err := search.AStar(g, s, d, nil)
+	single, err := search.AStarCtx(context.Background(), g, s, d, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,6 +1,7 @@
 package dbsearch
 
 import (
+	"context"
 	"math"
 	"testing"
 
@@ -123,7 +124,7 @@ func TestDBIterationCountsMatchInMemory(t *testing.T) {
 		t.Errorf("dijkstra: DB %d iterations, in-memory %d", dijDB.Iterations, dijMem.Trace.Iterations)
 	}
 
-	astMem, _ := search.AStar(g, s, d, estimator.Manhattan())
+	astMem, _ := search.AStarCtx(context.Background(), g, s, d, estimator.Manhattan())
 	astDB, err := m.RunBestFirst(s, d, AStarV3Config())
 	if err != nil {
 		t.Fatal(err)
@@ -132,7 +133,7 @@ func TestDBIterationCountsMatchInMemory(t *testing.T) {
 		t.Errorf("astar-v3: DB %d iterations, in-memory %d", astDB.Iterations, astMem.Trace.Iterations)
 	}
 
-	itMem, _ := search.Iterative(g, s, d)
+	itMem, _ := search.IterativeCtx(context.Background(), g, s, d)
 	itDB, err := m.RunIterative(s, d, Config{})
 	if err != nil {
 		t.Fatal(err)

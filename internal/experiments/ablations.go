@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"io"
 
@@ -23,7 +24,7 @@ func runAblationFrontier(w io.Writer, cfg RunConfig) error {
 	var rows [][]string
 	for _, kind := range kinds {
 		mm, err := measureInMemory(cfg.reps(), func() (search.Result, error) {
-			return search.BestFirst(g, s, d, search.Options{
+			return search.BestFirstCtx(context.Background(), g, s, d, search.Options{
 				Estimator:   estimator.Manhattan(),
 				Frontier:    kind,
 				AllowReopen: true,
@@ -116,7 +117,7 @@ func runAblationWeighted(w io.Writer, cfg RunConfig) error {
 	var rows [][]string
 	for _, weight := range []float64{1, 1.2, 1.5, 2, 3, 5} {
 		mm, err := measureInMemory(cfg.reps(), func() (search.Result, error) {
-			return search.AStar(g, s, d, estimator.Scaled(estimator.Manhattan(), weight))
+			return search.AStarCtx(context.Background(), g, s, d, estimator.Scaled(estimator.Manhattan(), weight))
 		})
 		if err != nil {
 			return err
@@ -142,11 +143,12 @@ func runAblationBidirectional(w io.Writer, cfg RunConfig) error {
 	g := gridgen.MustGenerate(gridgen.Config{K: k, Model: gridgen.Variance, Seed: cfg.seed()})
 	s, d := gridgen.Pair(k, gridgen.Diagonal, cfg.seed())
 
+	ctx := context.Background()
 	runs := map[string]func() (search.Result, error){
 		"dijkstra":      func() (search.Result, error) { return search.Dijkstra(g, s, d) },
-		"astar-v3":      func() (search.Result, error) { return search.AStar(g, s, d, estimator.Manhattan()) },
-		"bidirectional": func() (search.Result, error) { return search.Bidirectional(g, s, d) },
-		"iterative":     func() (search.Result, error) { return search.Iterative(g, s, d) },
+		"astar-v3":      func() (search.Result, error) { return search.AStarCtx(ctx, g, s, d, estimator.Manhattan()) },
+		"bidirectional": func() (search.Result, error) { return search.BidirectionalCtx(ctx, g, s, d) },
+		"iterative":     func() (search.Result, error) { return search.IterativeCtx(ctx, g, s, d) },
 	}
 	var rows [][]string
 	for _, name := range []string{"dijkstra", "astar-v3", "bidirectional", "iterative"} {

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"io"
 	"time"
@@ -46,7 +47,7 @@ func runAblationEconomics(w io.Writer, cfg RunConfig) error {
 	add("floyd-warshall (costs)", n*n, timeIt(func() { closure.AllPairs(g) }))
 	add("single-source dijkstra", n, timeIt(func() { search.SingleSource(g, s) }))
 	add("single-pair A* (manhattan)", 1, timeIt(func() {
-		if _, err := search.AStar(g, s, d, estimator.Manhattan()); err != nil {
+		if _, err := search.AStarCtx(context.Background(), g, s, d, estimator.Manhattan()); err != nil {
 			panic(err)
 		}
 	}))

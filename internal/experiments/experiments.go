@@ -7,6 +7,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"io"
 	"sort"
@@ -128,10 +129,11 @@ func measureInMemory(reps int, fn func() (search.Result, error)) (memMeasure, er
 
 // memAlgorithms is the paper's candidate set against the in-memory engine.
 func memAlgorithms(g *graph.Graph, s, d graph.NodeID) map[string]func() (search.Result, error) {
+	ctx := context.Background()
 	return map[string]func() (search.Result, error){
-		"iterative": func() (search.Result, error) { return search.Iterative(g, s, d) },
+		"iterative": func() (search.Result, error) { return search.IterativeCtx(ctx, g, s, d) },
 		"dijkstra":  func() (search.Result, error) { return search.Dijkstra(g, s, d) },
-		"astar-v3":  func() (search.Result, error) { return search.AStar(g, s, d, estimator.Manhattan()) },
+		"astar-v3":  func() (search.Result, error) { return search.AStarCtx(ctx, g, s, d, estimator.Manhattan()) },
 	}
 }
 

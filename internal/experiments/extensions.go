@@ -56,7 +56,7 @@ func runAblationEstimators(w io.Writer, cfg RunConfig) error {
 			}
 			row := []string{pp.Name}
 			for _, e := range ests {
-				res, err := search.AStar(g, s, d, e.est)
+				res, err := search.AStarCtx(context.Background(), g, s, d, e.est)
 				if err != nil {
 					return err
 				}

@@ -292,72 +292,60 @@ func (s *Server) parseRouteQuery(w http.ResponseWriter, r *http.Request, q *quer
 
 // computeFromQuery is the full single-pair pipeline — parse, admit,
 // load the snapshot it names in X-ATIS-Snapshot, search — shared by
-// /display and /directions, which render the route from the same
-// snapshot. It writes the error response itself; callers render the
-// route on ok.
-func (s *Server) computeFromQuery(w http.ResponseWriter, r *http.Request) (*route.Snapshot, core.Route, bool) {
+// /route, /display and /directions, which answer from that one snapshot,
+// so a publish landing mid-request cannot mix two. With degrade set and
+// degradation on, a shed request may still be answered without search
+// work — from the cache or the CH index — which beats a 503 for the
+// traveller; that answer runs under the request's context like any CH
+// read and reports degraded. It writes the error response itself;
+// callers render the route on ok.
+func (s *Server) computeFromQuery(w http.ResponseWriter, r *http.Request, degrade bool) (sn *route.Snapshot, rt core.Route, degraded, ok bool) {
 	q := parseQuery(r.URL.RawQuery)
 	from, to, opts, ok := s.parseRouteQuery(w, r, &q)
 	if !ok {
-		return nil, core.Route{}, false
+		return nil, rt, false, false
 	}
-	ctx, done, err := s.admit(w, r, &q, opts.Algorithm, false)
-	if err != nil {
-		return nil, core.Route{}, false
+	ctx, done, err := s.admit(w, r, &q, opts.Algorithm, degrade)
+	if ctx == nil {
+		return nil, rt, false, false // admit wrote the error
 	}
 	defer done()
-	sn := s.svc.Snapshot()
+	sn = s.svc.Snapshot()
 	setSnapshotHeader(w, sn)
-	rt, err := s.svc.ComputeIn(ctx, sn, from, to, opts)
+	if err != nil { // a shed admit left to the degraded path
+		tracing.FromContext(ctx).SetBool("degraded", true)
+		if rt, err = s.svc.ComputeDegraded(ctx, sn, from, to, opts); errors.Is(err, route.ErrCHDisabled) {
+			s.shedResponse(w, r, admission.ErrShed)
+			return nil, rt, false, false
+		}
+		degraded = err == nil
+	} else {
+		rt, err = s.svc.ComputeIn(ctx, sn, from, to, opts)
+	}
 	if err != nil {
 		s.searchError(w, r, err)
-		return nil, core.Route{}, false
+		return nil, rt, false, false
 	}
-	return sn, rt, true
+	if degraded {
+		s.degradedReqs.Inc()
+	}
+	return sn, rt, degraded, true
 }
 
-// handleRoute answers GET /v1/route. Once admitted it loads the
-// published snapshot once and serves the route, its evaluation and the
-// X-ATIS-Snapshot header from that one world, so a publish landing
-// mid-request cannot mix two.
+// handleRoute answers GET /v1/route: the route and, unless degraded, its
+// evaluation, both from the snapshot X-ATIS-Snapshot names.
 func (s *Server) handleRoute(w http.ResponseWriter, r *http.Request) {
-	q := parseQuery(r.URL.RawQuery)
-	from, to, opts, ok := s.parseRouteQuery(w, r, &q)
+	sn, rt, degraded, ok := s.computeFromQuery(w, r, true)
 	if !ok {
-		return
-	}
-	ctx, done, err := s.admit(w, r, &q, opts.Algorithm, true)
-	if err != nil {
-		if errors.Is(err, admission.ErrShed) && s.gate.Config().Degrade {
-			// Degradation mode: a shed route request may still be
-			// answerable without search work — from the cache or the CH
-			// index — which beats a 503 for the traveller.
-			sn := s.svc.Snapshot()
-			if rt, served := s.svc.ComputeDegraded(sn, from, to, opts); served {
-				s.degradedReqs.Inc()
-				setSnapshotHeader(w, sn)
-				s.writeRoute(w, r, rt, true, nil)
-				return
-			}
-			s.shedResponse(w, r, err)
-		}
-		return
-	}
-	defer done()
-	sn := s.svc.Snapshot()
-	setSnapshotHeader(w, sn)
-	rt, err := s.svc.ComputeIn(ctx, sn, from, to, opts)
-	if err != nil {
-		s.searchError(w, r, err)
 		return
 	}
 	var ev *route.Evaluation
-	if rt.Found {
+	if rt.Found && !degraded {
 		if e, err := s.svc.EvaluateIn(sn, rt.Path); err == nil {
 			ev = &e
 		}
 	}
-	s.writeRoute(w, r, rt, false, ev)
+	s.writeRoute(w, r, rt, degraded, ev)
 }
 
 // setSnapshotHeader names sn in X-ATIS-Snapshot, reusing the value slot
@@ -538,7 +526,7 @@ func (s *Server) handleEvaluate(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleDisplay(w http.ResponseWriter, r *http.Request) {
-	sn, rt, ok := s.computeFromQuery(w, r)
+	sn, rt, _, ok := s.computeFromQuery(w, r, false)
 	if !ok {
 		return
 	}
@@ -665,7 +653,7 @@ func (s *Server) handleTrafficReset(w http.ResponseWriter, r *http.Request) {
 // handleDirections returns turn-by-turn guidance for the computed route:
 // GET /v1/directions?from=A&to=B[&algo=…].
 func (s *Server) handleDirections(w http.ResponseWriter, r *http.Request) {
-	sn, rt, ok := s.computeFromQuery(w, r)
+	sn, rt, _, ok := s.computeFromQuery(w, r, false)
 	if !ok {
 		return
 	}
@@ -696,7 +684,8 @@ func (s *Server) handleDirections(w http.ResponseWriter, r *http.Request) {
 }
 
 // handleAlternates lists up to k loopless routes:
-// GET /v1/alternates?from=A&to=B&k=3.
+// GET /v1/alternates?from=A&to=B&k=3, priced on the snapshot its
+// X-ATIS-Snapshot header names.
 func (s *Server) handleAlternates(w http.ResponseWriter, r *http.Request) {
 	q := parseQuery(r.URL.RawQuery)
 	from, err := s.resolve(q.from)
@@ -724,7 +713,9 @@ func (s *Server) handleAlternates(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	defer done()
-	routes, err := s.svc.AlternatesCtx(ctx, from, to, k)
+	sn := s.svc.Snapshot()
+	setSnapshotHeader(w, sn)
+	routes, err := sn.AlternatesCtx(ctx, from, to, k)
 	if err != nil {
 		s.searchError(w, r, err)
 		return
@@ -760,7 +751,9 @@ func (s *Server) handleReachable(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	defer done()
-	reach, err := s.svc.ReachableCtx(ctx, from, budget)
+	sn := s.svc.Snapshot()
+	setSnapshotHeader(w, sn)
+	reach, err := sn.ReachableCtx(ctx, from, budget)
 	if err != nil {
 		s.searchError(w, r, err)
 		return

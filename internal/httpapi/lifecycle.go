@@ -43,7 +43,8 @@ func (s *Server) requestContext(r *http.Request, q *query) (context.Context, con
 // returned context drives the search and done releases the gate slot and
 // the deadline timer. On failure admit writes the error response —
 // except a shed when the caller passed degrade=true, where it returns
-// errShedDegradable so the caller may try a degraded answer first.
+// the request's context and a done ending its timer with the shed error,
+// so the caller may try a degraded answer under that context first.
 func (s *Server) admit(w http.ResponseWriter, r *http.Request, q *query, algo core.Algorithm, degrade bool) (context.Context, func(), error) {
 	ctx, cancel, err := s.requestContext(r, q)
 	if err != nil {
@@ -53,10 +54,10 @@ func (s *Server) admit(w http.ResponseWriter, r *http.Request, q *query, algo co
 	cls := admission.ClassFor(algo)
 	release, err := s.acquireGate(ctx, cls)
 	if err != nil {
-		cancel()
 		if errors.Is(err, admission.ErrShed) && degrade && s.gate.Config().Degrade {
-			return nil, nil, err // caller attempts the degraded path, then shedResponse
+			return ctx, cancel, err // caller attempts the degraded path, then shedResponse
 		}
+		cancel()
 		s.admissionError(w, r, err)
 		return nil, nil, err
 	}

@@ -4,6 +4,7 @@ import (
 	"context"
 	"encoding/json"
 	"io"
+	"log/slog"
 	"net/http"
 	"net/http/httptest"
 	"strconv"
@@ -18,6 +19,7 @@ import (
 	"repro/internal/gridgen"
 	"repro/internal/mpls"
 	"repro/internal/route"
+	"repro/internal/tracing"
 )
 
 // newLifecycleServer builds a server over g with an explicit admission
@@ -200,6 +202,82 @@ func TestDegradedServingFromCache(t *testing.T) {
 		t.Errorf("uncached pair status %d, want 503", resp2.StatusCode)
 	}
 	resp2.Body.Close()
+}
+
+// TestDegradedRouteRunsUnderRequestContext: a degraded CH answer runs
+// under the request's context like any other CH read. Its trace shows the
+// kernel span with the index's search and unpack phases under a root span
+// marked degraded, and a request whose context is already dead gets the
+// lifecycle envelope a normal CH read gets — 499 canceled, 504 past its
+// deadline — instead of an answer computed for nobody.
+func TestDegradedRouteRunsUnderRequestContext(t *testing.T) {
+	svc := route.NewService(mpls.MustGenerate(mpls.Config{}))
+	if err := svc.EnableCH(); err != nil {
+		t.Fatal(err)
+	}
+	api := NewServer(svc,
+		WithLogger(slog.New(slog.NewTextHandler(io.Discard, nil))),
+		WithAdmission(admission.Config{MaxInFlight: 1, MaxQueue: 1, Degrade: true}),
+		WithTracing(tracing.Config{SampleRate: 1}))
+	ts := httptest.NewServer(api.Handler())
+	t.Cleanup(ts.Close)
+	drain := saturate(t, api)
+	defer drain()
+
+	resp, err := http.Get(ts.URL + "/v1/route?from=G&to=D&algo=ch")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var rr RouteResponse
+	if err := json.NewDecoder(resp.Body).Decode(&rr); err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK || !rr.Degraded || !rr.Found {
+		t.Fatalf("status %d, response %+v; want a degraded 200", resp.StatusCode, rr)
+	}
+	m := traceparentRe.FindStringSubmatch(resp.Header.Get("traceparent"))
+	if m == nil {
+		t.Fatalf("traceparent %q", resp.Header.Get("traceparent"))
+	}
+	var snap tracing.Snapshot
+	getJSON(t, ts.URL+"/v1/debug/traces/"+m[1], &snap)
+	if got := snap.Root.Attrs["degraded"]; got != true {
+		t.Errorf("root span degraded = %v, want true", got)
+	}
+	names := map[string]tracing.SpanNode{}
+	spanNames(snap.Root, names)
+	for _, want := range []string{"kernel", "ch.search", "ch.unpack"} {
+		if _, ok := names[want]; !ok {
+			t.Errorf("degraded trace missing %q; have %v", want, keysOf(names))
+		}
+	}
+	if got := names["kernel"].Attrs["algo"]; got != "ch" {
+		t.Errorf("kernel algo = %v, want ch", got)
+	}
+
+	canceled, cancel := context.WithCancel(context.Background())
+	cancel()
+	expired, cancelExpired := context.WithDeadline(context.Background(), time.Now().Add(-time.Second))
+	defer cancelExpired()
+	for _, c := range []struct {
+		ctx    context.Context
+		status int
+		code   string
+	}{
+		{canceled, StatusClientClosedRequest, CodeCanceled},
+		{expired, http.StatusGatewayTimeout, CodeDeadlineExceeded},
+	} {
+		// C→D is cached nowhere, so only the CH index could answer it.
+		r := httptest.NewRequest(http.MethodGet, "/v1/route?from=C&to=D&algo=ch", nil).WithContext(c.ctx)
+		w := httptest.NewRecorder()
+		api.Handler().ServeHTTP(w, r)
+		var env errorEnvelope
+		json.NewDecoder(w.Body).Decode(&env)
+		if w.Code != c.status || env.Error.Code != c.code {
+			t.Errorf("dead context: status %d code %q, want %d %q", w.Code, env.Error.Code, c.status, c.code)
+		}
+	}
 }
 
 // TestQueuedDeadlineReturns504: a request whose ?budget_ms= expires

@@ -264,8 +264,9 @@ func (s *Server) instrument(pattern string, h http.HandlerFunc) http.Handler {
 		// The snapshot generation the service holds as the request begins;
 		// a gateway fanning out across replicas joins responses on it to
 		// know which published world answered. The handlers that pin a
-		// snapshot (route, batch, directions, display, evaluate)
-		// overwrite it with the one their answer came from.
+		// snapshot (route, batch, directions, display, evaluate,
+		// alternates, reachable) overwrite it with the one their answer
+		// came from.
 		sw.setHeader(hdrSnapshot, slotSnapshot, s.svc.Snapshot().GenerationText())
 		ctx := context.WithValue(r.Context(), requestKey, rq)
 		ctx, trace := s.tracer.StartRequest(ctx, pattern, firstValue(r.Header, hdrTraceparent))

@@ -212,17 +212,24 @@ func (f *provenanceFixture) finish() {
 	<-f.mutated
 }
 
-// checkCost fails unless cost is Dijkstra's from→to cost on the snapshot
-// gen names.
-func (f *provenanceFixture) checkCost(t *testing.T, gen string, from, to graph.NodeID, cost float64) {
+// world returns the snapshot gen names, failing if none was published
+// under it.
+func (f *provenanceFixture) world(t *testing.T, gen string) *route.Snapshot {
 	t.Helper()
 	f.mu.Lock()
 	sn := f.worlds[gen]
 	f.mu.Unlock()
 	if sn == nil {
-		t.Fatalf("%d→%d names snapshot %s, which was never published", from, to, gen)
+		t.Fatalf("a response names snapshot %s, which was never published", gen)
 	}
-	want, err := search.Dijkstra(sn.Graph(), from, to)
+	return sn
+}
+
+// checkCost fails unless cost is Dijkstra's from→to cost on the snapshot
+// gen names.
+func (f *provenanceFixture) checkCost(t *testing.T, gen string, from, to graph.NodeID, cost float64) {
+	t.Helper()
+	want, err := search.Dijkstra(f.world(t, gen).Graph(), from, to)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -360,6 +367,109 @@ func TestDirectionsSnapshotProvenanceUnderMutation(t *testing.T) {
 	for _, a := range answers {
 		gens[a.gen] = true
 		f.checkCost(t, a.gen, a.from, a.to, a.cost)
+	}
+	checkGenerations(t, gens)
+}
+
+// maxProvenanceRequests bounds the requests a provenance test sends
+// while it waits for answers from enough snapshots: on a loaded machine
+// fast requests can outrun the mutator's publishes.
+const maxProvenanceRequests = 20000
+
+// TestAlternatesSnapshotProvenanceUnderMutation is the /v1/alternates
+// case: on the snapshot the response names, the first alternate costs
+// what Dijkstra gives and every alternate's path prices to its reported
+// cost. Both hold only if the whole Yen family and the header come from
+// one snapshot.
+func TestAlternatesSnapshotProvenanceUnderMutation(t *testing.T) {
+	f := newProvenanceFixture(t)
+	type alt struct {
+		Cost  float64 `json:"cost"`
+		Nodes []int32 `json:"nodes"`
+	}
+	type answer struct {
+		gen      string
+		from, to graph.NodeID
+		routes   []alt
+	}
+	var answers []answer
+	gens := map[string]bool{}
+	rng := rand.New(rand.NewSource(19))
+	n := f.g.NumNodes()
+	for i := 0; i < 150 || (len(gens) < 10 && i < maxProvenanceRequests); i++ {
+		from, to := graph.NodeID(rng.Intn(n)), graph.NodeID(rng.Intn(n))
+		var body struct{ Routes []alt }
+		resp := getJSON(t, f.url+"/v1/alternates?from="+strconv.Itoa(int(from))+"&to="+strconv.Itoa(int(to))+"&k=3", &body)
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("alternates %d→%d: status %d", from, to, resp.StatusCode)
+		}
+		a := answer{resp.Header.Get("X-ATIS-Snapshot"), from, to, body.Routes}
+		answers = append(answers, a)
+		gens[a.gen] = true
+	}
+	f.finish()
+
+	for _, a := range answers {
+		if len(a.routes) == 0 {
+			continue
+		}
+		f.checkCost(t, a.gen, a.from, a.to, a.routes[0].Cost)
+		g := f.world(t, a.gen).Graph()
+		for j, rt := range a.routes {
+			var cost float64
+			for i := 0; i+1 < len(rt.Nodes); i++ {
+				c, ok := g.ArcCost(graph.NodeID(rt.Nodes[i]), graph.NodeID(rt.Nodes[i+1]))
+				if !ok {
+					t.Fatalf("%d→%d alternate %d: %d→%d is not an arc", a.from, a.to, j, rt.Nodes[i], rt.Nodes[i+1])
+				}
+				cost += c
+			}
+			if !near(cost, rt.Cost) {
+				t.Fatalf("%d→%d alternate %d: reported cost %v, but its path costs %v on snapshot %s", a.from, a.to, j, rt.Cost, cost, a.gen)
+			}
+		}
+	}
+	checkGenerations(t, gens)
+}
+
+// TestReachableSnapshotProvenanceUnderMutation is the /v1/reachable
+// case: every reached node's cost equals its single-source cost on the
+// snapshot the response names.
+func TestReachableSnapshotProvenanceUnderMutation(t *testing.T) {
+	f := newProvenanceFixture(t)
+	type answer struct {
+		gen   string
+		from  graph.NodeID
+		nodes map[string]float64
+	}
+	var answers []answer
+	gens := map[string]bool{}
+	rng := rand.New(rand.NewSource(23))
+	n := f.g.NumNodes()
+	for i := 0; i < 300 || (len(gens) < 10 && i < maxProvenanceRequests); i++ {
+		from := graph.NodeID(rng.Intn(n))
+		var body struct{ Nodes map[string]float64 }
+		resp := getJSON(t, f.url+"/v1/reachable?from="+strconv.Itoa(int(from))+"&budget=4", &body)
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("reachable from %d: status %d", from, resp.StatusCode)
+		}
+		a := answer{resp.Header.Get("X-ATIS-Snapshot"), from, body.Nodes}
+		answers = append(answers, a)
+		gens[a.gen] = true
+	}
+	f.finish()
+
+	for _, a := range answers {
+		dist, _ := search.SingleSource(f.world(t, a.gen).Graph(), a.from)
+		for id, cost := range a.nodes {
+			u, err := strconv.Atoi(id)
+			if err != nil || u < 0 || u >= len(dist) {
+				t.Fatalf("reachable from %d: bad node %q", a.from, id)
+			}
+			if !near(cost, dist[u]) {
+				t.Fatalf("reachable from %d: node %d served cost %v, but SingleSource on snapshot %s gives %v", a.from, u, cost, a.gen, dist[u])
+			}
+		}
 	}
 	checkGenerations(t, gens)
 }

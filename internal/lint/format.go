@@ -6,41 +6,9 @@ import (
 	"path/filepath"
 )
 
-// Machine-readable renderings of a diagnostic list for cmd/atislint's
-// -format flag: a compact JSON shape for scripting, and SARIF 2.1.0 for
-// GitHub code scanning (findings annotate PR diffs when the CI job uploads
-// the file).
-
-// jsonFinding is one diagnostic in the JSON output.
-type jsonFinding struct {
-	File     string `json:"file"`
-	Line     int    `json:"line"`
-	Column   int    `json:"column"`
-	Analyzer string `json:"analyzer"`
-	Message  string `json:"message"`
-}
-
-// WriteJSON renders the diagnostics as a single JSON document.
-func WriteJSON(w io.Writer, diags []Diagnostic) error {
-	findings := make([]jsonFinding, 0, len(diags))
-	for _, d := range diags {
-		findings = append(findings, jsonFinding{
-			File:     filepath.ToSlash(d.Pos.Filename),
-			Line:     d.Pos.Line,
-			Column:   d.Pos.Column,
-			Analyzer: d.Analyzer,
-			Message:  d.Message,
-		})
-	}
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(struct {
-		Version  int           `json:"version"`
-		Findings []jsonFinding `json:"findings"`
-	}{Version: 1, Findings: findings})
-}
-
-// --- SARIF 2.1.0 ---------------------------------------------------------
+// The SARIF 2.1.0 rendering of a diagnostic list for cmd/atislint's
+// -format sarif: GitHub code scanning reads it, and findings annotate PR
+// diffs when the CI job uploads the file.
 
 type sarifLog struct {
 	Schema  string     `json:"$schema"`

@@ -23,53 +23,6 @@ func sampleDiags() []Diagnostic {
 	}
 }
 
-// TestWriteJSON round-trips the JSON rendering and checks the shape the
-// scripting consumers depend on: a version field plus a findings array
-// with file/line/column/analyzer/message per entry, and an empty (not
-// null) findings array when the run is clean.
-func TestWriteJSON(t *testing.T) {
-	var buf bytes.Buffer
-	if err := WriteJSON(&buf, sampleDiags()); err != nil {
-		t.Fatal(err)
-	}
-	var doc struct {
-		Version  int `json:"version"`
-		Findings []struct {
-			File     string `json:"file"`
-			Line     int    `json:"line"`
-			Column   int    `json:"column"`
-			Analyzer string `json:"analyzer"`
-			Message  string `json:"message"`
-		} `json:"findings"`
-	}
-	if err := json.Unmarshal(buf.Bytes(), &doc); err != nil {
-		t.Fatalf("output is not valid JSON: %v\n%s", err, buf.String())
-	}
-	if doc.Version != 1 {
-		t.Errorf("version = %d, want 1", doc.Version)
-	}
-	if len(doc.Findings) != 2 {
-		t.Fatalf("findings = %d, want 2", len(doc.Findings))
-	}
-	f := doc.Findings[0]
-	if f.File != "internal/storage/disk.go" || f.Line != 42 || f.Column != 7 || f.Analyzer != "lockscope" {
-		t.Errorf("first finding mangled: %+v", f)
-	}
-	if !strings.Contains(f.Message, "guarded by d.mu") {
-		t.Errorf("message lost: %q", f.Message)
-	}
-
-	// A clean run must emit an empty array, not null — consumers index
-	// .findings without a nil check.
-	buf.Reset()
-	if err := WriteJSON(&buf, nil); err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(buf.String(), `"findings": []`) {
-		t.Errorf("clean run must render findings as [], got:\n%s", buf.String())
-	}
-}
-
 // TestWriteSARIF checks the SARIF 2.1.0 skeleton GitHub code scanning
 // requires: schema/version headers, one rule per analyzer plus the
 // synthetic "ignore" rule, and results carrying %SRCROOT%-based URIs.

@@ -1,6 +1,7 @@
 package mpls
 
 import (
+	"context"
 	"math"
 	"testing"
 
@@ -147,7 +148,7 @@ func TestTravelTimeAdmissibleEstimator(t *testing.T) {
 	// And A* with it is optimal.
 	s, _ := g.Lookup("C")
 	dij, _ := search.Dijkstra(g, s, d)
-	ast, err := search.AStar(g, s, d, est)
+	ast, err := search.AStarCtx(context.Background(), g, s, d, est)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,6 +1,7 @@
 package mpls
 
 import (
+	"context"
 	"math"
 	"testing"
 
@@ -198,7 +199,7 @@ func TestTable8Regimes(t *testing.T) {
 		}
 		iters[pp.Name] = r.Trace.Iterations
 
-		ast, err := search.AStar(g, from, to, estimator.Euclidean())
+		ast, err := search.AStarCtx(context.Background(), g, from, to, estimator.Euclidean())
 		if err != nil {
 			t.Fatal(err)
 		}

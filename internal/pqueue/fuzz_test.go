@@ -28,10 +28,10 @@ func (m fuzzModel) min() (item int, prio float64, ok bool) {
 }
 
 // FuzzIndexed drives an Indexed heap with an arbitrary operation sequence
-// — push, update, pop, remove, reset, grow — decoded from the fuzz input,
-// and asserts the heap invariant through the public API: every PopMin
-// must return exactly the item the reference model says is minimal under
-// the deterministic (priority, tie, item) order, Len/Contains/Priority
+// — push, update, pop, peek, reset, grow — decoded from the fuzz input,
+// and asserts the heap invariant: every PopMin must return exactly the
+// item the reference model says is minimal under the deterministic
+// (priority, tie, item) order, Len, Contains and each queued priority
 // must agree with the model throughout, and draining at the end must
 // empty both in lockstep. The search kernels' correctness (and their
 // telemetry's heap-op accounting) sits on exactly these properties.
@@ -56,9 +56,8 @@ func FuzzIndexed(f *testing.F) {
 				if !h.Contains(it) {
 					t.Fatalf("%s: model holds %d but Contains is false", op, it)
 				}
-				p, ok := h.Priority(it)
-				if !ok || p != pt[0] {
-					t.Fatalf("%s: Priority(%d)=(%v,%v), model %v", op, it, p, ok, pt[0])
+				if p := h.prio[h.pos[it]]; p != pt[0] {
+					t.Fatalf("%s: priority of %d is %v, model %v", op, it, p, pt[0])
 				}
 			}
 		}
@@ -77,7 +76,7 @@ func FuzzIndexed(f *testing.F) {
 			if !ok {
 				break
 			}
-			switch opByte % 5 {
+			switch opByte % 4 {
 			case 0: // PushOrUpdateTie(item, prio, tie)
 				ib, ok1 := nextByte()
 				pb, ok2 := nextByte()
@@ -104,25 +103,13 @@ func FuzzIndexed(f *testing.F) {
 					delete(model, item)
 				}
 				check("pop")
-			case 2: // Remove(item)
-				ib, ok := nextByte()
-				if !ok {
-					break
-				}
-				item := int(ib) % capacity
-				_, inModel := model[item]
-				if removed := h.Remove(item); removed != inModel {
-					t.Fatalf("Remove(%d)=%v, model membership %v", item, removed, inModel)
-				}
-				delete(model, item)
-				check("remove")
-			case 3: // Peek must agree with the model's minimum
+			case 2: // Peek must agree with the model's minimum
 				wantItem, wantPrio, wantOK := model.min()
 				item, prio, ok := h.Peek()
 				if ok != wantOK || (ok && (item != wantItem || prio != wantPrio)) {
 					t.Fatalf("Peek=(%d,%v,%v), model=(%d,%v,%v)", item, prio, ok, wantItem, wantPrio, wantOK)
 				}
-			case 4: // Grow (occasionally) or Reset (rarely)
+			case 3: // Grow (occasionally) or Reset (rarely)
 				b, ok := nextByte()
 				if !ok {
 					break

@@ -13,8 +13,8 @@ package pqueue
 import "fmt"
 
 // Indexed is a binary min-heap over dense integer items in [0, capacity)
-// supporting O(log n) push, pop-min and update (decrease- or increase-key).
-// Each item may appear at most once.
+// supporting O(log n) push, pop-min and update (decrease- or increase-key,
+// through PushOrUpdate). Each item may appear at most once.
 type Indexed struct {
 	items []int     // heap of item keys
 	prio  []float64 // parallel priorities
@@ -30,7 +30,7 @@ type Indexed struct {
 type OpStats struct {
 	Pushes  uint64 // successful Push/PushTie insertions
 	Pops    uint64 // successful PopMin removals
-	Updates uint64 // Update/UpdateTie priority changes (decrease- or increase-key)
+	Updates uint64 // UpdateTie priority changes (decrease- or increase-key)
 }
 
 // OpStats returns the operation counts accumulated since the last Reset.
@@ -87,21 +87,9 @@ func (h *Indexed) Grow(capacity int) {
 	h.pos = pos
 }
 
-// Capacity returns the item range [0, capacity) the heap accepts.
-func (h *Indexed) Capacity() int { return len(h.pos) }
-
 // Contains reports whether item is currently queued.
 func (h *Indexed) Contains(item int) bool {
 	return item >= 0 && item < len(h.pos) && h.pos[item] >= 0
-}
-
-// Priority returns the queued priority of item; ok is false if the item is
-// not queued.
-func (h *Indexed) Priority(item int) (p float64, ok bool) {
-	if !h.Contains(item) {
-		return 0, false
-	}
-	return h.prio[h.pos[item]], true
 }
 
 // Push inserts item with the given priority and a zero tie-break key. It
@@ -121,7 +109,7 @@ func (h *Indexed) PushTie(item int, priority, tie float64) {
 		panic(fmt.Sprintf("pqueue: item %d out of range [0,%d)", item, len(h.pos)))
 	}
 	if h.pos[item] >= 0 {
-		panic(fmt.Sprintf("pqueue: item %d pushed twice; use Update", item))
+		panic(fmt.Sprintf("pqueue: item %d pushed twice; use PushOrUpdate", item))
 	}
 	h.items = append(h.items, item)
 	h.prio = append(h.prio, priority)
@@ -131,16 +119,12 @@ func (h *Indexed) PushTie(item int, priority, tie float64) {
 	h.ops.Pushes++
 }
 
-// Update changes the priority of a queued item (zero tie-break key),
-// restoring heap order whether the priority decreased or increased.
-func (h *Indexed) Update(item int, priority float64) { h.UpdateTie(item, priority, 0) }
-
 // UpdateTie changes the priority and tie-break key of a queued item.
 //
 //atis:hotpath
 func (h *Indexed) UpdateTie(item int, priority, tie float64) {
 	if !h.Contains(item) {
-		panic(fmt.Sprintf("pqueue: Update of item %d which is not queued", item))
+		panic(fmt.Sprintf("pqueue: UpdateTie of item %d which is not queued", item))
 	}
 	i := h.pos[item]
 	h.prio[i] = priority
@@ -198,26 +182,6 @@ func (h *Indexed) PopMin() (item int, priority float64, ok bool) {
 	}
 	h.ops.Pops++
 	return item, priority, true
-}
-
-// Remove deletes a queued item regardless of its position, reporting whether
-// it was present.
-func (h *Indexed) Remove(item int) bool {
-	if !h.Contains(item) {
-		return false
-	}
-	i := h.pos[item]
-	last := len(h.items) - 1
-	h.swap(i, last)
-	h.pos[item] = -1
-	h.items = h.items[:last]
-	h.prio = h.prio[:last]
-	h.tie = h.tie[:last]
-	if i < last {
-		h.down(i)
-		h.up(i)
-	}
-	return true
 }
 
 // less orders heap slots by (priority, tie, item key) for determinism.

@@ -24,9 +24,6 @@ func TestIndexedEmpty(t *testing.T) {
 	if h.Contains(-1) || h.Contains(99) {
 		t.Error("Contains out of range must be false")
 	}
-	if _, ok := h.Priority(0); ok {
-		t.Error("Priority of absent item reported ok")
-	}
 }
 
 func TestIndexedPushPopOrder(t *testing.T) {
@@ -53,11 +50,11 @@ func TestIndexedUpdateDecreaseAndIncrease(t *testing.T) {
 	for i := 0; i < 5; i++ {
 		h.Push(i, float64(10+i))
 	}
-	h.Update(4, 1) // decrease-key: 4 jumps to the front
+	h.PushOrUpdate(4, 1) // decrease-key: 4 jumps to the front
 	if item, p, _ := h.Peek(); item != 4 || p != 1 {
 		t.Fatalf("after decrease Peek = %d,%v", item, p)
 	}
-	h.Update(4, 100) // increase-key: 4 drops to the back
+	h.PushOrUpdate(4, 100) // increase-key: 4 drops to the back
 	item, _, _ := h.PopMin()
 	if item != 0 {
 		t.Fatalf("after increase PopMin = %d, want 0", item)
@@ -80,41 +77,11 @@ func TestIndexedPushOrUpdate(t *testing.T) {
 	h := NewIndexed(3)
 	h.PushOrUpdate(1, 5)
 	h.PushOrUpdate(1, 2)
-	if p, ok := h.Priority(1); !ok || p != 2 {
-		t.Errorf("Priority(1) = %v,%v; want 2,true", p, ok)
+	if item, p, ok := h.Peek(); !ok || item != 1 || p != 2 {
+		t.Errorf("Peek = %d,%v,%v; want 1,2,true", item, p, ok)
 	}
 	if h.Len() != 1 {
 		t.Errorf("Len = %d, want 1", h.Len())
-	}
-}
-
-func TestIndexedRemove(t *testing.T) {
-	h := NewIndexed(6)
-	for i := 0; i < 6; i++ {
-		h.Push(i, float64(i))
-	}
-	if !h.Remove(3) {
-		t.Fatal("Remove(3) = false")
-	}
-	if h.Remove(3) {
-		t.Error("second Remove(3) = true")
-	}
-	var got []int
-	for {
-		it, _, ok := h.PopMin()
-		if !ok {
-			break
-		}
-		got = append(got, it)
-	}
-	want := []int{0, 1, 2, 4, 5}
-	if len(got) != len(want) {
-		t.Fatalf("drained %v, want %v", got, want)
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("drained %v, want %v", got, want)
-		}
 	}
 }
 
@@ -133,7 +100,7 @@ func TestIndexedPanics(t *testing.T) {
 	assertPanics("double push", func() { h.Push(0, 2) })
 	assertPanics("push out of range", func() { h.Push(5, 1) })
 	assertPanics("push negative", func() { h.Push(-1, 1) })
-	assertPanics("update absent", func() { h.Update(1, 1) })
+	assertPanics("update absent", func() { h.UpdateTie(1, 1, 0) })
 }
 
 // Property: draining the indexed heap yields priorities in sorted order and
@@ -171,7 +138,7 @@ func TestIndexedHeapSortProperty(t *testing.T) {
 	}
 }
 
-// Property: after a random interleaving of pushes, updates and removes the
+// Property: after a random interleaving of pushes, updates and pops the
 // heap drains in non-decreasing priority order and pos bookkeeping holds.
 func TestIndexedRandomOpsProperty(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
@@ -186,10 +153,10 @@ func TestIndexedRandomOpsProperty(t *testing.T) {
 				h.Push(item, rng.Float64())
 				inHeap[item] = true
 			case rng.Intn(2) == 0:
-				h.Update(item, rng.Float64())
+				h.PushOrUpdate(item, rng.Float64())
 			default:
-				h.Remove(item)
-				delete(inHeap, item)
+				popped, _, _ := h.PopMin()
+				delete(inHeap, popped)
 			}
 			if h.Len() != len(inHeap) {
 				t.Fatalf("trial %d: Len %d != tracked %d", trial, h.Len(), len(inHeap))

@@ -14,8 +14,8 @@ func TestIndexedResetRetainsStorage(t *testing.T) {
 	if h.Len() != 0 {
 		t.Fatalf("Len after Reset = %d, want 0", h.Len())
 	}
-	if h.Capacity() != 8 {
-		t.Fatalf("Capacity after Reset = %d, want 8", h.Capacity())
+	if len(h.pos) != 8 {
+		t.Fatalf("Capacity after Reset = %d, want 8", len(h.pos))
 	}
 	// Every item must be pushable again (stale pos entries would panic).
 	for i := 0; i < 8; i++ {
@@ -36,8 +36,8 @@ func TestIndexedGrow(t *testing.T) {
 	h := NewIndexed(2)
 	h.Push(0, 5)
 	h.Grow(6)
-	if h.Capacity() != 6 {
-		t.Fatalf("Capacity = %d, want 6", h.Capacity())
+	if len(h.pos) != 6 {
+		t.Fatalf("Capacity = %d, want 6", len(h.pos))
 	}
 	h.Push(5, 1) // previously out of range
 	if item, _, _ := h.PopMin(); item != 5 {
@@ -47,8 +47,8 @@ func TestIndexedGrow(t *testing.T) {
 		t.Fatalf("PopMin = %d, want 0", item)
 	}
 	h.Grow(3) // shrinking request is a no-op
-	if h.Capacity() != 6 {
-		t.Fatalf("Capacity after no-op Grow = %d, want 6", h.Capacity())
+	if len(h.pos) != 6 {
+		t.Fatalf("Capacity after no-op Grow = %d, want 6", len(h.pos))
 	}
 }
 

@@ -43,8 +43,10 @@ func (k cacheKey) hash() uint64 {
 
 // cacheEntry is one resident route. Entries are immutable once linked
 // into a shard: an update replaces the element's entry wholesale rather
-// than editing the resident route, so a concurrent get cloning the old
-// entry never observes a half-written value.
+// than editing the resident route, so a concurrent get never observes a
+// half-written value. The route's node slice is shared with the caller
+// that computed it and with every caller a hit serves: routes are
+// read-only once computed.
 type cacheEntry struct {
 	key   cacheKey
 	route core.Route
@@ -96,7 +98,8 @@ func (c *routeCache) shard(k cacheKey) *cacheShard {
 	return &c.shards[k.hash()%cacheShardCount]
 }
 
-// get returns a private copy of the cached route for k, if resident.
+// get returns the cached route for k, if resident. The route's node
+// slice is shared, not copied: callers must treat it as read-only.
 func (c *routeCache) get(k cacheKey) (core.Route, bool) {
 	s := c.shard(k)
 	s.mu.Lock()
@@ -106,11 +109,11 @@ func (c *routeCache) get(k cacheKey) (core.Route, bool) {
 		return core.Route{}, false
 	}
 	s.order.MoveToFront(el)
-	return cloneRoute(el.Value.(*cacheEntry).route), true
+	return el.Value.(*cacheEntry).route, true
 }
 
-// put stores a private copy of rt under k, evicting the shard's least
-// recently used entry when full. A key older than the shard's generation
+// put stores rt under k, sharing its node slice, and evicts the shard's
+// least recently used entry when full. A key older than the shard's generation
 // is refused: it comes from a reader still on a superseded snapshot, and
 // no query will ever ask for it again.
 func (c *routeCache) put(k cacheKey, rt core.Route) {
@@ -121,7 +124,7 @@ func (c *routeCache) put(k cacheKey, rt core.Route) {
 		return
 	}
 	if el, ok := s.table[k]; ok {
-		el.Value = &cacheEntry{key: k, route: cloneRoute(rt)}
+		el.Value = &cacheEntry{key: k, route: rt}
 		s.order.MoveToFront(el)
 		return
 	}
@@ -133,7 +136,7 @@ func (c *routeCache) put(k cacheKey, rt core.Route) {
 			c.evictions.Inc()
 		}
 	}
-	s.table[k] = s.order.PushFront(&cacheEntry{key: k, route: cloneRoute(rt)})
+	s.table[k] = s.order.PushFront(&cacheEntry{key: k, route: rt})
 }
 
 // retire empties every shard and raises its generation to gen, so the
@@ -166,13 +169,4 @@ func (c *routeCache) len() int {
 		c.shards[i].mu.Unlock()
 	}
 	return n
-}
-
-// cloneRoute deep-copies the route's path so cache residents and caller
-// results never alias each other's node slices.
-func cloneRoute(rt core.Route) core.Route {
-	if rt.Path.Nodes != nil {
-		rt.Path.Nodes = append([]graph.NodeID(nil), rt.Path.Nodes...)
-	}
-	return rt
 }

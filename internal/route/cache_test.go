@@ -39,11 +39,12 @@ func TestCacheHitOnRepeatedQuery(t *testing.T) {
 	if r2.Cost != r1.Cost || len(r2.Path.Nodes) != len(r1.Path.Nodes) {
 		t.Fatalf("cached route differs: %+v vs %+v", r2, r1)
 	}
-	// A cache hit must hand back a private copy, never the resident slice.
-	r2.Path.Nodes[0] = 99
-	r3, _ := s.ComputeCtx(context.Background(), 0, 63, core.Options{})
-	if r3.Path.Nodes[0] == 99 {
-		t.Fatal("caller mutation leaked into the cache")
+	// Returned routes are shared and read-only: the miss stored the node
+	// slice it returned, and a hit hands that same slice back, so serving
+	// a hit copies nothing. httpapi's TestSnapshotDigestsUnchangedByReads
+	// guards that no reader writes through it.
+	if &r2.Path.Nodes[0] != &r1.Path.Nodes[0] {
+		t.Fatal("cache hit returned a copy; returned routes are shared and read-only")
 	}
 }
 

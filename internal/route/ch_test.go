@@ -71,8 +71,8 @@ func TestCHDisabledReturnsErrCHDisabled(t *testing.T) {
 			t.Fatalf("ComputeBatchCtx pair %d: err %v, want ErrCHDisabled", i, res.Err)
 		}
 	}
-	if _, ok := s.ComputeDegraded(s.Snapshot(), from, to, opts); ok {
-		t.Fatal("ComputeDegraded answered without an index")
+	if _, err := s.ComputeDegraded(context.Background(), s.Snapshot(), from, to, opts); !errors.Is(err, ErrCHDisabled) {
+		t.Fatalf("ComputeDegraded: err %v, want ErrCHDisabled", err)
 	}
 	if _, _, entries := s.CacheStats(); entries != 0 {
 		t.Fatalf("route cache holds %d entries, want 0", entries)

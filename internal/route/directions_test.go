@@ -126,7 +126,7 @@ func TestDirectionsCoverRealRoute(t *testing.T) {
 		total += in.Distance
 		segs += in.Segments
 	}
-	ev, _ := s.Evaluate(r.Path)
+	ev, _ := s.EvaluateIn(s.Snapshot(), r.Path)
 	if math.Abs(total-ev.Distance) > 1e-9 {
 		t.Errorf("instruction distances sum to %v, route length %v", total, ev.Distance)
 	}

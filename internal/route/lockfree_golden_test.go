@@ -18,7 +18,7 @@ var queryPathFuncs = map[string]bool{
 	"Graph": true, "ComputeCtx": true, "ComputeIn": true,
 	"cacheLookup": true, "routeSnap": true, "chQuery": true,
 	"ComputeDegraded": true, "CHStats": true, "ComputeByName": true,
-	"ComputeBatchCtx": true, "ComputeBatchIn": true, "Evaluate": true, "EvaluateIn": true,
+	"ComputeBatchCtx": true, "ComputeBatchIn": true, "EvaluateIn": true,
 	"Display": true, "AlternatesCtx": true, "ReachableCtx": true, "Directions": true,
 }
 

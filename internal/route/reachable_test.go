@@ -64,7 +64,7 @@ func TestWithinValidation(t *testing.T) {
 func TestWithinRespectsCongestion(t *testing.T) {
 	s := gridService(t, 6)
 	origin := gridgen.NodeAt(6, 0, 0)
-	before, err := s.ReachableCtx(context.Background(), origin, 3)
+	before, err := s.Snapshot().ReachableCtx(context.Background(), origin, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -72,7 +72,7 @@ func TestWithinRespectsCongestion(t *testing.T) {
 	if _, err := s.ApplyRegionCongestionCtx(context.Background(), graph.Point{X: 2.5, Y: 2.5}, 100, 3); err != nil {
 		t.Fatal(err)
 	}
-	after, err := s.ReachableCtx(context.Background(), origin, 3)
+	after, err := s.Snapshot().ReachableCtx(context.Background(), origin, 3)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -43,11 +43,12 @@ import (
 //
 // Concurrency discipline: there is no readers–writer lock. The service
 // publishes its entire read state as one *Snapshot behind an atomic
-// pointer; every query path (ComputeCtx, Evaluate, AlternatesCtx,
-// ReachableCtx, batch, …) loads the pointer once and
-// runs to completion against that frozen view, so arbitrarily many
-// queries proceed with zero coordination — no query ever blocks behind a
-// mutator, however long the mutator's customization pass runs. The
+// pointer; every query path (ComputeCtx, ComputeBatchCtx, …) loads the
+// pointer once, or is handed a snapshot its caller loaded (ComputeIn,
+// EvaluateIn, Snapshot.AlternatesCtx, …), and runs to completion against
+// that frozen view, so arbitrarily many queries proceed with zero
+// coordination — no query ever blocks behind a mutator, however long the
+// mutator's customization pass runs. The
 // traffic mutators (ApplyRegionCongestionCtx, ApplyTrafficBatchCtx,
 // ResetTrafficCtx) and EnableCH serialize on writeMu. The batch and region
 // mutators clone the current graph — a copy of its costs, sharing its
@@ -217,6 +218,9 @@ func (s *Service) Graph() *graph.Graph {
 // (search.WithBudget) runs out. Cache hits are served regardless of the
 // context's state — the answer is already in hand. Lifecycle-aborted
 // computations are never cached.
+//
+// The returned route's node slice is shared with the route cache and
+// with every later hit on it: routes are read-only once computed.
 func (s *Service) ComputeCtx(ctx context.Context, from, to graph.NodeID, opts core.Options) (core.Route, error) {
 	return s.ComputeIn(ctx, s.snap.Load(), from, to, opts)
 }
@@ -320,23 +324,27 @@ func (s *Service) chQuery(ctx context.Context, ix *ch.Index, from, to graph.Node
 // cost generation (exact key only, no search, and no hit/miss counter
 // bumps — degraded answers must not skew cache telemetry), then the
 // snapshot's contraction-hierarchy index, whose per-query work is
-// near-constant and far below any kernel's. It reports ok=false when
-// neither source can answer — the caller sheds the request for real. It
-// serves from snap, which the caller has loaded.
-func (s *Service) ComputeDegraded(snap *Snapshot, from, to graph.NodeID, opts core.Options) (core.Route, bool) {
+// near-constant and far below any kernel's. It serves from snap, which
+// the caller has loaded. It answers ErrCHDisabled when neither source
+// can answer — the caller sheds the request for real.
+//
+// The CH query runs under ctx exactly as a normal CH read does: it shows
+// up as a "kernel" span with its search and unpack phases, and a dead
+// context stops it with the same typed lifecycle error. A cache hit, as
+// in ComputeIn, is served whatever the context's state.
+func (s *Service) ComputeDegraded(ctx context.Context, snap *Snapshot, from, to graph.NodeID, opts core.Options) (core.Route, error) {
 	key := cacheKey{
 		from: from, to: to,
 		algo: opts.Algorithm, weight: opts.Weight, frontier: opts.Frontier,
 		gen: snap.gen,
 	}
 	if rt, ok := s.cache.get(key); ok {
-		return rt, true
+		return rt, nil
 	}
 	if snap.ch == nil {
-		return core.Route{}, false
+		return core.Route{}, ErrCHDisabled
 	}
-	rt, err := s.chQuery(context.Background(), snap.ch, from, to)
-	return rt, err == nil
+	return s.chQuery(ctx, snap.ch, from, to)
 }
 
 // buildTopology runs the structural contraction — the expensive,
@@ -472,14 +480,9 @@ type Evaluation struct {
 	CongestedHops int
 }
 
-// Evaluate computes the attributes of path under the published snapshot's
-// costs.
-func (s *Service) Evaluate(path graph.Path) (Evaluation, error) {
-	return s.EvaluateIn(s.snap.Load(), path)
-}
-
-// EvaluateIn is Evaluate under snap's costs. base is read-only after
-// construction, so comparing it with the snapshot needs no coordination.
+// EvaluateIn computes the attributes of path under snap's costs. base is
+// read-only after construction, so comparing it with the snapshot needs
+// no coordination.
 func (s *Service) EvaluateIn(snap *Snapshot, path graph.Path) (Evaluation, error) {
 	cur := snap.graph
 	ev := Evaluation{Hops: path.Len(), Valid: true}
@@ -536,21 +539,20 @@ func (sn *Snapshot) Display(path graph.Path, width, height int) string {
 }
 
 // AlternatesCtx returns up to k loopless routes from from to to in
-// increasing cost order under live costs (Yen's algorithm) — the "offer
-// the traveller a choice" feature. Yen's spur searches are A* under an
-// exact potential, and one lifecycle polls ctx and counts their heap pops
-// against one expansion budget for the whole request. The whole family
-// runs against one snapshot, so all k alternatives are priced under the
-// same costs.
+// increasing cost order under the snapshot's costs (Yen's algorithm) —
+// the "offer the traveller a choice" feature. Yen's spur searches are A*
+// under an exact potential, and one lifecycle polls ctx and counts their
+// heap pops against one expansion budget for the whole request. The
+// whole family runs against this one snapshot, so all k alternatives are
+// priced under the same costs.
 //
 // Under an active trace the request shows up as a "kernel" span with
 // algo=yen, the request's heap pops and its spur searches.
-func (s *Service) AlternatesCtx(ctx context.Context, from, to graph.NodeID, k int) ([]core.Route, error) {
+func (sn *Snapshot) AlternatesCtx(ctx context.Context, from, to graph.NodeID, k int) ([]core.Route, error) {
 	ctx, sp := tracing.Start(ctx, "kernel")
 	defer sp.End()
 	sp.SetStr("algo", "yen")
-	g := s.snap.Load().graph
-	results, tr, err := search.KShortestCtx(ctx, g, from, to, k)
+	results, tr, err := search.KShortestCtx(ctx, sn.graph, from, to, k)
 	sp.SetInt("pops", int64(tr.HeapPops))
 	sp.SetInt("spurs", int64(tr.Iterations))
 	if err != nil {
@@ -569,12 +571,12 @@ func (s *Service) AlternatesCtx(ctx context.Context, from, to graph.NodeID, k in
 }
 
 // ReachableCtx returns every node within the given travel budget of from,
-// under live costs, with the cost of reaching each — the isochrone query
-// ("what can I reach in 15 minutes?"). The bounded Dijkstra polls ctx and
-// aborts with a typed lifecycle error rather than returning a truncated
-// (and therefore wrong) isochrone.
-func (s *Service) ReachableCtx(ctx context.Context, from graph.NodeID, budget float64) (map[graph.NodeID]float64, error) {
-	return search.WithinCtx(ctx, s.snap.Load().graph, from, budget)
+// under the snapshot's costs, with the cost of reaching each — the
+// isochrone query ("what can I reach in 15 minutes?"). The bounded
+// Dijkstra polls ctx and aborts with a typed lifecycle error rather than
+// returning a truncated (and therefore wrong) isochrone.
+func (sn *Snapshot) ReachableCtx(ctx context.Context, from graph.NodeID, budget float64) (map[graph.NodeID]float64, error) {
+	return search.WithinCtx(ctx, sn.graph, from, budget)
 }
 
 // ApplyRegionCongestionCtx scales every edge with both endpoints within

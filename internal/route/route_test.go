@@ -55,7 +55,7 @@ func TestEvaluate(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ev, err := s.Evaluate(r.Path)
+	ev, err := s.EvaluateIn(s.Snapshot(), r.Path)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -75,7 +75,7 @@ func TestEvaluate(t *testing.T) {
 
 func TestEvaluateRejectsNonPath(t *testing.T) {
 	s := gridService(t, 5)
-	_, err := s.Evaluate(graph.Path{Nodes: []graph.NodeID{0, 7}})
+	_, err := s.EvaluateIn(s.Snapshot(), graph.Path{Nodes: []graph.NodeID{0, 7}})
 	if err == nil {
 		t.Error("non-path accepted")
 	}
@@ -96,7 +96,7 @@ func TestCongestionChangesRoutesAndEvaluation(t *testing.T) {
 		}
 	}
 	// The old route is now expensive…
-	ev, err := s.Evaluate(before.Path)
+	ev, err := s.EvaluateIn(s.Snapshot(), before.Path)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -57,7 +57,9 @@ func lifecycleGrid(t testing.TB, k int) *graph.Graph {
 func kernelsUnderTest() map[string]func(context.Context, *graph.Graph, graph.NodeID, graph.NodeID) (Result, error) {
 	return map[string]func(context.Context, *graph.Graph, graph.NodeID, graph.NodeID) (Result, error){
 		"iterative": IterativeCtx,
-		"dijkstra":  DijkstraCtx,
+		"dijkstra": func(ctx context.Context, g *graph.Graph, s, d graph.NodeID) (Result, error) {
+			return BestFirstCtx(ctx, g, s, d, Options{Label: "dijkstra"})
+		},
 		"astar": func(ctx context.Context, g *graph.Graph, s, d graph.NodeID) (Result, error) {
 			return AStarCtx(ctx, g, s, d, estimator.Euclidean())
 		},
@@ -170,7 +172,7 @@ func TestExpansionBudget(t *testing.T) {
 func TestBudgetZeroMeansUnlimited(t *testing.T) {
 	g := lifecycleGrid(t, 10)
 	ctx := WithBudget(context.Background(), 0)
-	if _, err := DijkstraCtx(ctx, g, 0, graph.NodeID(g.NumNodes()-1)); err != nil {
+	if _, err := BestFirstCtx(ctx, g, 0, graph.NodeID(g.NumNodes()-1), Options{}); err != nil {
 		t.Fatalf("unlimited budget: %v", err)
 	}
 }
@@ -196,7 +198,7 @@ func TestCanceledRunsRecycleWorkspaces(t *testing.T) {
 					}
 					continue
 				}
-				res, err := DijkstraCtx(context.Background(), g, 0, graph.NodeID(g.NumNodes()-1))
+				res, err := Dijkstra(g, 0, graph.NodeID(g.NumNodes()-1))
 				if err != nil || !res.Found {
 					t.Errorf("clean run after aborts: found=%v err=%v", res.Found, err)
 				}

@@ -82,12 +82,16 @@ func runCH(g *graph.Graph, s, d graph.NodeID) (Result, error) {
 // estimator inadmissible and exempt A* from optimality.
 func kernelsWith(est *estimator.Estimator) []kernel {
 	return []kernel{
-		{"iterative", Iterative},
+		{"iterative", func(g *graph.Graph, s, d graph.NodeID) (Result, error) {
+			return IterativeCtx(context.Background(), g, s, d)
+		}},
 		{"dijkstra", Dijkstra},
 		{"astar-" + est.String(), func(g *graph.Graph, s, d graph.NodeID) (Result, error) {
-			return AStar(g, s, d, est)
+			return AStarCtx(context.Background(), g, s, d, est)
 		}},
-		{"bidirectional", Bidirectional},
+		{"bidirectional", func(g *graph.Graph, s, d graph.NodeID) (Result, error) {
+			return BidirectionalCtx(context.Background(), g, s, d)
+		}},
 		{"ch", runCH},
 	}
 }

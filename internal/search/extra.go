@@ -68,20 +68,17 @@ func singleSource(g *graph.Graph, s graph.NodeID, lc *lifecycle) (dist []float64
 	}
 }
 
-// Bidirectional runs Dijkstra simultaneously from the source (forward) and
-// from the destination (backward over the reverse graph), stopping when the
-// frontiers' combined radius exceeds the best meeting cost. It returns the
-// same optimal cost as Dijkstra while typically expanding far fewer nodes on
-// long paths — one of the future-work speedups the paper's conclusion
-// gestures at. Trace.Iterations counts expansions across both directions.
-func Bidirectional(g *graph.Graph, s, d graph.NodeID) (Result, error) {
-	return BidirectionalCtx(context.Background(), g, s, d)
-}
-
-// BidirectionalCtx is Bidirectional under a request lifecycle: the
-// combined loop polls ctx once per expansion (amortised, see
-// lifecycle.poll) and stops with a typed lifecycle error plus the
-// partial Trace when the context dies or the expansion budget runs out.
+// BidirectionalCtx runs Dijkstra simultaneously from the source (forward)
+// and from the destination (backward over the reverse graph), stopping
+// when the frontiers' combined radius exceeds the best meeting cost. It
+// returns the same optimal cost as Dijkstra while typically expanding far
+// fewer nodes on long paths — one of the future-work speedups the paper's
+// conclusion gestures at. Trace.Iterations counts expansions across both
+// directions.
+//
+// The combined loop polls ctx once per expansion (amortised, see
+// lifecycle.poll) and stops with a typed lifecycle error plus the partial
+// Trace when the context dies or the expansion budget runs out.
 //
 //atis:hotpath
 func BidirectionalCtx(ctx context.Context, g *graph.Graph, s, d graph.NodeID) (res Result, err error) {

@@ -6,10 +6,10 @@ import (
 	"repro/internal/pqueue"
 )
 
-// frontier abstracts "the frontierSet" so BestFirst can run with any of the
-// management strategies of Section 4: an indexed heap (decrease-key), a
-// linear-scan open list (the relational analogue), or a duplicate-tolerant
-// heap. Entries carry a primary priority (f = dist + estimate) and a
+// frontier abstracts "the frontierSet" so BestFirstCtx can run with any of
+// the management strategies of Section 4: an indexed heap (decrease-key),
+// a linear-scan open list (the relational analogue), or a
+// duplicate-tolerant heap. Entries carry a primary priority (f = dist + estimate) and a
 // secondary tie-break key (−dist): among equal f the deeper node is
 // selected, keeping plateau behaviour deterministic and sensible.
 type frontier interface {

@@ -1,6 +1,7 @@
 package search
 
 import (
+	"context"
 	"strings"
 	"sync"
 	"testing"
@@ -49,10 +50,10 @@ func TestRecorderObservesRuns(t *testing.T) {
 	if _, err := Dijkstra(g, s, d); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := Iterative(g, s, d); err != nil {
+	if _, err := IterativeCtx(context.Background(), g, s, d); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := Bidirectional(g, s, d); err != nil {
+	if _, err := BidirectionalCtx(context.Background(), g, s, d); err != nil {
 		t.Fatal(err)
 	}
 
@@ -100,7 +101,7 @@ func TestHeapOpsMatchAcrossFrontiers(t *testing.T) {
 	g := gridgen.MustGenerate(gridgen.Config{K: 10, Model: gridgen.Uniform, Seed: 7})
 	s, d := gridgen.Pair(10, gridgen.Diagonal, 7)
 	for _, kind := range []FrontierKind{FrontierHeap, FrontierScan, FrontierDuplicates} {
-		res, err := BestFirst(g, s, d, Options{Frontier: kind})
+		res, err := BestFirstCtx(context.Background(), g, s, d, Options{Frontier: kind})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -1,21 +1,28 @@
 // Package search implements the in-memory single-pair path-computation
 // algorithms of Section 3 of the paper:
 //
-//   - Iterative — the breadth-first, label-correcting transitive-closure
+//   - IterativeCtx — the breadth-first, label-correcting transitive-closure
 //     style algorithm of Figure 1. It cannot terminate before exploring the
 //     whole reachable graph and its work is insensitive to path length.
 //   - Dijkstra — Figure 2: partial transitive closure with one-edge
 //     lookahead. Terminates as soon as the destination is selected from the
 //     frontier (Lemma 2).
-//   - A* — Figure 3: best-first search ordered by actual cost plus an
+//   - AStarCtx — Figure 3: best-first search ordered by actual cost plus an
 //     estimator f(u, d). Terminates when the destination is selected; with
 //     an admissible estimator the returned path is optimal (Lemma 3).
 //
 // Beyond the paper's three candidates, the package provides bidirectional
-// Dijkstra and weighted A* (via a scaled estimator) as the
-// optimality/speed-tradeoff extensions the paper's conclusion proposes, plus
-// the frontier-management variants (linear-scan selection, duplicates
-// allowed) from the design-decision analysis of Sections 4 and 5.3.
+// Dijkstra (BidirectionalCtx) and weighted A* (via a scaled estimator) as
+// the optimality/speed-tradeoff extensions the paper's conclusion
+// proposes, plus the frontier-management variants of BestFirstCtx
+// (linear-scan selection, duplicates allowed) from the design-decision
+// analysis of Sections 4 and 5.3.
+//
+// Each operation has one exported entry point. The kernels take the
+// request's context and poll it (see CheckInterval); a caller without a
+// request passes context.Background(). Dijkstra, the oracle of the
+// property tests and the benchmark module, is the one kernel without a
+// context.
 //
 // All algorithms return a Result carrying the path, its cost, and a Trace
 // with the iteration counts the paper reports: Iterations is frontier
@@ -98,24 +105,22 @@ func observeRun(rec Recorder, algo string, start time.Time, res *Result, err *er
 	}
 }
 
-// Iterative runs the breadth-first label-correcting algorithm of Figure 1.
-// Every round removes the whole frontier, fetches each member's adjacency
-// list, relaxes the out-edges, and inserts improved neighbours into the next
-// frontier (duplicate avoidance, the strategy the paper prefers in
-// Section 4). The algorithm terminates when the frontier empties, i.e. it
-// settles shortest paths from the source to every reachable node, then
-// reports the one to d. Requires non-negative edge costs (Lemma 1).
-func Iterative(g *graph.Graph, s, d graph.NodeID) (Result, error) {
-	return IterativeCtx(context.Background(), g, s, d)
-}
-
-// IterativeCtx is Iterative under a request lifecycle: the run polls ctx
-// every CheckInterval expansions (amortised, see lifecycle.poll) and
-// stops with ErrCanceled, ErrDeadline, or ErrBudget — carrying the
-// partial Trace of the abandoned work — as soon as the context dies or
-// the expansion budget (WithBudget) runs out. Because the algorithm
-// cannot terminate before exploring the whole reachable graph, it is the
-// kernel that profits most from a bounded lifecycle.
+// IterativeCtx runs the breadth-first label-correcting algorithm of
+// Figure 1. Every round removes the whole frontier, fetches each member's
+// adjacency list, relaxes the out-edges, and inserts improved neighbours
+// into the next frontier (duplicate avoidance, the strategy the paper
+// prefers in Section 4). The algorithm terminates when the frontier
+// empties, i.e. it settles shortest paths from the source to every
+// reachable node, then reports the one to d. Requires non-negative edge
+// costs (Lemma 1).
+//
+// The run polls ctx every CheckInterval expansions (amortised, see
+// lifecycle.poll) and stops with ErrCanceled, ErrDeadline, or ErrBudget —
+// carrying the partial Trace of the abandoned work — as soon as the
+// context dies or the expansion budget (WithBudget) runs out. Because the
+// algorithm cannot terminate before exploring the whole reachable graph,
+// it is the kernel that profits most from a bounded lifecycle. Callers
+// without a request pass context.Background().
 //
 //atis:hotpath
 func IterativeCtx(ctx context.Context, g *graph.Graph, s, d graph.NodeID) (res Result, err error) {
@@ -194,26 +199,20 @@ func IterativeCtx(ctx context.Context, g *graph.Graph, s, d graph.NodeID) (res R
 // Dijkstra runs the algorithm of Figure 2 with early termination: the run
 // stops as soon as the destination is selected from the frontier, at which
 // point its label is the shortest-path cost (Lemma 2). Closed nodes are
-// never reopened, which is sound for non-negative costs.
+// never reopened, which is sound for non-negative costs. It runs without a
+// request lifecycle; a request-scoped Dijkstra is BestFirstCtx with the
+// zero estimator.
 func Dijkstra(g *graph.Graph, s, d graph.NodeID) (Result, error) {
-	return BestFirst(g, s, d, Options{Estimator: estimator.Zero(), Label: "dijkstra"})
+	return BestFirstCtx(context.Background(), g, s, d, Options{Estimator: estimator.Zero(), Label: "dijkstra"})
 }
 
-// DijkstraCtx is Dijkstra under a request lifecycle (see BestFirstCtx).
-func DijkstraCtx(ctx context.Context, g *graph.Graph, s, d graph.NodeID) (Result, error) {
-	return BestFirstCtx(ctx, g, s, d, Options{Estimator: estimator.Zero(), Label: "dijkstra"})
-}
-
-// AStar runs the best-first algorithm of Figure 3 with the given estimator.
-// Following the paper's pseudo-code, a closed node whose label improves is
-// reopened (re-enters the frontier); with admissible estimators this never
-// happens and the result is optimal, with inadmissible ones (manhattan on a
-// road map) it bounds the damage while still not guaranteeing optimality.
-func AStar(g *graph.Graph, s, d graph.NodeID, est *estimator.Estimator) (Result, error) {
-	return BestFirst(g, s, d, Options{Estimator: est, AllowReopen: true, Label: "astar"})
-}
-
-// AStarCtx is AStar under a request lifecycle (see BestFirstCtx).
+// AStarCtx runs the best-first algorithm of Figure 3 with the given
+// estimator, under a request lifecycle (see BestFirstCtx). Following the
+// paper's pseudo-code, a closed node whose label improves is reopened
+// (re-enters the frontier); with admissible estimators this never
+// happens and the result is optimal, with inadmissible ones (manhattan on
+// a road map) it bounds the damage while still not guaranteeing
+// optimality.
 func AStarCtx(ctx context.Context, g *graph.Graph, s, d graph.NodeID, est *estimator.Estimator) (Result, error) {
 	return BestFirstCtx(ctx, g, s, d, Options{Estimator: est, AllowReopen: true, Label: "astar"})
 }
@@ -251,7 +250,7 @@ func (k FrontierKind) String() string {
 	}
 }
 
-// Options configures BestFirst.
+// Options configures BestFirstCtx.
 type Options struct {
 	// Estimator orders the frontier by dist + estimate. nil means the zero
 	// estimator, i.e. Dijkstra.
@@ -268,17 +267,13 @@ type Options struct {
 	Label string
 }
 
-// BestFirst is the engine behind Dijkstra and AStar: repeatedly select the
-// frontier node minimising dist(u) + f(u, d), close it, stop if it is the
-// destination, otherwise relax its out-edges.
-func BestFirst(g *graph.Graph, s, d graph.NodeID, opts Options) (Result, error) {
-	return BestFirstCtx(context.Background(), g, s, d, opts)
-}
-
-// BestFirstCtx is BestFirst under a request lifecycle: the run polls ctx
-// once per frontier pop (amortised to one ctx.Err() read every
-// CheckInterval pops) and stops with ErrCanceled, ErrDeadline, or
-// ErrBudget plus the partial Trace as soon as the context dies or the
+// BestFirstCtx is the engine behind Dijkstra and AStarCtx: repeatedly
+// select the frontier node minimising dist(u) + f(u, d), close it, stop if
+// it is the destination, otherwise relax its out-edges.
+//
+// The run polls ctx once per frontier pop (amortised to one ctx.Err()
+// read every CheckInterval pops) and stops with ErrCanceled, ErrDeadline,
+// or ErrBudget plus the partial Trace as soon as the context dies or the
 // expansion budget (WithBudget) runs out.
 //
 //atis:hotpath

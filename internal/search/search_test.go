@@ -1,6 +1,7 @@
 package search
 
 import (
+	"context"
 	"math"
 	"math/rand"
 	"testing"
@@ -42,17 +43,17 @@ func allAlgorithms(t *testing.T, g *graph.Graph, s, d graph.NodeID) map[string]R
 		}
 		out[name] = r
 	}
-	r, err := Iterative(g, s, d)
+	r, err := IterativeCtx(context.Background(), g, s, d)
 	run("iterative", r, err)
 	r, err = Dijkstra(g, s, d)
 	run("dijkstra", r, err)
-	r, err = AStar(g, s, d, estimator.Euclidean())
+	r, err = AStarCtx(context.Background(), g, s, d, estimator.Euclidean())
 	run("astar-euclidean", r, err)
-	r, err = Bidirectional(g, s, d)
+	r, err = BidirectionalCtx(context.Background(), g, s, d)
 	run("bidirectional", r, err)
-	r, err = BestFirst(g, s, d, Options{Frontier: FrontierScan})
+	r, err = BestFirstCtx(context.Background(), g, s, d, Options{Frontier: FrontierScan})
 	run("dijkstra-scan", r, err)
-	r, err = BestFirst(g, s, d, Options{Frontier: FrontierDuplicates})
+	r, err = BestFirstCtx(context.Background(), g, s, d, Options{Frontier: FrontierDuplicates})
 	run("dijkstra-dup", r, err)
 	return out
 }
@@ -143,10 +144,10 @@ func TestInvalidEndpoints(t *testing.T) {
 	if _, err := Dijkstra(g, 0, 99); err == nil {
 		t.Error("out-of-range destination accepted")
 	}
-	if _, err := Iterative(g, 99, 0); err == nil {
+	if _, err := IterativeCtx(context.Background(), g, 99, 0); err == nil {
 		t.Error("iterative out-of-range source accepted")
 	}
-	if _, err := Bidirectional(g, 0, -2); err == nil {
+	if _, err := BidirectionalCtx(context.Background(), g, 0, -2); err == nil {
 		t.Error("bidirectional invalid destination accepted")
 	}
 }
@@ -226,7 +227,7 @@ func TestAStarOptimalAndFocusedOnGeometricGraphs(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		ast, err := AStar(g, s, d, estimator.Euclidean())
+		ast, err := AStarCtx(context.Background(), g, s, d, estimator.Euclidean())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -256,7 +257,7 @@ func TestIterationCountsUniformGrid(t *testing.T) {
 		s, d := gridgen.Pair(k, gridgen.Diagonal, 0)
 
 		// Iterative: rounds = grid diameter + 1 (19 / 39 / 59 in Table 5).
-		it, err := Iterative(g, s, d)
+		it, err := IterativeCtx(context.Background(), g, s, d)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -278,7 +279,7 @@ func TestIterationCountsUniformGrid(t *testing.T) {
 
 		// A* with the perfect (manhattan) estimator and deeper-first
 		// tie-break walks straight to the corner: L expansions.
-		ast, err := AStar(g, s, d, estimator.Manhattan())
+		ast, err := AStarCtx(context.Background(), g, s, d, estimator.Manhattan())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -307,7 +308,7 @@ func TestIterationCountsVarianceGrid(t *testing.T) {
 			t.Errorf("k=%d: dijkstra expansions = %d, want ≈ %d", k, dij.Trace.Iterations, n-1)
 		}
 
-		ast, err := AStar(g, s, d, estimator.Manhattan())
+		ast, err := AStarCtx(context.Background(), g, s, d, estimator.Manhattan())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -319,7 +320,7 @@ func TestIterationCountsVarianceGrid(t *testing.T) {
 			t.Errorf("k=%d: A* expansions = %d, suspiciously few under variance", k, ast.Trace.Iterations)
 		}
 
-		it, err := Iterative(g, s, d)
+		it, err := IterativeCtx(context.Background(), g, s, d)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -345,7 +346,7 @@ func TestPathLengthSensitivity(t *testing.T) {
 	kinds := []gridgen.PairKind{gridgen.Horizontal, gridgen.SemiDiagonal, gridgen.Diagonal}
 	for i, kind := range kinds {
 		s, d := gridgen.Pair(k, kind, 0)
-		ast, err := AStar(g, s, d, estimator.Manhattan())
+		ast, err := AStarCtx(context.Background(), g, s, d, estimator.Manhattan())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -353,7 +354,7 @@ func TestPathLengthSensitivity(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		it, err := Iterative(g, s, d)
+		it, err := IterativeCtx(context.Background(), g, s, d)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -388,7 +389,7 @@ func TestSkewedCostModel(t *testing.T) {
 	if dijS.Trace.Iterations*4 > dijU.Trace.Iterations {
 		t.Errorf("skewed dijkstra %d not ≪ uniform %d", dijS.Trace.Iterations, dijU.Trace.Iterations)
 	}
-	astS, _ := AStar(gS, s, d, estimator.Manhattan())
+	astS, _ := AStarCtx(context.Background(), gS, s, d, estimator.Manhattan())
 	// The cheap corridor has 2(k−1) edges; A* should track it closely.
 	if astS.Trace.Iterations > 3*(k-1) {
 		t.Errorf("skewed A* expansions = %d, want ≈ %d", astS.Trace.Iterations, 2*(k-1))
@@ -407,15 +408,15 @@ func TestSkewedCostModel(t *testing.T) {
 func TestFrontierKindsAgree(t *testing.T) {
 	g := gridgen.MustGenerate(gridgen.Config{K: 12, Model: gridgen.Variance, Seed: 5})
 	s, d := gridgen.Pair(12, gridgen.SemiDiagonal, 0)
-	heap, err := BestFirst(g, s, d, Options{Frontier: FrontierHeap})
+	heap, err := BestFirstCtx(context.Background(), g, s, d, Options{Frontier: FrontierHeap})
 	if err != nil {
 		t.Fatal(err)
 	}
-	scan, err := BestFirst(g, s, d, Options{Frontier: FrontierScan})
+	scan, err := BestFirstCtx(context.Background(), g, s, d, Options{Frontier: FrontierScan})
 	if err != nil {
 		t.Fatal(err)
 	}
-	dup, err := BestFirst(g, s, d, Options{Frontier: FrontierDuplicates})
+	dup, err := BestFirstCtx(context.Background(), g, s, d, Options{Frontier: FrontierDuplicates})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -452,7 +453,7 @@ func TestWeightedAStarInflation(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, w := range []float64{1.5, 2, 4} {
-		r, err := AStar(g, s, d, estimator.Scaled(estimator.Manhattan(), w))
+		r, err := AStarCtx(context.Background(), g, s, d, estimator.Scaled(estimator.Manhattan(), w))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -480,7 +481,7 @@ func TestBidirectionalMatchesDijkstraOnGrids(t *testing.T) {
 	for trial := 0; trial < 40; trial++ {
 		s := graph.NodeID(rng.Intn(400))
 		d := graph.NodeID(rng.Intn(400))
-		bi, err := Bidirectional(g, s, d)
+		bi, err := BidirectionalCtx(context.Background(), g, s, d)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -509,7 +510,7 @@ func TestBidirectionalMatchesDijkstraOnGrids(t *testing.T) {
 func TestBidirectionalExpandsFewerOnLongPaths(t *testing.T) {
 	g := gridgen.MustGenerate(gridgen.Config{K: 30, Model: gridgen.Variance, Seed: 4})
 	s, d := gridgen.Pair(30, gridgen.Diagonal, 0)
-	bi, _ := Bidirectional(g, s, d)
+	bi, _ := BidirectionalCtx(context.Background(), g, s, d)
 	dij, _ := Dijkstra(g, s, d)
 	if bi.Trace.Iterations >= dij.Trace.Iterations {
 		t.Errorf("bidirectional %d >= dijkstra %d on the diagonal", bi.Trace.Iterations, dij.Trace.Iterations)
@@ -582,7 +583,7 @@ func TestAStarReopensUnderInadmissibleEstimator(t *testing.T) {
 	b.AddEdge(2, 3, 10)
 	b.AddEdge(1, 3, 0.1)
 	g := b.MustBuild()
-	r, err := AStar(g, 0, 3, estimator.Scaled(estimator.Euclidean(), 10))
+	r, err := AStarCtx(context.Background(), g, 0, 3, estimator.Scaled(estimator.Euclidean(), 10))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -612,7 +613,7 @@ func TestTraceCounters(t *testing.T) {
 	if tr.MaxFrontier < 1 {
 		t.Errorf("max frontier %d", tr.MaxFrontier)
 	}
-	it, err := Iterative(g, 0, 3)
+	it, err := IterativeCtx(context.Background(), g, 0, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -630,8 +631,8 @@ func TestEarlyTerminationContrast(t *testing.T) {
 	s := gridgen.NodeAt(k, 15, 15)
 	d := gridgen.NodeAt(k, 15, 16)
 	dij, _ := Dijkstra(g, s, d)
-	ast, _ := AStar(g, s, d, estimator.Manhattan())
-	it, _ := Iterative(g, s, d)
+	ast, _ := AStarCtx(context.Background(), g, s, d, estimator.Manhattan())
+	it, _ := IterativeCtx(context.Background(), g, s, d)
 	if ast.Trace.Expansions > 4 {
 		t.Errorf("A* expanded %d nodes for an adjacent pair", ast.Trace.Expansions)
 	}

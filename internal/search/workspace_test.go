@@ -17,18 +17,22 @@ func workspaceRunners() map[string]func(g *graph.Graph, s, d graph.NodeID) (Resu
 	return map[string]func(g *graph.Graph, s, d graph.NodeID) (Result, error){
 		"dijkstra": Dijkstra,
 		"astar-euclidean": func(g *graph.Graph, s, d graph.NodeID) (Result, error) {
-			return AStar(g, s, d, estimator.Euclidean())
+			return AStarCtx(context.Background(), g, s, d, estimator.Euclidean())
 		},
 		"astar-manhattan": func(g *graph.Graph, s, d graph.NodeID) (Result, error) {
-			return AStar(g, s, d, estimator.Manhattan())
+			return AStarCtx(context.Background(), g, s, d, estimator.Manhattan())
 		},
-		"iterative":     Iterative,
-		"bidirectional": Bidirectional,
+		"iterative": func(g *graph.Graph, s, d graph.NodeID) (Result, error) {
+			return IterativeCtx(context.Background(), g, s, d)
+		},
+		"bidirectional": func(g *graph.Graph, s, d graph.NodeID) (Result, error) {
+			return BidirectionalCtx(context.Background(), g, s, d)
+		},
 		"scan-frontier": func(g *graph.Graph, s, d graph.NodeID) (Result, error) {
-			return BestFirst(g, s, d, Options{Estimator: estimator.Zero(), Frontier: FrontierScan})
+			return BestFirstCtx(context.Background(), g, s, d, Options{Estimator: estimator.Zero(), Frontier: FrontierScan})
 		},
 		"dup-frontier": func(g *graph.Graph, s, d graph.NodeID) (Result, error) {
-			return BestFirst(g, s, d, Options{Estimator: estimator.Zero(), Frontier: FrontierDuplicates})
+			return BestFirstCtx(context.Background(), g, s, d, Options{Estimator: estimator.Zero(), Frontier: FrontierDuplicates})
 		},
 	}
 }

@@ -30,11 +30,11 @@ func TestScaleGrid50(t *testing.T) {
 	if err != nil || !dij.Found {
 		t.Fatalf("dijkstra: %v", err)
 	}
-	ast, err := search.AStar(g, s, d, estimator.Manhattan())
+	ast, err := search.AStarCtx(context.Background(), g, s, d, estimator.Manhattan())
 	if err != nil {
 		t.Fatal(err)
 	}
-	it, err := search.Iterative(g, s, d)
+	it, err := search.IterativeCtx(context.Background(), g, s, d)
 	if err != nil {
 		t.Fatal(err)
 	}
