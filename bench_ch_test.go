@@ -27,6 +27,7 @@ import (
 	"repro/internal/estimator"
 	"repro/internal/graph"
 	"repro/internal/gridgen"
+	"repro/internal/mpls"
 	"repro/internal/route"
 	"repro/internal/search"
 )
@@ -73,10 +74,20 @@ func BenchmarkCHPreprocess(b *testing.B) {
 // goroutine, beside the default row. The default row also times one
 // workers=1 build before each timed build, off the clock, and reports
 // its time over theirs as ratio-to-workers=1: the parallel phases' gain
-// as one within-run number that host drift and -count cannot skew.
+// as one within-run number that host drift and -count cannot skew. The
+// mpls rows build the default map, which atisbench's hot-commute workload
+// builds at set-up.
 func BenchmarkCHTopology(b *testing.B) {
-	for _, k := range []int{48, 100} {
-		g := gridgen.MustGenerate(gridgen.Config{K: k, Model: gridgen.Variance, Seed: benchSeed})
+	maps := []struct {
+		name string
+		g    *graph.Graph
+	}{
+		{"k=48", gridgen.MustGenerate(gridgen.Config{K: 48, Model: gridgen.Variance, Seed: benchSeed})},
+		{"k=100", gridgen.MustGenerate(gridgen.Config{K: 100, Model: gridgen.Variance, Seed: benchSeed})},
+		{"mpls", mpls.MustGenerate(mpls.Config{})},
+	}
+	for _, m := range maps {
+		g := m.g
 		build := func(b *testing.B, workers int) *ch.Topology {
 			topo, err := ch.BuildTopology(g, ch.Options{Workers: workers})
 			if err != nil {
@@ -84,7 +95,7 @@ func BenchmarkCHTopology(b *testing.B) {
 			}
 			return topo
 		}
-		b.Run(fmt.Sprintf("k=%d/workers=1", k), func(b *testing.B) {
+		b.Run(m.name+"/workers=1", func(b *testing.B) {
 			b.ReportAllocs()
 			var topo *ch.Topology
 			for i := 0; i < b.N; i++ {
@@ -92,7 +103,7 @@ func BenchmarkCHTopology(b *testing.B) {
 			}
 			b.ReportMetric(float64(topo.RetainedBytes()), "retained-B")
 		})
-		b.Run(fmt.Sprintf("k=%d", k), func(b *testing.B) {
+		b.Run(m.name, func(b *testing.B) {
 			b.ReportAllocs()
 			var topo *ch.Topology
 			var seq, par time.Duration

@@ -52,9 +52,10 @@ import (
 type Options struct {
 	// Workers bounds the goroutines of every parallel phase of the
 	// structural build: the initial contraction priorities (independent
-	// per-node pair counts) and the triangle packing. 0 means GOMAXPROCS;
-	// 1 builds on the calling goroutine alone. The topology built is the
-	// same for every value.
+	// per-node pair counts) and the triangle packing (contiguous ranges of
+	// target rows). The contraction loop between them runs on the calling
+	// goroutine. 0 means GOMAXPROCS; 1 builds on the calling goroutine
+	// alone. The topology built is the same for every value.
 	Workers int
 }
 

@@ -227,6 +227,41 @@ func TestTopologyIndependentOfWorkers(t *testing.T) {
 	})
 }
 
+// TestTopologyIndependentOfSwitchPoint checks that the contraction loop's
+// bit rows change how a topology is built, never what is built: switching
+// to them never, before the first pop, half-way through the contraction
+// or where the density rule puts it gives the Workers=1 digest, on every
+// golden graph and on a k=100 grid, whose dense tail is long.
+func TestTopologyIndependentOfSwitchPoint(t *testing.T) {
+	agree := func(t *testing.T, g *graph.Graph) {
+		n := g.NumNodes()
+		want := ""
+		for _, sw := range []struct {
+			name string
+			at   int
+		}{{"never", n}, {"first pop", 0}, {"mid-way", n / 2}, {"dense", switchDense}} {
+			topo, err := buildTopology(g, Options{Workers: 1}, sw.at)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := topologyDigest(topo); want == "" {
+				want = got
+			} else if got != want {
+				t.Errorf("switch %s: digest %s, want the never-switched digest %s", sw.name, got, want)
+			}
+		}
+	}
+	for _, tc := range goldenCases {
+		t.Run(tc.name, func(t *testing.T) { agree(t, tc.g()) })
+	}
+	t.Run("grid-k100-variance-seed1", func(t *testing.T) {
+		if testing.Short() || raceEnabled {
+			t.Skip("four k=100 builds are too slow under -short and -race")
+		}
+		agree(t, gridgen.MustGenerate(gridgen.Config{K: 100, Model: gridgen.Variance, Seed: 1}))
+	})
+}
+
 // metricDigest hashes every field of m in a fixed order: the up and down
 // costs (as their IEEE-754 bits) and the up and down middles. Two
 // metrics with equal digests serve the same weights and unpack the same

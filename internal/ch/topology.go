@@ -2,8 +2,10 @@ package ch
 
 import (
 	"fmt"
+	"math/bits"
 	"runtime"
 	"slices"
+	"sort"
 	"sync"
 	"unsafe"
 
@@ -160,6 +162,12 @@ func (s *markSet) has(u graph.NodeID) bool { return s.stamp[u] == s.epoch }
 // survivors' order. When v is contracted its own lists are compacted to
 // its uncontracted neighbours and never touched again, so they are
 // exactly v's upward skeleton rows.
+//
+// Once the live graph is dense (useBits), the loop also keeps it as bit
+// rows: the live nodes are re-indexed 0..live-1 by idx, and out and in
+// hold each one's live out- and in-neighbours as a row of words bits over
+// that index. The lists stay the record of insertion order; the bits
+// answer the existence and intersection questions.
 type tbuilder struct {
 	n          int
 	fwd        [][]graph.NodeID // live out-neighbours, shortcut targets included
@@ -169,6 +177,11 @@ type tbuilder struct {
 	rank       []int32
 	order      []graph.NodeID
 	marks      *markSet // arc-existence marks for seeding and the sequential phase
+	liveArcs   int      // arcs between two uncontracted nodes
+
+	idx     []int32  // node → bit index among the live nodes at the switch
+	words   int      // words per bit row
+	out, in []uint64 // bit rows, row i at [i*words, (i+1)*words); nil before the switch
 }
 
 // newTBuilder seeds the structural adjacency from g, dropping self loops
@@ -202,6 +215,7 @@ func newTBuilder(g *graph.Graph) *tbuilder {
 func (b *tbuilder) addArc(u, w graph.NodeID) {
 	b.fwd[u] = append(b.fwd[u], w)
 	b.bwd[w] = append(b.bwd[w], u)
+	b.liveArcs++
 }
 
 // live drops contracted nodes from list in place, keeping the order of
@@ -216,6 +230,60 @@ func (b *tbuilder) live(list []graph.NodeID) []graph.NodeID {
 	return kept
 }
 
+// switchDense lets the density rule place the loop's switch to bit rows:
+// once the live nodes' bit rows would take no more words than their
+// lists' live entries.
+const switchDense = -1
+
+// useBits reports whether the loop should switch to bit rows now, with
+// len(b.order) nodes contracted: by the density rule, or, for a
+// switchAt ≥ 0, once switchAt nodes are contracted.
+func (b *tbuilder) useBits(switchAt int) bool {
+	if switchAt != switchDense {
+		return len(b.order) >= switchAt
+	}
+	left := b.n - len(b.order)
+	return left*((left+63)/64) <= b.liveArcs // 2 rows per node, 2 entries per arc
+}
+
+// toBits re-indexes the live nodes and fills their bit rows from the
+// lists.
+func (b *tbuilder) toBits() {
+	left := b.n - len(b.order)
+	b.words = (left + 63) / 64
+	b.idx = make([]int32, b.n)
+	i := int32(0)
+	for v, done := range b.contracted {
+		if !done {
+			b.idx[v] = i
+			i++
+		}
+	}
+	b.out = make([]uint64, left*b.words)
+	b.in = make([]uint64, left*b.words)
+	for v, done := range b.contracted {
+		if done {
+			continue
+		}
+		for _, w := range b.fwd[v] {
+			if !b.contracted[w] {
+				setBit(b.row(b.out, graph.NodeID(v)), b.idx[w])
+				setBit(b.row(b.in, w), b.idx[v])
+			}
+		}
+	}
+}
+
+// row returns live node v's row of bits (b.out or b.in).
+func (b *tbuilder) row(rows []uint64, v graph.NodeID) []uint64 {
+	i := int(b.idx[v]) * b.words
+	return rows[i : i+b.words : i+b.words]
+}
+
+func setBit(row []uint64, i int32)      { row[i>>6] |= 1 << (i & 63) }
+func clearBit(row []uint64, i int32)    { row[i>>6] &^= 1 << (i & 63) }
+func hasBit(row []uint64, i int32) bool { return row[i>>6]&(1<<(i&63)) != 0 }
+
 // priority is the contraction importance of v: edge difference (shortcut
 // arcs the contraction would insert minus arcs it retires) plus the
 // deleted-neighbour count, which delays nodes in already-thinned regions
@@ -226,6 +294,9 @@ func (b *tbuilder) live(list []graph.NodeID) []graph.NodeID {
 // arc to every w in W except itself and those it already reaches:
 // |W| − [u ∈ W] − |out(u) ∩ W|, one pass over out(u).
 func (b *tbuilder) priority(v graph.NodeID, marks *markSet) float64 {
+	if b.out != nil {
+		return b.priorityBits(v)
+	}
 	marks.clear()
 	outDeg := 0
 	for _, w := range b.fwd[v] {
@@ -253,6 +324,28 @@ func (b *tbuilder) priority(v graph.NodeID, marks *markSet) float64 {
 	return float64(added-(inDeg+outDeg)) + float64(b.delNbrs[v])
 }
 
+// priorityBits is priority over the bit rows: the same count, with each
+// |out(u) ∩ W| a popcount over one row.
+func (b *tbuilder) priorityBits(v graph.NodeID) float64 {
+	ov, iv := b.row(b.out, v), b.row(b.in, v)
+	outDeg, inDeg, both := 0, 0, 0
+	for k := range ov {
+		outDeg += bits.OnesCount64(ov[k])
+		inDeg += bits.OnesCount64(iv[k])
+		both += bits.OnesCount64(ov[k] & iv[k])
+	}
+	added := inDeg*outDeg - both
+	for k, word := range iv {
+		for ; word != 0; word &= word - 1 {
+			u := (k<<6 + bits.TrailingZeros64(word)) * b.words
+			for j, x := range b.out[u : u+b.words] {
+				added -= bits.OnesCount64(x & ov[j])
+			}
+		}
+	}
+	return float64(added-(inDeg+outDeg)) + float64(b.delNbrs[v])
+}
+
 // contract removes v from the live graph: every in/out pair (u, w) gains
 // the arc (u, w) if the skeleton lacks it — the pair is v's lower
 // triangle, which freeze re-enumerates from v's rows — and v's survivors
@@ -260,19 +353,24 @@ func (b *tbuilder) priority(v graph.NodeID, marks *markSet) float64 {
 func (b *tbuilder) contract(v graph.NodeID) {
 	b.fwd[v] = b.live(b.fwd[v])
 	b.bwd[v] = b.live(b.bwd[v])
-	for _, u := range b.bwd[v] {
-		b.fwd[u] = b.live(b.fwd[u])
-		b.marks.clear()
-		for _, x := range b.fwd[u] {
-			b.marks.add(x)
-		}
-		for _, w := range b.fwd[v] {
-			if w != u && !b.marks.has(w) {
-				b.addArc(u, w)
+	if b.out != nil {
+		b.contractBits(v)
+	} else {
+		for _, u := range b.bwd[v] {
+			b.fwd[u] = b.live(b.fwd[u])
+			b.marks.clear()
+			for _, x := range b.fwd[u] {
+				b.marks.add(x)
+			}
+			for _, w := range b.fwd[v] {
+				if w != u && !b.marks.has(w) {
+					b.addArc(u, w)
+				}
 			}
 		}
 	}
 	b.contracted[v] = true
+	b.liveArcs -= len(b.fwd[v]) + len(b.bwd[v])
 	for _, w := range b.fwd[v] {
 		b.delNbrs[w]++
 	}
@@ -281,18 +379,73 @@ func (b *tbuilder) contract(v graph.NodeID) {
 	}
 }
 
+// contractBits is contract's pair loop over the bit rows. An in-neighbour
+// u that already reaches every out-neighbour but itself costs a few word
+// operations; otherwise its missing arcs are appended in fwd[v] order, as
+// the list loop appends them, after compacting fwd[u] as that loop does.
+// u's own bit is set while it is visited, so no arc u→u is ever missing.
+// A skipped fwd[u] is compacted later, at the latest when u is
+// contracted; live keeps order, so the row comes out the same.
+// Last, v's bit leaves its neighbours' rows.
+func (b *tbuilder) contractBits(v graph.NodeID) {
+	ov := b.row(b.out, v)
+	for _, u := range b.bwd[v] {
+		iu, ou := b.idx[u], b.row(b.out, u)
+		setBit(ou, iu) // u needs no arc to itself
+		if !covers(ou, ov) {
+			b.fwd[u] = b.live(b.fwd[u])
+			for _, w := range b.fwd[v] {
+				if iw := b.idx[w]; !hasBit(ou, iw) {
+					b.addArc(u, w)
+					setBit(ou, iw)
+					setBit(b.row(b.in, w), iu)
+				}
+			}
+		}
+		clearBit(ou, iu)
+	}
+	iv := b.idx[v]
+	for _, w := range b.fwd[v] {
+		clearBit(b.row(b.in, w), iv)
+	}
+	for _, u := range b.bwd[v] {
+		clearBit(b.row(b.out, u), iv)
+	}
+}
+
+// covers reports whether row a holds every bit of row b.
+func covers(a, b []uint64) bool {
+	for k := range b {
+		if b[k]&^a[k] != 0 {
+			return false
+		}
+	}
+	return true
+}
+
 // BuildTopology contracts g structurally into a reusable topology. The
 // graph is only read, and only its structure matters: two graphs with the
 // same arcs but different costs produce the identical topology.
 //
-// Two phases run on opts.Workers goroutines: the initial priorities — one
-// independent pair count per node, each worker with its own mark set —
-// and the triangle packing in freeze. The contraction loop between them
-// is sequential because each contraction reshapes the graph the next
-// evaluates against, with the classic lazy-update rule re-queueing a
-// popped candidate whose priority has deteriorated past the next key.
-// The result does not depend on the worker count.
+// The build has four phases. The initial priorities — one independent
+// pair count per node, each worker with its own mark set — and the
+// triangle packing in freeze run on opts.Workers goroutines. The
+// contraction loop between them is sequential, because each contraction
+// reshapes the graph the next evaluates against, with the classic
+// lazy-update rule re-queueing a popped candidate whose priority has
+// deteriorated past the next key. Once the live graph is dense the loop
+// counts and inserts over bit rows instead of lists, which changes
+// nothing it computes. The edge→slot map and the elimination tree close
+// the build on the calling goroutine. The result depends neither on the
+// worker count nor on when the loop switched to bit rows.
 func BuildTopology(g *graph.Graph, opts Options) (*Topology, error) {
+	return buildTopology(g, opts, switchDense)
+}
+
+// buildTopology is BuildTopology with the loop's switch to bit rows set
+// by switchAt: switchDense, or the number of contracted nodes to switch
+// at (0 = before the first pop, the node count = never).
+func buildTopology(g *graph.Graph, opts Options, switchAt int) (*Topology, error) {
 	n := g.NumNodes()
 	if n == 0 {
 		return nil, fmt.Errorf("ch: empty graph")
@@ -319,6 +472,9 @@ func BuildTopology(g *graph.Graph, opts Options) (*Topology, error) {
 
 	nextRank := int32(0)
 	for queue.Len() > 0 {
+		if b.out == nil && b.useBits(switchAt) {
+			b.toBits()
+		}
 		vi, _, _ := queue.PopMin()
 		v := graph.NodeID(vi)
 		np := b.priority(v, b.marks)
@@ -336,9 +492,8 @@ func BuildTopology(g *graph.Graph, opts Options) (*Topology, error) {
 }
 
 // freeze packs the contracted rows into the Topology's undirected CSR
-// skeleton, enumerates every lower triangle from the middle nodes' rows
-// on up to workers goroutines, and maps the source graph's edges onto
-// weight slots.
+// skeleton, enumerates every lower triangle on up to workers goroutines,
+// and maps the source graph's edges onto weight slots.
 func (b *tbuilder) freeze(g *graph.Graph, workers int) *Topology {
 	t := &Topology{
 		src:   g,
@@ -365,7 +520,8 @@ func (b *tbuilder) freeze(g *graph.Graph, workers int) *Topology {
 			t.owner[p] = v
 		}
 	}
-	t.packTriangles(workers)
+	low := t.transpose()
+	t.packTriangles(low, workers)
 
 	// Edge → weight-slot mapping plus the base-backed census. Up slots
 	// resolve in the edge's own row and down slots in the head's, so each
@@ -393,7 +549,7 @@ func (b *tbuilder) freeze(g *graph.Graph, workers int) *Topology {
 		})
 	}
 	t.shortcuts = directed - base
-	t.parent = t.eliminationTree()
+	t.parent = t.eliminationTree(low)
 	return t
 }
 
@@ -414,6 +570,33 @@ func (b *tbuilder) appendRow(dst []graph.NodeID, v graph.NodeID) []graph.NodeID 
 	return dst
 }
 
+// lowerArcs is the skeleton transposed: for each node x, the positions
+// pos[off[x]:off[x+1]] of x in the rows of its lower neighbours, ordered
+// by those neighbours' contraction order.
+type lowerArcs struct{ off, pos []int32 }
+
+// transpose lists every node's lower neighbours. Every arc sits at its
+// lower endpoint, so transposing the skeleton's rows, visited in
+// contraction order, gives them ranked lowest first.
+func (t *Topology) transpose() lowerArcs {
+	low := lowerArcs{off: make([]int32, t.n+1), pos: make([]int32, len(t.heads))}
+	for _, w := range t.heads {
+		low.off[w+1]++
+	}
+	for v := 0; v < t.n; v++ {
+		low.off[v+1] += low.off[v]
+	}
+	cursor := append([]int32(nil), low.off[:t.n]...)
+	for _, v := range t.order {
+		for p := t.offsets[v]; p < t.offsets[v+1]; p++ {
+			w := t.heads[p]
+			low.pos[cursor[w]] = p
+			cursor[w]++
+		}
+	}
+	return low
+}
+
 // eliminationTree computes the skeleton's elimination tree with Liu's
 // algorithm: visit nodes v in contraction order and, for each lower
 // neighbour u, climb from u to the root of its current subtree, pointing
@@ -421,31 +604,15 @@ func (b *tbuilder) appendRow(dst []graph.NodeID, v graph.NodeID) []graph.NodeID 
 // A parent is thus the lowest-ranked node adjacent to the child's whole
 // subtree, not just to the child: the skeleton keeps only in/out pairs,
 // so a node's upper neighbours need not be adjacent to each other.
-func (t *Topology) eliminationTree() []graph.NodeID {
-	// Every arc sits at its lower endpoint, so transposing the skeleton
-	// lists each node's lower neighbours.
-	lowOff := make([]int32, t.n+1)
-	for _, w := range t.heads {
-		lowOff[w+1]++
-	}
-	for v := 0; v < t.n; v++ {
-		lowOff[v+1] += lowOff[v]
-	}
-	low := make([]graph.NodeID, lowOff[t.n])
-	cursor := append([]int32(nil), lowOff[:t.n]...)
-	for p, w := range t.heads {
-		low[cursor[w]] = t.owner[p]
-		cursor[w]++
-	}
-
+func (t *Topology) eliminationTree(low lowerArcs) []graph.NodeID {
 	parent := make([]graph.NodeID, t.n)
 	anc := make([]graph.NodeID, t.n)
 	for v := range parent {
 		parent[v], anc[v] = graph.Invalid, graph.Invalid
 	}
 	for _, v := range t.order {
-		for _, u := range low[lowOff[v]:lowOff[v+1]] {
-			for r := u; r != v; {
+		for _, p := range low.pos[low.off[v]:low.off[v+1]] {
+			for r := t.owner[p]; r != v; {
 				next := anc[r]
 				anc[r] = v
 				if next == graph.Invalid {
@@ -459,67 +626,112 @@ func (t *Topology) eliminationTree() []graph.NodeID {
 	return parent
 }
 
-// packTriangles fills triOff and tris: a counting sort of every lower
-// triangle by target arc into CSR form, on up to workers goroutines.
+// packTriangles fills triOff and tris one target row at a time, on up to
+// workers goroutines.
 //
-// The middles are cut into contiguous runs of the contraction order, one
-// per worker. Each worker counts its run's triangles per arc with its own
-// scatter; a prefix pass over (arc, worker) turns the counts into each
-// worker's first slot per arc, and a second pass over the same runs fills
-// those disjoint slots. A run gives a target at most one triangle per
-// middle, in contraction order, and the runs are laid out in that order
-// too, so each arc's list comes out ordered by its middles' contraction
-// order whatever the worker count.
-func (t *Topology) packTriangles(workers int) {
-	runs := t.splitMiddles(workers)
-	numArcs := len(t.heads)
-	scatters := make([]*rowScatter, len(runs)-1)
-	cursors := make([][]int32, len(runs)-1)
-	fanOut(len(cursors), func(w int) {
-		scatters[w], cursors[w] = newRowScatter(t), make([]int32, numArcs)
-		t.packRun(t.order[runs[w]:runs[w+1]], scatters[w], cursors[w], nil)
-	})
-	t.triOff = make([]int32, numArcs+1)
-	next := int32(0)
-	for p := range numArcs {
-		t.triOff[p] = next
-		for _, cursor := range cursors {
-			next, cursor[p] = next+cursor[p], next
+// The triangles of an arc {x, y} in x's row are the lower neighbours v of
+// x whose row also holds y. So for row x, scattered once, the pass walks
+// x's lower neighbours in contraction order and, in each one's row, only
+// the heads ranked above x: byRank lists every row by its heads' rank,
+// and at[p] is position p's index there. A head y in x's row gives the
+// triangle {pos_v(x), pos_v(y)} of the arc at y's position in x's row;
+// on a directed graph, where two out-heads of v need not be joined, a
+// head outside x's row gives none. A stable counting sort by arc then
+// lays the row's triangles out in CSR order, each arc's list ordered by
+// its middles' contraction order, as customization reads them.
+//
+// The heads a row's walk visits bound its triangles, and the bound is
+// exact when every arc runs both ways, since contraction then joins every
+// pair of a middle's row. Each row writes from its bound's prefix sum, so
+// workers take contiguous node ranges of about equal bound and write
+// disjoint slots; one closing pass compacts the gaps a directed graph
+// leaves. The layout depends on neither the worker count nor the split.
+func (t *Topology) packTriangles(low lowerArcs, workers int) {
+	numArcs := int32(len(t.heads))
+	byRank := make([]int32, numArcs)
+	at := make([]int32, numArcs)
+	cursor := append([]int32(nil), t.offsets[:t.n]...)
+	for _, y := range t.order {
+		for _, p := range low.pos[low.off[y]:low.off[y+1]] {
+			v := t.owner[p]
+			byRank[cursor[v]], at[p] = p, cursor[v]
+			cursor[v]++
 		}
 	}
-	t.triOff[numArcs] = next
-	t.tris = make([]triangle, next)
-	fanOut(len(cursors), func(w int) {
-		t.packRun(t.order[runs[w]:runs[w+1]], scatters[w], cursors[w], t.tris)
-	})
-}
 
-// splitMiddles cuts the contraction order into at most workers non-empty
-// runs of about equal packing work and returns their bounds as indices
-// into t.order. A middle of degree d costs packRun its d(d-1)/2 pairs
-// plus one scatter of each of its d heads' rows.
-func (t *Topology) splitMiddles(workers int) []int {
-	deg := func(v graph.NodeID) int { return int(t.offsets[v+1] - t.offsets[v]) }
-	work := func(v graph.NodeID) int {
-		w := deg(v) * (deg(v) - 1) / 2
-		for _, x := range t.heads[t.offsets[v]:t.offsets[v+1]] {
-			w += deg(x)
+	// rowBase[x] is the first slot of row x, from the bounds before it.
+	rowBase := make([]int32, t.n+1)
+	for x := range t.n {
+		bound := int32(0)
+		if t.offsets[x] < t.offsets[x+1] {
+			for _, p := range low.pos[low.off[x]:low.off[x+1]] {
+				bound += t.offsets[t.owner[p]+1] - at[p] - 1
+			}
 		}
-		return w
+		rowBase[x+1] = rowBase[x] + bound
 	}
-	total := 0
-	for _, v := range t.order {
-		total += work(v)
-	}
-	bounds := []int{0}
-	done := 0
-	for i, v := range t.order[:len(t.order)-1] {
-		done += work(v)
-		if k := len(bounds); k < workers && done*workers >= total*k {
-			bounds = append(bounds, i+1)
+	t.triOff = make([]int32, numArcs+1)
+	t.tris = make([]triangle, rowBase[t.n])
+	rowLen := make([]int32, t.n)
+
+	// Worker w packs the rows [cut(w), cut(w+1)).
+	cut := func(w int) int {
+		if w == workers {
+			return t.n
 		}
+		return sort.Search(t.n, func(x int) bool { return int(rowBase[x])*workers >= int(rowBase[t.n])*w })
 	}
-	return append(bounds, len(t.order))
+	fanOut(workers, func(w int) {
+		sc := newRowScatter(t)
+		var found []rowTriangle
+		var slot []int32
+		for x := graph.NodeID(cut(w)); int(x) < cut(w+1); x++ {
+			xlo, xhi := t.offsets[x], t.offsets[x+1]
+			if xlo == xhi {
+				continue
+			}
+			sc.scatter(x)
+			found = found[:0]
+			slot = slices.Grow(slot[:0], int(xhi-xlo))[:xhi-xlo]
+			clear(slot)
+			for _, i := range low.pos[low.off[x]:low.off[x+1]] {
+				for _, j := range byRank[at[i]+1 : t.offsets[t.owner[i]+1]] {
+					if p := sc.at[t.heads[j]]; p >= xlo && p < xhi {
+						found = append(found, rowTriangle{p - xlo, triangle{lo: i, hi: j}})
+						slot[p-xlo]++
+					}
+				}
+			}
+			next := rowBase[x]
+			for a, c := range slot {
+				t.triOff[xlo+int32(a)], slot[a] = next, next
+				next += c
+			}
+			for _, f := range found {
+				t.tris[slot[f.arc]] = f.tri
+				slot[f.arc]++
+			}
+			rowLen[x] = next - rowBase[x]
+		}
+	})
+
+	total := int32(0)
+	for _, c := range rowLen {
+		total += c
+	}
+	if total < rowBase[t.n] {
+		tris := make([]triangle, total)
+		next := int32(0)
+		for x := range t.n {
+			copy(tris[next:], t.tris[rowBase[x]:rowBase[x]+rowLen[x]])
+			for p := t.offsets[x]; p < t.offsets[x+1]; p++ {
+				t.triOff[p] -= rowBase[x] - next
+			}
+			next += rowLen[x]
+		}
+		t.tris = tris
+	}
+	t.triOff[numArcs] = total
 }
 
 // fanOut runs fn(0), …, fn(n-1) on n goroutines and waits for all of
@@ -540,43 +752,11 @@ func fanOut(n int, fn func(w int)) {
 	wg.Wait()
 }
 
-// packRun visits every lower triangle through the given middles, in
-// their order: every pair x, y of a middle's row with rank x < rank y
-// that the skeleton joins. On a graph whose arcs all run both ways every
-// such pair is joined, because contraction connected each in/out pair
-// through the middle; on a directed one a pair of two out-heads (or two
-// in-heads) may not be, and is skipped. For each triangle it bumps cursor
-// at the target arc's position p, first storing the triangle at
-// tris[cursor[p]] when tris is not nil: from zeroed cursors a run counts
-// each arc's triangles, and from each arc's first slot it fills them.
-//
-// A middle gives each target at most one triangle, so the order within a
-// middle is free. Its row is visited by rank: each x is paired with the
-// heads after it alone, with no rank test, and x's row is scattered once.
-func (t *Topology) packRun(middles []graph.NodeID, sc *rowScatter, cursor []int32, tris []triangle) {
-	var byRank []uint64 // rank<<32 | position, for one middle's row
-	for _, v := range middles {
-		byRank = byRank[:0]
-		for i := t.offsets[v]; i < t.offsets[v+1]; i++ {
-			byRank = append(byRank, uint64(t.rank[t.heads[i]])<<32|uint64(i))
-		}
-		slices.Sort(byRank)
-		for a, kx := range byRank {
-			i := int32(uint32(kx))
-			x := t.heads[i]
-			sc.scatter(x)
-			xlo, xhi := t.offsets[x], t.offsets[x+1]
-			for _, ky := range byRank[a+1:] {
-				j := int32(uint32(ky))
-				if p := sc.at[t.heads[j]]; p >= xlo && p < xhi {
-					if tris != nil {
-						tris[cursor[p]] = triangle{lo: i, hi: j}
-					}
-					cursor[p]++
-				}
-			}
-		}
-	}
+// rowTriangle is a triangle found for the arc at index arc of the row
+// being packed.
+type rowTriangle struct {
+	arc int32
+	tri triangle
 }
 
 // rowScatter resolves arc positions one skeleton row at a time:

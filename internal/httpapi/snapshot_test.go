@@ -263,22 +263,23 @@ func TestRouteSnapshotProvenanceUnderMutation(t *testing.T) {
 		rr       RouteResponse
 	}
 	var answers []answer
+	gens := map[string]bool{}
 	rng := rand.New(rand.NewSource(11))
 	n := f.g.NumNodes()
-	for i := 0; i < 400; i++ {
+	for i := 0; i < 400 || (len(gens) < 10 && i < maxProvenanceRequests); i++ {
 		from, to := graph.NodeID(rng.Intn(n)), graph.NodeID(rng.Intn(n))
 		var rr RouteResponse
 		resp := getJSON(t, f.url+"/v1/route?from="+strconv.Itoa(int(from))+"&to="+strconv.Itoa(int(to)), &rr)
 		if resp.StatusCode != http.StatusOK {
 			t.Fatalf("route %d→%d: status %d", from, to, resp.StatusCode)
 		}
-		answers = append(answers, answer{resp.Header.Get("X-ATIS-Snapshot"), from, to, rr})
+		a := answer{resp.Header.Get("X-ATIS-Snapshot"), from, to, rr}
+		answers = append(answers, a)
+		gens[a.gen] = true
 	}
 	f.finish()
 
-	gens := map[string]bool{}
 	for _, a := range answers {
-		gens[a.gen] = true
 		if !a.rr.Found {
 			continue
 		}
@@ -301,9 +302,10 @@ func TestBatchSnapshotProvenanceUnderMutation(t *testing.T) {
 		body  struct{ Routes []RouteResponse }
 	}
 	var answers []answer
+	gens := map[string]bool{}
 	rng := rand.New(rand.NewSource(13))
 	n := f.g.NumNodes()
-	for i := 0; i < 150; i++ {
+	for i := 0; i < 150 || (len(gens) < 10 && i < maxProvenanceRequests); i++ {
 		a := answer{}
 		var req strings.Builder
 		req.WriteString(`{"pairs":[`)
@@ -322,12 +324,11 @@ func TestBatchSnapshotProvenanceUnderMutation(t *testing.T) {
 		}
 		a.gen = resp.Header.Get("X-ATIS-Snapshot")
 		answers = append(answers, a)
+		gens[a.gen] = true
 	}
 	f.finish()
 
-	gens := map[string]bool{}
 	for _, a := range answers {
-		gens[a.gen] = true
 		for j, rr := range a.body.Routes {
 			if rr.Found {
 				f.checkCost(t, a.gen, a.pairs[j][0], a.pairs[j][1], rr.Cost)
@@ -347,15 +348,18 @@ func TestDirectionsSnapshotProvenanceUnderMutation(t *testing.T) {
 		cost     float64
 	}
 	var answers []answer
+	gens := map[string]bool{}
 	rng := rand.New(rand.NewSource(17))
 	n := f.g.NumNodes()
-	for len(answers) < 400 {
+	for i := 0; len(answers) < 400 || (len(gens) < 10 && i < maxProvenanceRequests); i++ {
 		from, to := graph.NodeID(rng.Intn(n)), graph.NodeID(rng.Intn(n))
 		var body struct{ Cost float64 }
 		resp := getJSON(t, f.url+"/v1/directions?from="+strconv.Itoa(int(from))+"&to="+strconv.Itoa(int(to)), &body)
 		switch resp.StatusCode {
 		case http.StatusOK:
-			answers = append(answers, answer{resp.Header.Get("X-ATIS-Snapshot"), from, to, body.Cost})
+			a := answer{resp.Header.Get("X-ATIS-Snapshot"), from, to, body.Cost}
+			answers = append(answers, a)
+			gens[a.gen] = true
 		case http.StatusNotFound: // no route between the pair
 		default:
 			t.Fatalf("directions %d→%d: status %d", from, to, resp.StatusCode)
@@ -363,9 +367,7 @@ func TestDirectionsSnapshotProvenanceUnderMutation(t *testing.T) {
 	}
 	f.finish()
 
-	gens := map[string]bool{}
 	for _, a := range answers {
-		gens[a.gen] = true
 		f.checkCost(t, a.gen, a.from, a.to, a.cost)
 	}
 	checkGenerations(t, gens)

@@ -24,7 +24,7 @@ var hotpathGates = map[string]struct {
 	"search.BidirectionalCtx":        {"../search", "TestHotpathKernelsZeroAlloc"},
 	"ch.Index.QueryCtx":              {"../ch", "TestQueryCtxUnreachableZeroAlloc"},
 	"pqueue.Indexed.PushTie":         {"../pqueue", "TestIndexedHotOpsZeroAlloc"},
-	"pqueue.Indexed.UpdateTie":       {"../pqueue", "TestIndexedHotOpsZeroAlloc"},
+	"pqueue.Indexed.updateTie":       {"../pqueue", "TestIndexedHotOpsZeroAlloc"},
 	"pqueue.Indexed.PushOrUpdateTie": {"../pqueue", "TestIndexedHotOpsZeroAlloc"},
 	"pqueue.Indexed.Peek":            {"../pqueue", "TestIndexedHotOpsZeroAlloc"},
 	"pqueue.Indexed.PopMin":          {"../pqueue", "TestIndexedHotOpsZeroAlloc"},

@@ -14,7 +14,7 @@ func TestIndexedHotOpsZeroAlloc(t *testing.T) {
 		for i := 0; i < 32; i++ {
 			h.PushTie(i, float64(63-i), float64(i))
 		}
-		h.UpdateTie(10, 1.5, 0)
+		h.updateTie(10, 1.5, 0)
 		h.PushOrUpdateTie(10, 0.5, 0) // present: update path
 		h.PushOrUpdateTie(40, 7, 0)   // absent: push path
 		if _, _, ok := h.Peek(); !ok {
@@ -40,7 +40,7 @@ func TestIndexedHotOpsZeroAlloc(t *testing.T) {
 	for name, misuse := range map[string]func(){
 		"push out of range": func() { h.PushTie(64, 0, 0) },
 		"push twice":        func() { h.PushTie(1, 0, 0); h.PushTie(1, 0, 0) },
-		"update absent":     func() { h.UpdateTie(2, 0, 0) },
+		"update absent":     func() { h.updateTie(2, 0, 0) },
 	} {
 		func() {
 			defer func() {

@@ -30,7 +30,7 @@ type Indexed struct {
 type OpStats struct {
 	Pushes  uint64 // successful Push/PushTie insertions
 	Pops    uint64 // successful PopMin removals
-	Updates uint64 // UpdateTie priority changes (decrease- or increase-key)
+	Updates uint64 // PushOrUpdateTie priority changes of a queued item (decrease- or increase-key)
 }
 
 // OpStats returns the operation counts accumulated since the last Reset.
@@ -119,12 +119,12 @@ func (h *Indexed) PushTie(item int, priority, tie float64) {
 	h.ops.Pushes++
 }
 
-// UpdateTie changes the priority and tie-break key of a queued item.
+// updateTie changes the priority and tie-break key of a queued item.
 //
 //atis:hotpath
-func (h *Indexed) UpdateTie(item int, priority, tie float64) {
+func (h *Indexed) updateTie(item int, priority, tie float64) {
 	if !h.Contains(item) {
-		panic(fmt.Sprintf("pqueue: UpdateTie of item %d which is not queued", item))
+		panic(fmt.Sprintf("pqueue: updateTie of item %d which is not queued", item))
 	}
 	i := h.pos[item]
 	h.prio[i] = priority
@@ -145,7 +145,7 @@ func (h *Indexed) PushOrUpdate(item int, priority float64) {
 //atis:hotpath
 func (h *Indexed) PushOrUpdateTie(item int, priority, tie float64) {
 	if h.Contains(item) {
-		h.UpdateTie(item, priority, tie)
+		h.updateTie(item, priority, tie)
 	} else {
 		h.PushTie(item, priority, tie)
 	}

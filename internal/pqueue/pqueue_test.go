@@ -100,7 +100,7 @@ func TestIndexedPanics(t *testing.T) {
 	assertPanics("double push", func() { h.Push(0, 2) })
 	assertPanics("push out of range", func() { h.Push(5, 1) })
 	assertPanics("push negative", func() { h.Push(-1, 1) })
-	assertPanics("update absent", func() { h.UpdateTie(1, 1, 0) })
+	assertPanics("update absent", func() { h.updateTie(1, 1, 0) })
 }
 
 // Property: draining the indexed heap yields priorities in sorted order and
